@@ -1,10 +1,10 @@
 """Potential summation backends.
 
-The direct backend is the reference: an O(N * M) kernel sum, JIT compiled
-and parallelized over target tiles.  A fast summation scheme (treecode,
-multipole) can be slotted in through PluginBackend without touching any
-caller; its contract is to match direct summation within its own stated
-tolerance.
+DirectBackend is the reference: the O(N * M) kernel sum of kernels.py,
+evaluated with numpy over every (target, source) pair.  A fast summation
+scheme (treecode, multipole) can be slotted in through PluginBackend without
+touching any caller; its contract is to match direct summation within its
+own stated tolerance.
 
 All entry points take the weighted density (density values already
 multiplied by the quadrature weights), so backends never see the surface
@@ -16,218 +16,8 @@ import numpy as np
 from . import kernels as K
 from .errors import CoincidentPointsError, UsageError
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAVE_NUMBA = False
-
-_TILE = 32
-INV_4PI = 1.0 / (4.0 * np.pi)
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(parallel=True, fastmath=True, cache=True)
-    def _laplace_single(src, chg, trg, out):
-        m = trg.shape[0]
-        ntiles = (m + _TILE - 1) // _TILE
-        for t in numba.prange(ntiles):
-            j0 = t * _TILE
-            j1 = min(j0 + _TILE, m)
-            acc = np.zeros(_TILE)
-            for i in range(src.shape[0]):
-                sx, sy, sz = src[i, 0], src[i, 1], src[i, 2]
-                ci = chg[i]
-                for jj in range(j1 - j0):
-                    j = j0 + jj
-                    dx = sx - trg[j, 0]
-                    dy = sy - trg[j, 1]
-                    dz = sz - trg[j, 2]
-                    r2 = dx * dx + dy * dy + dz * dz
-                    acc[jj] += ci / np.sqrt(r2)
-            for jj in range(j1 - j0):
-                out[j0 + jj, 0] = acc[jj] * INV_4PI
-
-    @numba.njit(parallel=True, fastmath=True, cache=True)
-    def _laplace_double(src, nrm, chg, trg, out):
-        m = trg.shape[0]
-        ntiles = (m + _TILE - 1) // _TILE
-        for t in numba.prange(ntiles):
-            j0 = t * _TILE
-            j1 = min(j0 + _TILE, m)
-            acc = np.zeros(_TILE)
-            for i in range(src.shape[0]):
-                sx, sy, sz = src[i, 0], src[i, 1], src[i, 2]
-                nx, ny, nz = nrm[i, 0], nrm[i, 1], nrm[i, 2]
-                ci = chg[i]
-                for jj in range(j1 - j0):
-                    j = j0 + jj
-                    # r = y - x, from target to source
-                    dx = sx - trg[j, 0]
-                    dy = sy - trg[j, 1]
-                    dz = sz - trg[j, 2]
-                    r2 = dx * dx + dy * dy + dz * dz
-                    rn = dx * nx + dy * ny + dz * nz
-                    inv = 1.0 / np.sqrt(r2)
-                    acc[jj] += rn * inv * inv * inv * ci
-            for jj in range(j1 - j0):
-                out[j0 + jj, 0] = acc[jj] * INV_4PI
-
-    @numba.njit(parallel=True, fastmath=True, cache=True)
-    def _laplace_combined(src, nrm, chg_s, chg_d, trg, out):
-        # single layer of chg_s plus double layer of chg_d in one sweep
-        m = trg.shape[0]
-        ntiles = (m + _TILE - 1) // _TILE
-        for t in numba.prange(ntiles):
-            j0 = t * _TILE
-            j1 = min(j0 + _TILE, m)
-            acc = np.zeros(_TILE)
-            for i in range(src.shape[0]):
-                sx, sy, sz = src[i, 0], src[i, 1], src[i, 2]
-                nx, ny, nz = nrm[i, 0], nrm[i, 1], nrm[i, 2]
-                si = chg_s[i]
-                di = chg_d[i]
-                for jj in range(j1 - j0):
-                    j = j0 + jj
-                    dx = sx - trg[j, 0]
-                    dy = sy - trg[j, 1]
-                    dz = sz - trg[j, 2]
-                    r2 = dx * dx + dy * dy + dz * dz
-                    rn = dx * nx + dy * ny + dz * nz
-                    inv = 1.0 / np.sqrt(r2)
-                    inv2 = inv * inv
-                    acc[jj] += inv * (si + rn * inv2 * di)
-            for jj in range(j1 - j0):
-                out[j0 + jj, 0] = acc[jj] * INV_4PI
-
-    @numba.njit(parallel=True, fastmath=True, cache=True)
-    def _stokes_single(src, chg, trg, mu, out):
-        m = trg.shape[0]
-        c = 1.0 / (8.0 * np.pi * mu)
-        ntiles = (m + _TILE - 1) // _TILE
-        for t in numba.prange(ntiles):
-            j0 = t * _TILE
-            j1 = min(j0 + _TILE, m)
-            acc = np.zeros((_TILE, 3))
-            for i in range(src.shape[0]):
-                sx, sy, sz = src[i, 0], src[i, 1], src[i, 2]
-                q0, q1, q2 = chg[i, 0], chg[i, 1], chg[i, 2]
-                for jj in range(j1 - j0):
-                    j = j0 + jj
-                    dx = trg[j, 0] - sx
-                    dy = trg[j, 1] - sy
-                    dz = trg[j, 2] - sz
-                    r2 = dx * dx + dy * dy + dz * dz
-                    inv = 1.0 / np.sqrt(r2)
-                    inv3 = inv / r2
-                    rq = dx * q0 + dy * q1 + dz * q2
-                    acc[jj, 0] += q0 * inv + rq * dx * inv3
-                    acc[jj, 1] += q1 * inv + rq * dy * inv3
-                    acc[jj, 2] += q2 * inv + rq * dz * inv3
-            for jj in range(j1 - j0):
-                out[j0 + jj, 0] = acc[jj, 0] * c
-                out[j0 + jj, 1] = acc[jj, 1] * c
-                out[j0 + jj, 2] = acc[jj, 2] * c
-
-    @numba.njit(parallel=True, fastmath=True, cache=True)
-    def _stokes_double(src, nrm, chg, trg, out):
-        m = trg.shape[0]
-        c = 3.0 * INV_4PI
-        ntiles = (m + _TILE - 1) // _TILE
-        for t in numba.prange(ntiles):
-            j0 = t * _TILE
-            j1 = min(j0 + _TILE, m)
-            acc = np.zeros((_TILE, 3))
-            for i in range(src.shape[0]):
-                sx, sy, sz = src[i, 0], src[i, 1], src[i, 2]
-                nx, ny, nz = nrm[i, 0], nrm[i, 1], nrm[i, 2]
-                q0, q1, q2 = chg[i, 0], chg[i, 1], chg[i, 2]
-                for jj in range(j1 - j0):
-                    j = j0 + jj
-                    dx = sx - trg[j, 0]
-                    dy = sy - trg[j, 1]
-                    dz = sz - trg[j, 2]
-                    r2 = dx * dx + dy * dy + dz * dz
-                    inv = 1.0 / np.sqrt(r2)
-                    inv5 = inv / (r2 * r2)
-                    rn = dx * nx + dy * ny + dz * nz
-                    rq = dx * q0 + dy * q1 + dz * q2
-                    w = rn * rq * inv5
-                    acc[jj, 0] += w * dx
-                    acc[jj, 1] += w * dy
-                    acc[jj, 2] += w * dz
-            for jj in range(j1 - j0):
-                out[j0 + jj, 0] = acc[jj, 0] * c
-                out[j0 + jj, 1] = acc[jj, 1] * c
-                out[j0 + jj, 2] = acc[jj, 2] * c
-
-    @numba.njit(parallel=True, fastmath=True, cache=True)
-    def _elasticity_single(src, chg, trg, mu, nu, out):
-        m = trg.shape[0]
-        c = 1.0 / (16.0 * np.pi * mu * (1.0 - nu))
-        k = 3.0 - 4.0 * nu
-        ntiles = (m + _TILE - 1) // _TILE
-        for t in numba.prange(ntiles):
-            j0 = t * _TILE
-            j1 = min(j0 + _TILE, m)
-            acc = np.zeros((_TILE, 3))
-            for i in range(src.shape[0]):
-                sx, sy, sz = src[i, 0], src[i, 1], src[i, 2]
-                q0, q1, q2 = chg[i, 0], chg[i, 1], chg[i, 2]
-                for jj in range(j1 - j0):
-                    j = j0 + jj
-                    dx = trg[j, 0] - sx
-                    dy = trg[j, 1] - sy
-                    dz = trg[j, 2] - sz
-                    r2 = dx * dx + dy * dy + dz * dz
-                    inv = 1.0 / np.sqrt(r2)
-                    inv3 = inv / r2
-                    rq = dx * q0 + dy * q1 + dz * q2
-                    acc[jj, 0] += k * q0 * inv + rq * dx * inv3
-                    acc[jj, 1] += k * q1 * inv + rq * dy * inv3
-                    acc[jj, 2] += k * q2 * inv + rq * dz * inv3
-            for jj in range(j1 - j0):
-                out[j0 + jj, 0] = acc[jj, 0] * c
-                out[j0 + jj, 1] = acc[jj, 1] * c
-                out[j0 + jj, 2] = acc[jj, 2] * c
-
-    @numba.njit(parallel=True, fastmath=True, cache=True)
-    def _elasticity_double(src, nrm, chg, trg, nu, out):
-        m = trg.shape[0]
-        c = 1.0 / (8.0 * np.pi * (1.0 - nu))
-        k = 1.0 - 2.0 * nu
-        ntiles = (m + _TILE - 1) // _TILE
-        for t in numba.prange(ntiles):
-            j0 = t * _TILE
-            j1 = min(j0 + _TILE, m)
-            acc = np.zeros((_TILE, 3))
-            for i in range(src.shape[0]):
-                sx, sy, sz = src[i, 0], src[i, 1], src[i, 2]
-                nx, ny, nz = nrm[i, 0], nrm[i, 1], nrm[i, 2]
-                q0, q1, q2 = chg[i, 0], chg[i, 1], chg[i, 2]
-                nq = nx * q0 + ny * q1 + nz * q2
-                for jj in range(j1 - j0):
-                    j = j0 + jj
-                    dx = sx - trg[j, 0]
-                    dy = sy - trg[j, 1]
-                    dz = sz - trg[j, 2]
-                    r2 = dx * dx + dy * dy + dz * dz
-                    inv = 1.0 / np.sqrt(r2)
-                    inv3 = inv / r2
-                    inv5 = inv3 / r2
-                    rn = dx * nx + dy * ny + dz * nz
-                    rq = dx * q0 + dy * q1 + dz * q2
-                    w = 3.0 * rn * rq * inv5
-                    acc[jj, 0] += k * (rn * q0 + rq * nx - nq * dx) * inv3 + w * dx
-                    acc[jj, 1] += k * (rn * q1 + rq * ny - nq * dy) * inv3 + w * dy
-                    acc[jj, 2] += k * (rn * q2 + rq * nz - nq * dz) * inv3 + w * dz
-            for jj in range(j1 - j0):
-                out[j0 + jj, 0] = acc[jj, 0] * c
-                out[j0 + jj, 1] = acc[jj, 1] * c
-                out[j0 + jj, 2] = acc[jj, 2] * c
+# there is no compiled summation path; the flag stays for environment records
+HAVE_NUMBA = False
 
 
 def _as_contig(a):
@@ -235,12 +25,9 @@ def _as_contig(a):
 
 
 class DirectBackend:
-    """Reference direct-summation backend (numba when available)."""
+    """Reference direct-summation backend."""
 
     strategy = "direct"
-
-    def __init__(self, use_numba: bool = True):
-        self.use_numba = use_numba and HAVE_NUMBA
 
     def potential(self, kernel, layer, sources, normals, weighted_density, targets):
         """Evaluate sum_I K(x, y_I) sigma_I at targets, sigma = phi * w.
@@ -250,53 +37,21 @@ class DirectBackend:
         """
         sources = _as_contig(sources)
         targets = _as_contig(np.atleast_2d(targets))
-        m = targets.shape[0]
-        d = kernel.d
-        out = np.empty((m, d))
-        if m == 0:
-            return out
+        if len(targets) == 0:
+            return np.empty((0, kernel.d))
         if layer == "combined":
             if kernel.family is not K.Family.LAPLACE:
                 raise UsageError("combined layer sum is Laplace only")
-            sig_s = _as_contig(weighted_density[0]).reshape(-1)
-            sig_d = _as_contig(weighted_density[1]).reshape(-1)
-            nrm = _as_contig(normals)
-            if self.use_numba:
-                _laplace_combined(sources, nrm, sig_s, sig_d, targets, out)
-            else:
-                out = K.apply_single_layer(kernel, targets, sources, sig_s[:, None])
-                out = out + K.apply_double_layer(
-                    kernel, targets, sources, nrm, sig_d[:, None]
-                )
-            self._check_finite(out)
-            return out
-        sigma = _as_contig(weighted_density).reshape(sources.shape[0], d)
-        if layer == "single":
-            if self.use_numba:
-                if kernel.family is K.Family.LAPLACE:
-                    _laplace_single(sources, sigma.reshape(-1), targets, out)
-                elif kernel.family is K.Family.STOKES:
-                    _stokes_single(sources, sigma, targets, kernel.viscosity, out)
-                else:
-                    _elasticity_single(
-                        sources, sigma, targets, kernel.viscosity,
-                        kernel.poisson_ratio, out,
-                    )
-            else:
+            sig_s = _as_contig(weighted_density[0]).reshape(-1, 1)
+            sig_d = _as_contig(weighted_density[1]).reshape(-1, 1)
+            out = K.apply_single_layer(kernel, targets, sources, sig_s)
+            out = out + K.apply_double_layer(kernel, targets, sources, _as_contig(normals), sig_d)
+        elif layer in ("single", "double"):
+            sigma = _as_contig(weighted_density).reshape(sources.shape[0], kernel.d)
+            if layer == "single":
                 out = K.apply_single_layer(kernel, targets, sources, sigma)
-        elif layer == "double":
-            nrm = _as_contig(normals)
-            if self.use_numba:
-                if kernel.family is K.Family.LAPLACE:
-                    _laplace_double(sources, nrm, sigma.reshape(-1), targets, out)
-                elif kernel.family is K.Family.STOKES:
-                    _stokes_double(sources, nrm, sigma, targets, out)
-                else:
-                    _elasticity_double(
-                        sources, nrm, sigma, targets, kernel.poisson_ratio, out
-                    )
             else:
-                out = K.apply_double_layer(kernel, targets, sources, nrm, sigma)
+                out = K.apply_double_layer(kernel, targets, sources, _as_contig(normals), sigma)
         else:
             raise UsageError(f"unknown layer {layer!r}")
         self._check_finite(out)
@@ -320,7 +75,6 @@ class PluginBackend(DirectBackend):
     strategy = "plug-in"
 
     def __init__(self, fn):
-        super().__init__()
         self._fn = fn
 
     def potential(self, kernel, layer, sources, normals, weighted_density, targets):

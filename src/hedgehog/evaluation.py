@@ -7,15 +7,15 @@ with the first-kind barycentric formula.  Far and intermediate targets
 dispatch to plain smooth quadrature on the coarse and fine sets.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
 
 from .backends import default_backend
 from .chebyshev import extrapolation_weights
-from .errors import DegenerateGeometryError, UsageError
-from .geometry.patches import PatchSet, SurfacePatch, characteristic_length
+from .errors import UsageError
+from .geometry.patches import PatchSet
 from .geometry.patches import evaluate as patch_evaluate
 from .geometry.patches import normal as patch_normal
 from .kernels import LAPLACE, KernelFamily
@@ -24,78 +24,59 @@ from .spatial import closest_point_global_bulk, surface_index
 
 
 @dataclass
-class EvalOptions:
-    """Extrapolation order, check-point spacing and accuracy targets."""
+class CheckLine:
+    """The p + 1 check points on the normal line through a surface anchor.
+
+    The first point sits at R = b s(L) from the anchor and the rest follow
+    every r = a s(L), where s(L) = L or sqrt(L) with sqrt_scaling.  The
+    points run inward (sign -1) or outward (sign +1) along the exterior
+    normal.  Admissibility, upsampling and evaluation all read this line,
+    so the accuracy guarantees hold at the points that are summed.
+    """
 
     p: int = 6
     b: float = 0.125
     a: float | None = None  # defaults to b / 6
     q: int = 20
-    eps_target: float = 1e-6
-    sqrtL_scaling: bool = False
+    sqrt_scaling: bool = False
     eps_opt: float = 1e-14
 
     def __post_init__(self):
         if self.a is None:
             self.a = self.b / 6.0
         if not (0.0 < self.a < 1.0 and 0.0 < self.b < 1.0):
-            raise UsageError("spacing factors must satisfy 0 < a, b < 1")
+            raise UsageError("check-point factors must satisfy 0 < a, b < 1")
         if self.p < 1:
             raise UsageError("extrapolation order must be at least 1")
 
-    def spacings(self, length):
-        scale = np.sqrt(length) if self.sqrtL_scaling else length
+    def check_line(self) -> "CheckLine":
+        """This line alone, without the fields a subclass adds."""
+        return CheckLine(**{f.name: getattr(self, f.name) for f in fields(CheckLine)})
+
+    def spacings(self, lengths):
+        """(R, r): first check distance and spacing per patch length."""
+        lengths = np.asarray(lengths, dtype=float)
+        scale = np.sqrt(lengths) if self.sqrt_scaling else lengths
         return self.b * scale, self.a * scale
+
+    def center_distance(self, lengths):
+        """Distance R + r (p + 1) / 2 from the anchor to the check center."""
+        ray, step = self.spacings(lengths)
+        return ray + step * (self.p + 1) / 2.0
+
+    def points(self, anchors, normals, lengths, sign: float):
+        """Stacked check points (M (p + 1), 3); row target * (p + 1) + s."""
+        ray, step = self.spacings(lengths)
+        offs = ray[:, None] + step[:, None] * np.arange(self.p + 1)[None, :]
+        pts = anchors[:, None, :] + sign * offs[:, :, None] * normals[:, None, :]
+        return pts.reshape(-1, 3)
 
 
 @dataclass
-class CheckPointSet:
-    """The p + 1 collinear off-surface points for one target anchor."""
+class EvalOptions(CheckLine):
+    """The check line plus the requested evaluation accuracy."""
 
-    points: np.ndarray  # (p + 1, 3)
-    first_distance: float  # R
-    spacing: float  # r
-    anchor: np.ndarray  # closest surface point y*
-    normal: np.ndarray  # unit exterior normal at y*
-    side: str  # "interior" or "exterior"
-
-    @property
-    def p(self) -> int:
-        return len(self.points) - 1
-
-    @property
-    def center(self) -> np.ndarray:
-        """Check center: anchor offset by R + r (p + 1) / 2 along the line."""
-        sgn = -1.0 if self.side == "interior" else 1.0
-        dist = self.first_distance + self.spacing * (self.p + 1) / 2.0
-        return self.anchor + sgn * dist * self.normal
-
-    def t_coordinate(self, x) -> float:
-        """Extrapolation coordinate t_x = (|x - y*| - R) / r."""
-        return (np.linalg.norm(np.asarray(x) - self.anchor) - self.first_distance) / self.spacing
-
-
-def generate_check_points(
-    patch: SurfacePatch, s: float, t: float, opts: EvalOptions, side: str = "interior"
-) -> CheckPointSet:
-    """Check points along the normal at P(s, t), spaced by the patch length."""
-    anchor = patch_evaluate(patch, s, t)
-    nrm = patch_normal(patch, s, t)
-    if not np.all(np.isfinite(nrm)):
-        raise DegenerateGeometryError("degenerate normal for check points")
-    length = characteristic_length(patch)
-    ray, step = opts.spacings(length)
-    sgn = -1.0 if side == "interior" else 1.0
-    offs = ray + step * np.arange(opts.p + 1)
-    pts = anchor[None, :] + sgn * offs[:, None] * nrm[None, :]
-    return CheckPointSet(
-        points=pts,
-        first_distance=float(ray),
-        spacing=float(step),
-        anchor=anchor,
-        normal=nrm,
-        side=side,
-    )
+    eps_target: float = 1e-6
 
 
 class Zone(IntEnum):
@@ -204,16 +185,6 @@ def _near_geometry(labels: ZoneLabels, rows, patchset: PatchSet):
     return anchors, normals, lengths
 
 
-def _check_point_block(anchors, normals, lengths, opts: EvalOptions, sign):
-    """Stacked check points; row layout (target, s) -> target * (p+1) + s."""
-    scale = np.sqrt(lengths) if opts.sqrtL_scaling else lengths
-    ray = opts.b * scale
-    step = opts.a * scale
-    offs = ray[:, None] + step[:, None] * np.arange(opts.p + 1)[None, :]
-    pts = anchors[:, None, :] + sign[:, None, None] * offs[:, :, None] * normals[:, None, :]
-    return pts.reshape(-1, 3), ray, step
-
-
 def _extrapolate_rows(values, t_x, p):
     """Extrapolate stacked check values: values (M*(p+1), d), t_x (M,).
 
@@ -286,10 +257,10 @@ def evaluate_one_sided(
     near = np.flatnonzero((labels.zone == Zone.NEAR) & in_domain)
     if len(near):
         anchors, normals, lengths = _near_geometry(labels, near, coarse_nodes.patchset)
-        side_sign = -1.0 if domain_side == "interior" else 1.0
-        sign = np.full(len(near), side_sign)
-        pts, ray, step = _check_point_block(anchors, normals, lengths, opts, sign)
+        sign = -1.0 if domain_side == "interior" else 1.0
+        pts = opts.points(anchors, normals, lengths, sign)
         cvals = smooth_potential(kernel, layer, fine_nodes, fine_density, pts, backend)
+        ray, step = opts.spacings(lengths)
         t_x = (np.linalg.norm(targets[near] - anchors, axis=1) - ray) / step
         values[near] = _extrapolate_rows(cvals, t_x, opts.p)
     return values, mask
@@ -330,8 +301,8 @@ def average_limits(
     m = len(anchors)
     both = np.concatenate(
         [
-            _check_point_block(anchors, normals, lengths, opts, np.full(m, -1.0))[0],
-            _check_point_block(anchors, normals, lengths, opts, np.full(m, +1.0))[0],
+            opts.points(anchors, normals, lengths, -1.0),
+            opts.points(anchors, normals, lengths, +1.0),
         ]
     )
     cvals = smooth_potential(kernel, "double", fine_nodes, fine_density, both, backend)

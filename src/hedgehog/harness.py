@@ -10,7 +10,7 @@ asserted anywhere; they are hardware dependent.
 import csv
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .refinement import (
     refine_for_geometry,
     uniform_upsample,
 )
-from .solver import BVProblem, assemble_from_sets, evaluate_solution, solve
+from .solver import BVProblem, assemble, assemble_from_sets, solve
 
 EXPERIMENTS = (
     "greens-identity",
@@ -100,8 +100,17 @@ class ExperimentConfig:
             b=self.b,
             a=self.a,
             q=self.q,
+            sqrt_scaling=self.sqrt_scaling,
             eps_target=self.eps_target,
-            sqrtL_scaling=self.sqrt_scaling,
+        )
+
+    def admissibility(self) -> AdmissibilityConfig:
+        """Coarse-set tolerances on the same check line as eval_options()."""
+        return AdmissibilityConfig(
+            **asdict(self.eval_options().check_line()),
+            eps_geometry=self.eps_geometry,
+            eps_boundary=self.eps_boundary,
+            min_length=self.min_length,
         )
 
 
@@ -149,17 +158,7 @@ def base_coarse_set(config: ExperimentConfig, f=None) -> tuple[PatchSet, Refinem
     """Level-0 admissible coarse set for the convergence experiments."""
     mesh = config.resolve_mesh()
     report = RefinementReport()
-    adm = AdmissibilityConfig(
-        eps_geometry=config.eps_geometry,
-        eps_boundary=config.eps_boundary,
-        eps_opt=1e-14,
-        a=config.a if config.a is not None else config.b / 6.0,
-        b=config.b,
-        p=config.p,
-        q=config.q,
-        sqrt_scaling=config.sqrt_scaling,
-        min_length=config.min_length,
-    )
+    adm = config.admissibility()
     coarse = refine_for_geometry(
         mesh, config.degree, adm.eps_geometry, report=report
     )
@@ -298,15 +297,7 @@ def run_solver_convergence(config: ExperimentConfig, backend=None):
     f = ref.boundary_condition()
     coarse0, report = base_coarse_set(config)
     opts = config.eval_options()
-    adm = AdmissibilityConfig(
-        eps_geometry=config.eps_geometry,
-        eps_boundary=config.eps_boundary,
-        a=opts.a,
-        b=opts.b,
-        p=opts.p,
-        q=opts.q,
-        sqrt_scaling=config.sqrt_scaling,
-    )
+    adm = config.admissibility()
     rows = []
     for level in range(config.levels):
         coarse = coarse0.uniform_refined(level)
@@ -320,7 +311,7 @@ def run_solver_convergence(config: ExperimentConfig, backend=None):
             options=opts,
             uniform_levels=config.upsample_levels,
         )
-        system = assemble_from_sets(problem, coarse, fine, backend)
+        system = assemble_from_sets(problem, coarse, fine)
         density, solve_report = solve(system, backend)
         # independent, slightly coarser node set on the same surface
         q_eval = max(4, config.q - 2)
@@ -444,16 +435,7 @@ def run_constant_density(config: ExperimentConfig, backend=None):
     """Interior double layer of a unit density on an admissible sphere."""
     backend = backend or default_backend()
     coarse, report = base_coarse_set(config)
-    adm = AdmissibilityConfig(
-        eps_geometry=config.eps_geometry,
-        eps_boundary=config.eps_boundary,
-        a=config.a if config.a is not None else config.b / 6.0,
-        b=config.b,
-        p=config.p,
-        q=config.q,
-        sqrt_scaling=config.sqrt_scaling,
-    )
-    fine = adaptive_upsample(coarse, UpsamplingConfig(), adm, report=report)
+    fine = adaptive_upsample(coarse, UpsamplingConfig(), config.admissibility(), report=report)
     nodes = discretize(coarse, config.q)
     fine_nodes = discretize(fine, config.q)
     opts = config.eval_options()
@@ -502,28 +484,17 @@ def run_target_precision_sweep(config: ExperimentConfig, backend=None):
     report = RefinementReport()
     for eps in config.eps_target_list:
         b = choose_b(eps, p=config.p)
-        opts = EvalOptions(
-            p=config.p, b=b, q=config.q, eps_target=eps, sqrtL_scaling=False
-        )
-        adm = AdmissibilityConfig(
-            eps_geometry=config.eps_geometry,
-            eps_boundary=config.eps_boundary,
-            a=opts.a,
-            b=opts.b,
-            p=opts.p,
-            q=opts.q,
-        )
+        point = replace(config, b=b, a=None, sqrt_scaling=False, eps_target=eps)
+        opts = point.eval_options()
         problem = BVProblem(
             kernel=kernel,
             geometry=mesh,
             boundary_condition=f,
             degree=config.degree,
-            admissibility=adm,
+            admissibility=point.admissibility(),
             upsampling=UpsamplingConfig(),
             options=opts,
         )
-        from .solver import assemble
-
         system = assemble(problem, backend)
         report = system.refinement_report
         density, solve_report = solve(system, backend)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .chebyshev import cc_rule, chebyshev_interpolation_matrix
 from .errors import RefinementError, UsageError
+from .evaluation import CheckLine
 from .geometry import bezier
 from .geometry.embeddings import BoundaryCondition, QuadMesh
 from .geometry.patches import (
@@ -32,32 +33,13 @@ from .spatial import (
 
 
 @dataclass
-class AdmissibilityConfig:
-    """Tolerances and check-point spacing for the coarse patch set."""
+class AdmissibilityConfig(CheckLine):
+    """The check line plus the coarse-set tolerances and refinement limits."""
 
     eps_geometry: float = 1e-6
     eps_boundary: float = 1e-6
-    eps_opt: float = 1e-14
-    a: float = 0.125 / 6.0
-    b: float = 0.125
-    p: int = 6
-    q: int = 20
-    sqrt_scaling: bool = False
     min_length: float = 0.0  # 0 disables the safeguard
     max_depth: int = 12
-
-    def __post_init__(self):
-        if not (0.0 < self.a < 1.0 and 0.0 < self.b < 1.0):
-            raise UsageError("check-point factors must satisfy 0 < a, b < 1")
-
-    def spacings(self, length: float):
-        """(R, r): first check distance and spacing for a patch length."""
-        scale = np.sqrt(length) if self.sqrt_scaling else length
-        return self.b * scale, self.a * scale
-
-    def center_distance(self, length: float) -> float:
-        ray, step = self.spacings(length)
-        return ray + step * (self.p + 1) / 2.0
 
 
 @dataclass
@@ -255,20 +237,19 @@ def refine_for_boundary_condition(
 # Criterion 3: check-center admissibility
 # ---------------------------------------------------------------------------
 
+_SIGN = {"interior": -1.0, "exterior": 1.0}
+
 
 def _check_centers(patchset, index_list, nodes, cfg: AdmissibilityConfig, sides):
     """Check centers per patch: {patch index: (centers, anchors)} arrays."""
     q = cfg.q
+    dist = cfg.center_distance(patchset.lengths)
     out = {}
     for i in index_list:
         rows = slice(i * q * q, (i + 1) * q * q)
         pos = nodes.positions[rows]
         nrm = nodes.normals[rows]
-        dist = cfg.center_distance(patchset.lengths[i])
-        centers = []
-        for side in sides:
-            sgn = -1.0 if side == "interior" else 1.0
-            centers.append(pos + sgn * dist * nrm)
+        centers = [pos + _SIGN[side] * dist[i] * nrm for side in sides]
         out[i] = (np.concatenate(centers), np.tile(pos, (len(sides), 1)))
     return out
 
@@ -389,9 +370,9 @@ def enforce_admissibility(
         # neighbor patches only agree along shared edges up to the fit
         # error, so the coincidence test cannot be tighter than that
         fit_gap = float(np.nanmax([p.fit_error for p in current.patches] + [0.0]))
+        dist = cfg.center_distance(current.lengths)
         per_patch = {
-            i: (cpts, anchors, cfg.center_distance(current.lengths[i]))
-            for i, (cpts, anchors) in centers.items()
+            i: (cpts, anchors, dist[i]) for i, (cpts, anchors) in centers.items()
         }
         postol = max(cfg.eps_opt, 10.0 * fit_gap, 1e-12)
         still_bad = _admissibility_offenders(
@@ -462,17 +443,21 @@ def enforce_admissibility(
 def required_check_points(
     coarse: PatchSet, nodes, cfg: AdmissibilityConfig, sides=("interior", "exterior")
 ) -> np.ndarray:
-    """All check points needed to evaluate the operator at the coarse nodes."""
+    """All check points needed to evaluate the operator at the coarse nodes.
+
+    Rows run side by side, then check index s, then node.
+    """
     lengths = coarse.lengths[nodes.patch_ids]
-    scale = np.sqrt(lengths) if cfg.sqrt_scaling else lengths
-    ray = cfg.b * scale
-    step = cfg.a * scale
-    pts = []
-    for side in sides:
-        sgn = -1.0 if side == "interior" else 1.0
-        for s in range(cfg.p + 1):
-            pts.append(nodes.positions + sgn * (ray + s * step)[:, None] * nodes.normals)
-    return np.concatenate(pts)
+    n, k = len(nodes), cfg.p + 1
+    return np.concatenate(
+        [
+            cfg.points(nodes.positions, nodes.normals, lengths, _SIGN[side])
+            .reshape(n, k, 3)
+            .swapaxes(0, 1)
+            .reshape(-1, 3)
+            for side in sides
+        ]
+    )
 
 
 def near_zone_boxes(patchset: PatchSet):

@@ -25,8 +25,8 @@ from .evaluation import (
 )
 from .geometry.embeddings import BoundaryCondition, QuadMesh
 from .geometry.patches import PatchSet
-from .kernels import LAPLACE, Family, KernelFamily, point_source_field
-from .quadrature import QuadratureNodeSet, discretize, upsample_density
+from .kernels import Family, KernelFamily, point_source_field
+from .quadrature import QuadratureNodeSet, discretize
 from .refinement import (
     AdmissibilityConfig,
     RefinementReport,
@@ -62,6 +62,11 @@ class BVProblem:
         if self.side == "exterior" and self.kernel.family is not Family.LAPLACE:
             raise UsageError(
                 "exterior problems are supported for the Laplace kernel only"
+            )
+        if self.admissibility.check_line() != self.options.check_line():
+            raise UsageError(
+                "admissibility and options must carry the same check line: "
+                f"{self.admissibility.check_line()} != {self.options.check_line()}"
             )
 
 
@@ -127,9 +132,18 @@ def assemble(problem: BVProblem, backend=None) -> AssembledSystem:
         fine = uniform_upsample(coarse, problem.uniform_levels)
     else:
         fine = adaptive_upsample(coarse, problem.upsampling, adm, report=report)
-    nodes = discretize(coarse, adm.q)
-    fine_nodes = discretize(fine, adm.q)
-    rhs = problem.boundary_condition(nodes.positions)
+    return assemble_from_sets(problem, coarse, fine, report)
+
+
+def assemble_from_sets(
+    problem: BVProblem,
+    coarse: PatchSet,
+    fine: PatchSet,
+    report: RefinementReport | None = None,
+) -> AssembledSystem:
+    """Discretize prebuilt coarse/fine sets and sample the boundary condition."""
+    nodes = discretize(coarse, problem.admissibility.q)
+    fine_nodes = discretize(fine, problem.admissibility.q)
     anchor = None
     if problem.side == "exterior":
         # interior anchor for the rank-one completion: centroid of the
@@ -141,31 +155,18 @@ def assemble(problem: BVProblem, backend=None) -> AssembledSystem:
         fine=fine,
         nodes=nodes,
         fine_nodes=fine_nodes,
-        rhs=rhs,
-        refinement_report=report,
+        rhs=problem.boundary_condition(nodes.positions),
+        refinement_report=report if report is not None else RefinementReport(),
         interior_anchor=anchor,
     )
 
 
-def assemble_from_sets(
-    problem: BVProblem, coarse: PatchSet, fine: PatchSet, backend=None
-) -> AssembledSystem:
-    """Assemble with prebuilt coarse/fine sets (level-sweep experiments)."""
-    nodes = discretize(coarse, problem.admissibility.q)
-    fine_nodes = discretize(fine, problem.admissibility.q)
-    rhs = problem.boundary_condition(nodes.positions)
-    anchor = None
-    if problem.side == "exterior":
-        anchor = np.average(nodes.positions, axis=0, weights=nodes.weights)
-    return AssembledSystem(
-        problem=problem,
-        coarse=coarse,
-        fine=fine,
-        nodes=nodes,
-        fine_nodes=fine_nodes,
-        rhs=rhs,
-        refinement_report=RefinementReport(),
-        interior_anchor=anchor,
+def _exterior_completion(system: AssembledSystem, density, points) -> np.ndarray:
+    """Rank-one completion M phi at points: the interior anchor charge
+    carrying the weighted density moment (exterior Laplace only)."""
+    moment = np.sum(density * system.nodes.weights[:, None], axis=0)
+    return point_source_field(
+        system.problem.kernel, system.interior_anchor[None, :], moment[None, :], points
     )
 
 
@@ -188,14 +189,7 @@ def matvec(system: AssembledSystem, density, backend=None) -> np.ndarray:
         interior=problem.side == "interior",
     )
     if problem.side == "exterior":
-        moment = np.sum(density * system.nodes.weights[:, None], axis=0)
-        charge_val = point_source_field(
-            problem.kernel,
-            system.interior_anchor[None, :],
-            moment[None, :],
-            system.nodes.positions,
-        )
-        out = out + charge_val
+        out = out + _exterior_completion(system, density, system.nodes.positions)
     return out
 
 
@@ -298,13 +292,5 @@ def evaluate_solution(
         domain_side=problem.side,
     )
     if problem.side == "exterior":
-        moment = np.sum(
-            density.values * system.nodes.weights[:, None], axis=0
-        )
-        values[mask] += point_source_field(
-            problem.kernel,
-            system.interior_anchor[None, :],
-            moment[None, :],
-            targets[mask],
-        )
+        values[mask] += _exterior_completion(system, density.values, targets[mask])
     return values, labels, mask

@@ -4,18 +4,16 @@ import pytest
 import hedgehog.geometry as geo
 from hedgehog import kernels as K
 from hedgehog.evaluation import (
-    CheckPointSet,
     EvalOptions,
     Zone,
     evaluate_one_sided,
     evaluate_two_sided,
-    generate_check_points,
     mark_points,
     read_targets,
     surface_node_labels,
     write_target_values,
 )
-from hedgehog.geometry.patches import PatchSet, Subdomain, fit_patch
+from hedgehog.geometry.patches import PatchSet, Subdomain, characteristic_length, fit_patch
 from hedgehog.quadrature import discretize, smooth_potential, upsample_density
 from hedgehog.references import ReferenceSolution
 from hedgehog.refinement import (
@@ -44,51 +42,68 @@ def sphere_system():
     return coarse, fine, nodes, fine_nodes, opts
 
 
+def _check_line(patch, s, t, line, sign):
+    """(anchor, check points, R, r) on the normal line at P(s, t)."""
+    anchor = geo.evaluate(patch, s, t)
+    normal = geo.normal(patch, s, t)
+    length = np.array([characteristic_length(patch)])
+    pts = line.points(anchor[None, :], normal[None, :], length, sign)
+    ray, step = line.spacings(length)
+    return anchor, pts, ray[0], step[0]
+
+
 def test_check_point_formula(flat_square_patch):
     opts = EvalOptions(p=6, b=0.03, a=0.005, q=6)
-    cps = generate_check_points(flat_square_patch, 0.0, 0.0, opts, "interior")
-    assert cps.points.shape == (7, 3)
+    _, pts, ray, step = _check_line(flat_square_patch, 0.0, 0.0, opts, -1.0)
+    assert pts.shape == (7, 3)
     # flat unit patch: L = 1, interior side runs along -n = -z
-    assert cps.first_distance == pytest.approx(0.03, rel=1e-12)
-    assert cps.spacing == pytest.approx(0.005, rel=1e-12)
-    assert np.allclose(cps.points[0], [0, 0, -0.03], atol=1e-13)
-    assert np.allclose(cps.points[6], [0, 0, -0.06], atol=1e-13)
-    gaps = np.linalg.norm(np.diff(cps.points, axis=0), axis=1)
-    assert np.allclose(gaps, cps.spacing, atol=1e-14)
+    assert ray == pytest.approx(0.03, rel=1e-12)
+    assert step == pytest.approx(0.005, rel=1e-12)
+    assert np.allclose(pts[0], [0, 0, -0.03], atol=1e-13)
+    assert np.allclose(pts[6], [0, 0, -0.06], atol=1e-13)
+    gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    assert np.allclose(gaps, step, atol=1e-14)
 
 
 def test_check_points_exterior_mirrors_interior(flat_square_patch):
     opts = EvalOptions(p=4, b=0.1, q=6)
-    interior = generate_check_points(flat_square_patch, 0.2, -0.3, opts, "interior")
-    exterior = generate_check_points(flat_square_patch, 0.2, -0.3, opts, "exterior")
-    mirrored = interior.points.copy()
+    _, interior, _, _ = _check_line(flat_square_patch, 0.2, -0.3, opts, -1.0)
+    _, exterior, _, _ = _check_line(flat_square_patch, 0.2, -0.3, opts, +1.0)
+    mirrored = interior.copy()
     mirrored[:, 2] *= -1.0
-    assert np.abs(exterior.points - mirrored).max() < 1e-13
+    assert np.abs(exterior - mirrored).max() < 1e-13
 
 
 def test_check_center_distance(flat_square_patch):
     opts = EvalOptions(p=6, b=0.03, a=0.005, q=6)
-    cps = generate_check_points(flat_square_patch, 0.0, 0.0, opts, "interior")
+    anchor, pts, ray, step = _check_line(flat_square_patch, 0.0, 0.0, opts, -1.0)
     expected = 0.03 + 0.005 * (6 + 1) / 2.0
-    assert np.linalg.norm(cps.center - cps.anchor) == pytest.approx(
-        expected, rel=1e-12
-    )
+    dist = opts.center_distance(np.array([characteristic_length(flat_square_patch)]))
+    assert dist[0] == pytest.approx(expected, rel=1e-12)
+    # the center lies on the line, (p + 1) / 2 spacings beyond the first point
+    assert (dist[0] - ray) / step == pytest.approx(3.5, rel=1e-12)
 
 
 def test_check_point_t_coordinate(flat_square_patch):
     opts = EvalOptions(p=6, b=0.03, a=0.005, q=6)
-    cps = generate_check_points(flat_square_patch, 0.0, 0.0, opts, "interior")
+    anchor, pts, ray, step = _check_line(flat_square_patch, 0.0, 0.0, opts, -1.0)
+
+    def t_coordinate(x):
+        # extrapolation coordinate t_x = (|x - y*| - R) / r
+        return (np.linalg.norm(x - anchor) - ray) / step
+
     # on-surface target: t = -R / r = -b / a
-    assert cps.t_coordinate(cps.anchor) == pytest.approx(-6.0, rel=1e-12)
-    assert cps.t_coordinate(cps.points[2]) == pytest.approx(2.0, rel=1e-12)
+    assert t_coordinate(anchor) == pytest.approx(-6.0, rel=1e-12)
+    assert t_coordinate(pts[2]) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_sqrt_scaling_mode(flat_square_patch):
     emb = geo.plate_embedding([0, 0, 0], [0.25, 0, 0], [0, 0.25, 0])
     small = fit_patch(emb, 0, Subdomain(), 2)  # L = 0.25
-    opts = EvalOptions(p=6, b=0.2, q=6, sqrtL_scaling=True)
-    cps = generate_check_points(small, 0.0, 0.0, opts)
-    assert cps.first_distance == pytest.approx(0.2 * np.sqrt(0.25), rel=1e-12)
+    opts = EvalOptions(p=6, b=0.2, q=6, sqrt_scaling=True)
+    anchor, pts, ray, _ = _check_line(small, 0.0, 0.0, opts, -1.0)
+    assert ray == pytest.approx(0.2 * np.sqrt(0.25), rel=1e-12)
+    assert np.linalg.norm(pts[0] - anchor) == pytest.approx(0.2 * np.sqrt(0.25), rel=1e-12)
 
 
 def test_two_sided_constant_density_is_one(sphere_system):

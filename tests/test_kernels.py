@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hedgehog import kernels as K
+from hedgehog.backends import DirectBackend
 from hedgehog.errors import CoincidentPointsError, UsageError
 from hedgehog.chebyshev import cc_rule
 
@@ -183,7 +184,9 @@ def test_somigliana_identity_vector_kernels(kern):
     x = np.array([[0.05, 0.1, -0.15]])
     u_b = K.point_source_field(kern, charge, psi, pts)
     t_b = K.point_source_conormal(kern, charge, psi, pts, normals)
-    s_val = K.apply_single_layer(kern, x, pts, t_b * w[:, None])
-    d_val = K.apply_double_layer(kern, x, pts, normals, u_b * w[:, None])
+    # through the summation backend, so its (N, 3) charge layout is covered
+    backend = DirectBackend()
+    s_val = backend.potential(kern, "single", pts, normals, t_b * w[:, None], x)
+    d_val = backend.potential(kern, "double", pts, normals, u_b * w[:, None], x)
     u_exact = K.point_source_field(kern, charge, psi, x)
     assert np.abs(s_val + d_val - u_exact).max() < 1e-8

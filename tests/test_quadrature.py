@@ -112,7 +112,7 @@ def test_plugin_backend_matches_direct(sphere96):
     phi = rng.normal(size=len(nodes))
     targets = rng.normal(size=(7, 3)) * 0.1
     direct = smooth_potential(K.LAPLACE, "double", nodes, phi, targets)
-    reference = DirectBackend(use_numba=False)
+    reference = DirectBackend()
 
     def fast_stub(kernel, layer, sources, normals, weighted, tgts):
         return reference.potential(kernel, layer, sources, normals, weighted, tgts)
@@ -121,20 +121,6 @@ def test_plugin_backend_matches_direct(sphere96):
         K.LAPLACE, "double", nodes, phi, targets, PluginBackend(fast_stub)
     )
     assert np.abs(direct - plugged).max() < 1e-12 * max(1.0, np.abs(direct).max())
-
-
-@pytest.mark.parametrize("kern", [K.STOKES, K.elasticity(0.3)])
-def test_numba_vector_kernels_match_numpy(sphere96, kern):
-    nodes = discretize(sphere96, 6)
-    rng = np.random.default_rng(4)
-    phi = rng.normal(size=(len(nodes), 3))
-    targets = rng.normal(size=(5, 3)) * 0.1
-    fast = DirectBackend(use_numba=True)
-    slow = DirectBackend(use_numba=False)
-    for layer in ("single", "double"):
-        a = smooth_potential(kern, layer, nodes, phi, targets, fast)
-        b = smooth_potential(kern, layer, nodes, phi, targets, slow)
-        assert np.abs(a - b).max() < 1e-11 * max(1.0, np.abs(b).max())
 
 
 # ---------------------------------------------------------------------------

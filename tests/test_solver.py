@@ -207,3 +207,16 @@ def test_interior_problem_rejects_stokes_exterior():
 
     with pytest.raises(UsageError):
         _sphere_problem(kernel=K.STOKES, side="exterior")
+
+
+@pytest.mark.parametrize(
+    "change", [{"b": 0.25}, {"a": 0.02}, {"p": 8}, {"q": 6}, {"sqrt_scaling": True}]
+)
+def test_problem_rejects_mismatched_check_lines(change):
+    from dataclasses import replace
+
+    from hedgehog.errors import UsageError
+
+    problem = _sphere_problem()
+    with pytest.raises(UsageError, match="same check line"):
+        replace(problem, options=replace(problem.options, **change))
