@@ -8,7 +8,12 @@ own stated tolerance.
 
 All entry points take the weighted density (density values already
 multiplied by the quadrature weights), so backends never see the surface
-discretization, only points, normals and charge vectors.
+discretization, only points, normals and charge vectors.  A weighted density
+is one (N, d) vector field or a block of k of them, (N, d, k), or the same
+N * d * k values as (N, d * k); the potential keeps the trailing shape,
+(M, d) or (M, d, k) or (M, d * k).  DirectBackend sums a block in one pass
+over the pairs (one GEMM per kernel component); PluginBackend hands its
+callable one (N, d) density at a time.
 """
 
 import numpy as np
@@ -37,21 +42,19 @@ class DirectBackend:
         """
         sources = _as_contig(sources)
         targets = _as_contig(np.atleast_2d(targets))
-        if len(targets) == 0:
-            return np.empty((0, kernel.d))
         if layer == "combined":
             if kernel.family is not K.Family.LAPLACE:
                 raise UsageError("combined layer sum is Laplace only")
-            sig_s = _as_contig(weighted_density[0]).reshape(-1, 1)
-            sig_d = _as_contig(weighted_density[1]).reshape(-1, 1)
-            out = K.apply_single_layer(kernel, targets, sources, sig_s)
-            out = out + K.apply_double_layer(kernel, targets, sources, _as_contig(normals), sig_d)
-        elif layer in ("single", "double"):
-            sigma = _as_contig(weighted_density).reshape(sources.shape[0], kernel.d)
-            if layer == "single":
-                out = K.apply_single_layer(kernel, targets, sources, sigma)
-            else:
-                out = K.apply_double_layer(kernel, targets, sources, _as_contig(normals), sigma)
+            out = K.apply_single_layer(kernel, targets, sources, _as_contig(weighted_density[0]))
+            out += K.apply_double_layer(
+                kernel, targets, sources, _as_contig(normals), _as_contig(weighted_density[1])
+            )
+        elif layer == "single":
+            out = K.apply_single_layer(kernel, targets, sources, _as_contig(weighted_density))
+        elif layer == "double":
+            out = K.apply_double_layer(
+                kernel, targets, sources, _as_contig(normals), _as_contig(weighted_density)
+            )
         else:
             raise UsageError(f"unknown layer {layer!r}")
         self._check_finite(out)
@@ -69,7 +72,9 @@ class PluginBackend(DirectBackend):
     """Wrap an external fast-summation callable with the backend interface.
 
     The callable receives (kernel, layer, sources, normals, weighted_density,
-    targets) and must match direct summation within its advertised tolerance.
+    targets) with one (N, d) density (a pair of them for "combined") and
+    must match direct summation within its advertised tolerance.  A block of
+    k densities is applied column by column.
     """
 
     strategy = "plug-in"
@@ -78,8 +83,19 @@ class PluginBackend(DirectBackend):
         self._fn = fn
 
     def potential(self, kernel, layer, sources, normals, weighted_density, targets):
-        out = self._fn(kernel, layer, sources, normals, weighted_density, targets)
-        out = np.asarray(out, dtype=float).reshape(np.atleast_2d(targets).shape[0], kernel.d)
+        m = np.atleast_2d(targets).shape[0]
+        n = np.atleast_2d(sources).shape[0]
+        parts = weighted_density if layer == "combined" else (weighted_density,)
+        blocks, shapes = zip(*(K.density_columns(part, n, kernel.d) for part in parts))
+        columns = []
+        for c in range(blocks[0].shape[2]):
+            column = tuple(block[:, :, c] for block in blocks)
+            out = self._fn(
+                kernel, layer, sources, normals,
+                column if layer == "combined" else column[0], targets,
+            )
+            columns.append(np.asarray(out, dtype=float).reshape(m, kernel.d))
+        out = np.stack(columns, axis=-1).reshape((m,) + shapes[0])
         self._check_finite(out)
         return out
 

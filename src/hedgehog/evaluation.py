@@ -279,7 +279,8 @@ def evaluate_two_sided(
 
     Extrapolates the double layer to the surface from both sides, averages
     (the principal value), then adds +phi/2 for the interior limit or
-    -phi/2 for the exterior one.
+    -phi/2 for the exterior one.  density is (N, d) or a block (N, d, k),
+    read as N * d * k channels; the result is (N, d * k).
     """
     backend = backend or default_backend()
     density = np.asarray(density, float).reshape(len(nodes), -1)
@@ -289,14 +290,17 @@ def evaluate_two_sided(
         nodes.positions, nodes.normals, lengths, kernel, fine_nodes,
         fine_density, opts, backend,
     )
-    half = 0.5 * density if interior else -0.5 * density
-    return pv + half
+    pv += (0.5 if interior else -0.5) * density
+    return pv
 
 
 def average_limits(
     anchors, normals, lengths, kernel, fine_nodes, fine_density, opts, backend=None
 ):
-    """Average of interior and exterior extrapolated limits (the PV)."""
+    """Average of interior and exterior extrapolated limits (the PV).
+
+    fine_density is (N_fine, c): d values for each of k densities.
+    """
     backend = backend or default_backend()
     m = len(anchors)
     both = np.concatenate(

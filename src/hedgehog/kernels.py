@@ -133,66 +133,137 @@ def double_layer_kernel(kernel: KernelFamily, x, y, n_y) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Vectorized forms: plain numpy reference implementations used by the dense
-# test oracles and as the fallback summation backend.  targets (M, 3),
-# sources (N, 3), normals (N, 3), density (N, d) -> (M, d).
+# test oracles and by the summation backend.  targets (M, 3), sources (N, 3),
+# normals (N, 3); density (N, d) -> (M, d), or a block of k densities
+# (N, d, k) -> (M, d, k).  Any density with d * k values per source keeps its
+# trailing shape, and a bare (N,) Laplace density gives (M, 1).  Each kernel
+# is summed as (M, N) matrices multiplied into the output by GEMM: one for
+# Laplace, one component K_ij per (i, j) for the vector kernels, so a block
+# of k densities costs one pass over the pairs.
 # ---------------------------------------------------------------------------
 
 
-def _pairwise(targets, sources):
-    d = targets[:, None, :] - sources[None, :, :]
-    rho2 = np.einsum("mnk,mnk->mn", d, d)
-    return d, rho2
+def density_columns(density, n, d):
+    """The density as (N, d, k) and the trailing shape of its potential."""
+    density = np.asarray(density, dtype=float)
+    shape = density.shape[1:] or (1,)
+    return density.reshape(n, d, int(np.prod(shape)) // d), shape
+
+
+def _offsets(targets, sources):
+    """Components r_k = y_k - x_k, (3, M, N), and 1 / |r|, (M, N)."""
+    r = sources.T[:, None, :] - targets.T[:, :, None]
+    inv = np.einsum("kmn,kmn->mn", r, r)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    return r, inv
+
+
+def _times_inverse_power(a, inv, k):
+    """a *= inv**k in place."""
+    for _ in range(k):
+        a *= inv
+    return a
+
+
+def _sum_components(component, sigma, m, symmetric):
+    """sum_j K_ij sigma_j for i, j < 3: sigma (N, 3, k) -> (M, 3, k).
+
+    component(i, j, buf) writes the (M, N) matrix K_ij into buf; a symmetric
+    kernel forms each off-diagonal pair once.
+    """
+    sig = np.ascontiguousarray(sigma.transpose(1, 0, 2))
+    buf = np.empty((m, sig.shape[1]))
+    out = np.zeros((3, m, sig.shape[2]))
+    for i in range(3):
+        for j in range(i if symmetric else 0, 3):
+            component(i, j, buf)
+            out[i] += buf @ sig[j]
+            if symmetric and j != i:
+                out[j] += buf @ sig[i]
+    return out.transpose(1, 0, 2)
+
+
+def _pair_component(weight, r, diag=None):
+    """K_ij = weight r_i r_j + diag delta_ij."""
+
+    def component(i, j, buf):
+        np.multiply(weight, r[i], out=buf)
+        buf *= r[j]
+        if diag is not None and i == j:
+            buf += diag
+
+    return component
 
 
 def apply_single_layer(kernel: KernelFamily, targets, sources, density) -> np.ndarray:
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
-    density = np.asarray(density, dtype=float)
-    d, rho2 = _pairwise(targets, sources)
-    inv = 1.0 / np.sqrt(rho2)
+    m = len(targets)
+    sigma, shape = density_columns(density, len(sources), kernel.d)
+    r, inv = _offsets(targets, sources)
     if kernel.family is Family.LAPLACE:
-        out = INV_4PI * (inv @ density.reshape(-1))
-        return out[:, None]
-    rdotq = np.einsum("mnk,nk->mn", d, density)
+        del r
+        out = inv @ sigma[:, 0, :]
+        out *= INV_4PI
+        return out.reshape((m,) + shape)
+    # K_ij = c (diag delta_ij / |r| + r_i r_j / |r|^3)
     if kernel.family is Family.STOKES:
         c = 1.0 / (8.0 * np.pi * kernel.viscosity)
-        out = inv @ density + np.einsum("mn,mnk->mk", rdotq * inv**3, d)
-        return c * out
-    nu = kernel.poisson_ratio
-    c = 1.0 / (16.0 * np.pi * kernel.viscosity * (1.0 - nu))
-    out = (3.0 - 4.0 * nu) * (inv @ density)
-    out += np.einsum("mn,mnk->mk", rdotq * inv**3, d)
-    return c * out
+        diag = 1.0
+    else:
+        nu = kernel.poisson_ratio
+        c = 1.0 / (16.0 * np.pi * kernel.viscosity * (1.0 - nu))
+        diag = 3.0 - 4.0 * nu
+    inv3 = inv * inv
+    inv3 *= inv
+    inv *= diag
+    out = _sum_components(_pair_component(inv3, r, inv), sigma, m, symmetric=True)
+    out *= c
+    return out.reshape((m,) + shape)
 
 
 def apply_double_layer(kernel: KernelFamily, targets, sources, normals, density):
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
     normals = np.asarray(normals, dtype=float)
-    density = np.asarray(density, dtype=float)
+    m = len(targets)
+    sigma, shape = density_columns(density, len(sources), kernel.d)
     # r = y - x pointing from target to source
-    r = sources[None, :, :] - targets[:, None, :]
-    rho2 = np.einsum("mnk,mnk->mn", r, r)
-    inv = 1.0 / np.sqrt(rho2)
-    rn = np.einsum("mnk,nk->mn", r, normals)
+    r, inv = _offsets(targets, sources)
+    rn = np.einsum("kmn,nk->mn", r, normals)
     if kernel.family is Family.LAPLACE:
-        out = INV_4PI * ((rn * inv**3) @ density.reshape(-1))
-        return out[:, None]
-    rq = np.einsum("mnk,nk->mn", r, density)
+        del r
+        rn *= np.power(inv, 3, out=inv)
+        out = rn @ sigma[:, 0, :]
+        out *= INV_4PI
+        return out.reshape((m,) + shape)
     if kernel.family is Family.STOKES:
-        w = 3.0 * INV_4PI * rn * rq * inv**5
-        return np.einsum("mn,mnk->mk", w, r)
+        # K_ij = 3 / (4 pi) (r . n) r_i r_j / |r|^5
+        rn *= 3.0 * INV_4PI
+        _times_inverse_power(rn, inv, 5)
+        del inv
+        out = _sum_components(_pair_component(rn, r), sigma, m, symmetric=True)
+        return out.reshape((m,) + shape)
+    # -(T^T psi) with T as in traction_kernel, r = y - x, n = n(y):
+    # K_ij = c [(1 - 2 nu) (n_i r_j - r_i n_j + (r . n) delta_ij) / |r|^3
+    #           + 3 (r . n) r_i r_j / |r|^5]
     nu = kernel.poisson_ratio
     c = 1.0 / (8.0 * np.pi * (1.0 - nu))
-    nq = np.einsum("nk,nk->n", normals, density)[None, :]
-    inv3 = inv**3
-    # -(T^T psi) with T as in traction_kernel, r = y - x, n = n(y)
-    out = np.einsum("mn,nk->mk", rq * inv3, normals)
-    out += np.einsum("mn,nk->mk", rn * inv3, density)
-    out -= np.einsum("mn,mnk->mk", nq * inv3, r)
-    out *= 1.0 - 2.0 * nu
-    out += 3.0 * np.einsum("mn,mnk->mk", rn * rq * inv**5, r)
-    return c * out
+    inv3 = inv * inv
+    inv3 *= inv
+    pair = _times_inverse_power((3.0 * c) * rn * inv3, inv, 2)
+    inv3 *= (1.0 - 2.0 * nu) * c
+    rn *= inv3
+    symmetric = _pair_component(pair, r, diag=rn)
+
+    def component(i, j, buf):
+        symmetric(i, j, buf)
+        if i != j:
+            buf += inv3 * (normals[:, i] * r[j] - r[i] * normals[:, j])
+
+    out = _sum_components(component, sigma, m, symmetric=False)
+    return out.reshape((m,) + shape)
 
 
 def point_source_field(kernel: KernelFamily, charges, strengths, points) -> np.ndarray:

@@ -89,7 +89,8 @@ def smooth_potential(
 ):
     """Direct quadrature of the layer potential at off-surface targets.
 
-    density has shape (N, d) or (N,); layer "combined" (Laplace) takes a
+    density has shape (N, d) or (N,), or holds k densities as (N, d, k),
+    which gives d * k result columns; layer "combined" (Laplace) takes a
     (single, double) density pair and sums both layers in one sweep.
     Targets must be disjoint from the nodes.
     """

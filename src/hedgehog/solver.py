@@ -1,18 +1,20 @@
 """Nystrom solver: assemble the admissible discretization and run GMRES.
 
-The discrete operator is applied matrix-free: each matvec upsamples the
-density, extrapolates the double layer to the surface from both sides and
-averages, then adds the +phi/2 identity term (interior problems).  The
-exterior Laplace problem on a single closed surface adds the standard
-rank-one completion (a point charge at an interior anchor scaled by the
-weighted density mean).
+matvec applies the discrete operator: it upsamples the density,
+extrapolates the double layer to the surface from both sides and averages,
+then adds the +phi/2 identity term (interior problems).  The exterior
+Laplace problem on a single closed surface adds the standard rank-one
+completion (a point charge at an interior anchor scaled by the weighted
+density mean).  The operator is linear and fixed for a system, so solve
+forms it once, as the matvec of the identity block (one sum over the fine
+set for all N d columns), and runs GMRES on the dense matrix.
 """
 
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.sparse.linalg import gmres
 
 from .backends import default_backend
 from .errors import UsageError
@@ -76,8 +78,9 @@ class SolveReport:
 
     final_residual is the relative recurrence (Arnoldi) residual the
     stopping rule uses; true_residual is ||b - A x|| / ||b|| recomputed
-    once, which is floored by the matrix-free operator's floating-point
-    accuracy and can sit above the recurrence value.
+    once with the formed operator A.  The recurrence value drifts from the
+    true residual in floating point, so true_residual can sit above it.
+    build_time is the time to form A, wall_time the time GMRES takes on it.
     """
 
     iterations: int = 0
@@ -86,6 +89,7 @@ class SolveReport:
     residual_history: list = field(default_factory=list)
     coarse_patches: int = 0
     fine_patches: int = 0
+    build_time: float = 0.0
     wall_time: float = 0.0
     converged: bool = False
 
@@ -163,7 +167,10 @@ def assemble_from_sets(
 
 def _exterior_completion(system: AssembledSystem, density, points) -> np.ndarray:
     """Rank-one completion M phi at points: the interior anchor charge
-    carrying the weighted density moment (exterior Laplace only)."""
+    carrying the weighted density moment (exterior Laplace only).
+
+    density (N, k) holds k densities and gives (M, k).
+    """
     moment = np.sum(density * system.nodes.weights[:, None], axis=0)
     return point_source_field(
         system.problem.kernel, system.interior_anchor[None, :], moment[None, :], points
@@ -171,26 +178,29 @@ def _exterior_completion(system: AssembledSystem, density, points) -> np.ndarray
 
 
 def matvec(system: AssembledSystem, density, backend=None) -> np.ndarray:
-    """Apply the discrete boundary operator to a density vector.
+    """Apply the discrete boundary operator to a density or a block of them.
 
     Interior: (1/2 I + D) phi via the two-sided extrapolated double layer.
     Exterior Laplace: (-1/2 I + D + M) phi with the rank-one completion M.
+    density is (N, d), or (N, d, k) for k densities at once, which comes
+    back as (N, d, k) from one sum over the fine set.
     """
     backend = backend or default_backend()
     problem = system.problem
-    density = np.asarray(density, float).reshape(len(system.nodes), -1)
+    density = np.asarray(density, float)
+    columns = density.reshape(len(system.nodes), -1)
     out = evaluate_two_sided(
         system.nodes,
         problem.kernel,
-        density,
+        columns,
         system.fine_nodes,
         problem.options,
         backend,
         interior=problem.side == "interior",
     )
     if problem.side == "exterior":
-        out = out + _exterior_completion(system, density, system.nodes.positions)
-    return out
+        out += _exterior_completion(system, columns, system.nodes.positions)
+    return out.reshape(density.shape) if density.ndim == 3 else out
 
 
 @dataclass
@@ -205,8 +215,9 @@ def solve(
     """Solve A phi = f with restart-free GMRES at the 1e-12 tolerance.
 
     Accepts a BVProblem (assembled here) or a prebuilt AssembledSystem.
-    Returns (DensityField, SolveReport); non-convergence keeps the best
-    iterate and reports converged=False.
+    A is formed once, as the matvec of the N d x N d identity, and GMRES
+    runs on the dense matrix.  Returns (DensityField, SolveReport);
+    non-convergence keeps the best iterate and reports converged=False.
     """
     backend = backend or default_backend()
     system = (
@@ -217,11 +228,14 @@ def solve(
     n = system.n_unknowns
     d = system.problem.kernel.d
     history = []
-
-    def apply(v):
-        return matvec(system, v.reshape(-1, d), backend).reshape(-1)
-
-    op = LinearOperator((n, n), matvec=apply, dtype=float)
+    t0 = time.perf_counter()
+    # a system too large for one sum over the fine set must fail before the
+    # identity block's fine copy (N_fine x N d values) is formed, so try the
+    # sum's largest temporary, its (3, M, N_fine) offsets, first
+    checks = 2 * (system.problem.options.p + 1) * len(system.nodes)
+    np.empty((3, checks, len(system.fine_nodes)))
+    op = matvec(system, np.eye(n).reshape(-1, d, n), backend).reshape(n, n)
+    build = time.perf_counter() - t0
     b = system.rhs.reshape(-1)
     t0 = time.perf_counter()
     x, info = gmres(
@@ -246,6 +260,7 @@ def solve(
         residual_history=history,
         coarse_patches=len(system.coarse),
         fine_patches=len(system.fine),
+        build_time=build,
         wall_time=wall,
         converged=info == 0 or final <= EPS_GMRES,
     )

@@ -204,7 +204,12 @@ def test_criterion_4_jump_relations(admissible_sphere):
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         return dirs * rng.uniform(lo, hi, (m, 1))
 
-    interior = sample_radial(0.0, 1.0 - margin, 300)
+    # the unit sphere has no room for the margin inside (max L is about
+    # 0.72), so interior points stay within a fixed inner radius: at least
+    # one patch length from every patch
+    inner = 1.0 - lengths.max()
+    assert inner > 0.0
+    interior = sample_radial(0.0, inner, 300)
     exterior = sample_radial(1.0 + margin, 3.0, 300)
     w_in = smooth_potential(K.LAPLACE, "double", nodes, ones, interior)
     w_out = smooth_potential(K.LAPLACE, "double", nodes, ones, exterior)

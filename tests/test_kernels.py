@@ -190,3 +190,29 @@ def test_somigliana_identity_vector_kernels(kern):
     d_val = backend.potential(kern, "double", pts, normals, u_b * w[:, None], x)
     u_exact = K.point_source_field(kern, charge, psi, x)
     assert np.abs(s_val + d_val - u_exact).max() < 1e-8
+
+
+@pytest.mark.parametrize("layer", ["single", "double"])
+@pytest.mark.parametrize("kern", [K.LAPLACE, K.STOKES, K.elasticity(0.3)])
+def test_block_density_matches_stacked_columns(kern, layer):
+    """A block (N, d, k) of densities sums to the k single-density results."""
+    rng = np.random.default_rng(7)
+    targets = rng.normal(size=(23, 3))
+    sources = 2.0 * rng.normal(size=(31, 3))
+    normals = rng.normal(size=(31, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    block = rng.normal(size=(31, kern.d, 4))
+
+    def apply(density):
+        if layer == "single":
+            return K.apply_single_layer(kern, targets, sources, density)
+        return K.apply_double_layer(kern, targets, sources, normals, density)
+
+    out = apply(block)
+    stacked = np.stack([apply(block[:, :, c]) for c in range(4)], axis=-1)
+    assert out.shape == stacked.shape == (23, kern.d, 4)
+    assert np.abs(out - stacked).max() <= 1e-12 * np.abs(stacked).max()
+    # the same values given as (N, d * k) keep that trailing shape
+    flat = apply(block.reshape(31, -1))
+    assert flat.shape == (23, kern.d * 4)
+    assert np.abs(flat - out.reshape(23, -1)).max() <= 1e-12 * np.abs(stacked).max()

@@ -123,6 +123,28 @@ def test_plugin_backend_matches_direct(sphere96):
     assert np.abs(direct - plugged).max() < 1e-12 * max(1.0, np.abs(direct).max())
 
 
+@pytest.mark.parametrize("kern", [K.LAPLACE, K.STOKES])
+def test_plugin_backend_applies_a_block_column_by_column(sphere96, kern):
+    """The plug-in callable only ever sees (N, d) densities."""
+    nodes = discretize(sphere96, 4)
+    rng = np.random.default_rng(5)
+    block = rng.normal(size=(len(nodes), kern.d, 3))
+    targets = rng.normal(size=(6, 3)) * 0.1
+    reference = DirectBackend()
+    seen = []
+
+    def vector_only(kernel, layer, sources, normals, weighted, tgts):
+        assert weighted.shape == (len(sources), kernel.d)
+        seen.append(weighted.shape)
+        return reference.potential(kernel, layer, sources, normals, weighted, tgts)
+
+    plugged = smooth_potential(kern, "double", nodes, block, targets, PluginBackend(vector_only))
+    direct = smooth_potential(kern, "double", nodes, block, targets)
+    assert len(seen) == 3
+    assert plugged.shape == direct.shape == (6, 3 * kern.d)
+    assert np.abs(direct - plugged).max() < 1e-12 * np.abs(direct).max()
+
+
 # ---------------------------------------------------------------------------
 # Upsampling
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator, gmres
 
 import hedgehog.geometry as geo
 from hedgehog import kernels as K
+from hedgehog.backends import DirectBackend
+from hedgehog.chebyshev import extrapolation_weights
 from hedgehog.evaluation import EvalOptions, Zone
 from hedgehog.geometry.embeddings import constant_boundary_condition
 from hedgehog.geometry.patches import PatchSet, Subdomain, fit_patch
 from hedgehog.references import ReferenceSolution
 from hedgehog.refinement import AdmissibilityConfig, UpsamplingConfig, uniform_upsample
 from hedgehog.solver import (
+    EPS_GMRES,
     BVProblem,
     assemble,
     assemble_from_sets,
@@ -40,6 +44,85 @@ def _sphere_problem(kernel=K.LAPLACE, f=None, b=0.2, q=8, per_face=1, degree=10,
 @pytest.fixture(scope="module")
 def assembled_sphere():
     return assemble(_sphere_problem())
+
+
+def _small_system(kernel=K.LAPLACE, side="interior"):
+    """Six-patch sphere at q = 4 with one uniform upsampling level."""
+    if side == "interior":
+        ref = ReferenceSolution.on_sphere(kernel, m=10, radius=1.6, seed=8)
+    else:
+        ref = ReferenceSolution.single_charge(kernel, (0.1, 0.0, -0.2))
+    b = 0.2
+    problem = BVProblem(
+        kernel=kernel,
+        geometry=geo.sphere_mesh(0.8, per_face=1),
+        boundary_condition=ref.boundary_condition(),
+        side=side,
+        degree=10,
+        admissibility=AdmissibilityConfig(
+            eps_geometry=1e-2, eps_boundary=1e-1, b=b, a=b / 6, q=4
+        ),
+        options=EvalOptions(p=6, b=b, q=4),
+        uniform_levels=1,
+    )
+    return assemble(problem)
+
+
+class CountingBackend(DirectBackend):
+    """Direct summation that records the pair count of every call."""
+
+    def __init__(self):
+        self.pairs = []
+
+    def potential(self, kernel, layer, sources, normals, weighted_density, targets):
+        self.pairs.append(len(np.atleast_2d(targets)) * len(sources))
+        return super().potential(kernel, layer, sources, normals, weighted_density, targets)
+
+
+@pytest.mark.parametrize(
+    "kernel, side",
+    [(K.LAPLACE, "interior"), (K.LAPLACE, "exterior"), (K.STOKES, "interior")],
+)
+def test_matvec_block_matches_columns(kernel, side):
+    system = _small_system(kernel, side)
+    n, d = len(system.nodes), kernel.d
+    block = np.random.default_rng(9).normal(size=(n, d, 5))
+    out = matvec(system, block)
+    columns = np.stack([matvec(system, block[:, :, c]) for c in range(5)], axis=-1)
+    assert out.shape == (n, d, 5)
+    # the sums differ in rounding only; extrapolating to the surface
+    # amplifies that by the weights' absolute sum (about 4e4 here)
+    opts = system.problem.options
+    weights = extrapolation_weights(opts.p, np.array([-opts.b / opts.a]))
+    floor = 10.0 * np.finfo(float).eps * np.abs(weights).sum()
+    assert np.abs(out - columns).max() <= floor * np.abs(columns).max()
+
+
+@pytest.mark.parametrize(
+    "kernel, side",
+    [(K.LAPLACE, "interior"), (K.LAPLACE, "exterior"), (K.STOKES, "interior")],
+)
+def test_solve_forms_the_operator_in_one_fine_set_sum(kernel, side):
+    system = _small_system(kernel, side)
+    backend = CountingBackend()
+    density, report = solve(system, backend)
+    p = system.problem.options.p
+    assert backend.pairs == [2 * (p + 1) * len(system.nodes) * len(system.fine_nodes)]
+    assert report.converged
+    assert report.build_time > 0.0
+
+    # the same GMRES run over the matrix-free operator
+    n, d = system.n_unknowns, kernel.d
+    op = LinearOperator(
+        (n, n), matvec=lambda v: matvec(system, v.reshape(-1, d)).reshape(-1), dtype=float
+    )
+    history = []
+    x, info = gmres(
+        op, system.rhs.reshape(-1), rtol=EPS_GMRES, atol=0.0, restart=300, maxiter=1,
+        callback=history.append, callback_type="pr_norm",
+    )
+    assert report.iterations == len(history)
+    assert np.abs(density.values.reshape(-1) - x).max() <= 1e-8 * np.abs(x).max()
 
 
 def test_assemble_pipeline_products(assembled_sphere):

@@ -77,3 +77,37 @@ def test_workloads_build_from_a_seed(perfbench):
     _, workloads = perfbench
     for make in workloads.WORKLOADS.values():
         make(1)
+
+
+def test_traced_solve_sums_the_fine_set_once(perfbench):
+    """A solve makes one matvec, and its pair count is the benchmark's formula."""
+    tracing, workloads = perfbench
+    from hedgehog import kernels as K
+    from hedgehog import solver
+    from hedgehog.evaluation import EvalOptions
+    from hedgehog.geometry.embeddings import constant_boundary_condition, sphere_mesh
+    from hedgehog.refinement import AdmissibilityConfig
+
+    b, p, q = 0.2, workloads.P, 4
+    system = solver.assemble(
+        solver.BVProblem(
+            kernel=K.LAPLACE,
+            geometry=sphere_mesh(0.8, per_face=1),
+            boundary_condition=constant_boundary_condition(1.0),
+            degree=10,
+            admissibility=AdmissibilityConfig(
+                eps_geometry=1e-2, eps_boundary=1e-1, b=b, a=b / 6, p=p, q=q
+            ),
+            options=EvalOptions(p=p, b=b, q=q),
+            uniform_levels=1,
+        )
+    )
+    tracer = tracing.Tracer("solve")
+    with tracing.Instrumentation(tracer):
+        _, report = solver.solve(system)
+    assert report.converged
+    assert tracer.counts["solver.matvec.calls"] == 1
+    pairs = 2 * (p + 1) * len(system.nodes) * len(system.fine_nodes)
+    assert tracer.counts["backends.pairs"] == pairs
+    solve_workload = workloads.WORKLOADS["laplace-solve"](1)
+    assert solve_workload.expected_pairs(system, tracer.counts) == pairs
