@@ -20,7 +20,7 @@ from .geometry.patches import evaluate as patch_evaluate
 from .geometry.patches import normal as patch_normal
 from .kernels import LAPLACE, KernelFamily
 from .quadrature import QuadratureNodeSet, smooth_potential, upsample_density
-from .spatial import closest_point_global_bulk, surface_index
+from .spatial import closest_point_global_bulk
 
 
 @dataclass
@@ -105,7 +105,6 @@ def mark_points(
     coarse_nodes: QuadratureNodeSet,
     eps_target: float,
     backend=None,
-    index=None,
 ) -> ZoneLabels:
     """Classify targets into far/intermediate/near and inside/outside.
 
@@ -133,8 +132,7 @@ def mark_points(
     rest = ~(far_inside | outside)
     if rest.any():
         patchset = coarse_nodes.patchset
-        idx = surface_index(patchset) if index is None else index
-        rp, rpar, rd = closest_point_global_bulk(patchset, targets[rest], index=idx)
+        rp, rpar, rd = closest_point_global_bulk(patchset, targets[rest])
         rows = np.flatnonzero(rest)
         pids[rows] = rp
         params[rows] = rpar
@@ -142,12 +140,7 @@ def mark_points(
         lengths = patchset.lengths[rp]
         zone[rows[rd <= lengths]] = Zone.NEAR
         zone[rows[rd > lengths]] = Zone.INTERMEDIATE
-        anchors = np.empty((len(rows), 3))
-        normals = np.empty((len(rows), 3))
-        for k, row in enumerate(rows):
-            patch = patchset[pids[row]]
-            anchors[k] = patch_evaluate(patch, params[row, 0], params[row, 1])
-            normals[k] = patch_normal(patch, params[row, 0], params[row, 1])
+        anchors, normals = _surface_frames(patchset, rp, rpar)
         inside[rows] = np.einsum("mk,mk->m", normals, targets[rest] - anchors) < 0.0
     return ZoneLabels(
         inside=inside, zone=zone, patch_ids=pids, params=params,
@@ -168,21 +161,19 @@ def surface_node_labels(nodes: QuadratureNodeSet, inside: bool = True) -> ZoneLa
     )
 
 
-def _near_geometry(labels: ZoneLabels, rows, patchset: PatchSet):
-    """Anchors, normals and lengths for near targets from their labels."""
-    anchors = np.empty((len(rows), 3))
-    normals = np.empty((len(rows), 3))
-    by_patch: dict[int, list[int]] = {}
-    for k, row in enumerate(rows):
-        by_patch.setdefault(int(labels.patch_ids[row]), []).append(k)
-    for pid, ks in by_patch.items():
+def _surface_frames(patchset: PatchSet, pids, params):
+    """Surface points and unit normals at (patch id, params) pairs.
+
+    One batched evaluation per distinct patch.
+    """
+    anchors = np.empty((len(pids), 3))
+    normals = np.empty((len(pids), 3))
+    for pid in np.unique(pids):
+        ks = np.flatnonzero(pids == pid)
         patch = patchset[pid]
-        ks = np.asarray(ks)
-        prm = labels.params[rows[ks]]
-        anchors[ks] = patch_evaluate(patch, prm[:, 0], prm[:, 1])
-        normals[ks] = patch_normal(patch, prm[:, 0], prm[:, 1])
-    lengths = patchset.lengths[labels.patch_ids[rows]]
-    return anchors, normals, lengths
+        anchors[ks] = patch_evaluate(patch, params[ks, 0], params[ks, 1])
+        normals[ks] = patch_normal(patch, params[ks, 0], params[ks, 1])
+    return anchors, normals
 
 
 def _extrapolate_rows(values, t_x, p):
@@ -208,7 +199,6 @@ def evaluate_one_sided(
     opts: EvalOptions,
     backend=None,
     layer: str = "double",
-    fine_density=None,
     domain_side: str = "interior",
 ):
     """Zone-dispatched evaluation of a layer potential at marked targets.
@@ -234,15 +224,13 @@ def evaluate_one_sided(
             np.asarray(density[0], float).reshape(len(coarse_nodes), -1),
             np.asarray(density[1], float).reshape(len(coarse_nodes), -1),
         )
-        if fine_density is None:
-            fine_density = (
-                upsample_density(coarse_nodes, density[0], fine_nodes),
-                upsample_density(coarse_nodes, density[1], fine_nodes),
-            )
+        fine_density = (
+            upsample_density(coarse_nodes, density[0], fine_nodes),
+            upsample_density(coarse_nodes, density[1], fine_nodes),
+        )
     else:
         density = np.asarray(density, float).reshape(len(coarse_nodes), -1)
-        if fine_density is None:
-            fine_density = upsample_density(coarse_nodes, density, fine_nodes)
+        fine_density = upsample_density(coarse_nodes, density, fine_nodes)
 
     far = np.flatnonzero((labels.zone == Zone.FAR) & in_domain)
     if len(far):
@@ -256,7 +244,10 @@ def evaluate_one_sided(
         )
     near = np.flatnonzero((labels.zone == Zone.NEAR) & in_domain)
     if len(near):
-        anchors, normals, lengths = _near_geometry(labels, near, coarse_nodes.patchset)
+        patchset = coarse_nodes.patchset
+        pids = labels.patch_ids[near]
+        anchors, normals = _surface_frames(patchset, pids, labels.params[near])
+        lengths = patchset.lengths[pids]
         sign = -1.0 if domain_side == "interior" else 1.0
         pts = opts.points(anchors, normals, lengths, sign)
         cvals = smooth_potential(kernel, layer, fine_nodes, fine_density, pts, backend)

@@ -77,14 +77,6 @@ def subdivide(coeffs: np.ndarray, s_upper: bool, t_upper: bool) -> np.ndarray:
     return np.einsum("il,lmd,jm->ijd", ms, coeffs, mt)
 
 
-def subdivide_batch(coeffs: np.ndarray, s_upper: bool, t_upper: bool) -> np.ndarray:
-    """Same as subdivide for a stack of patches, shape (P, n+1, n+1, 3)."""
-    n = coeffs.shape[1] - 1
-    ms = subdivision_matrix(n, s_upper)
-    mt = subdivision_matrix(n, t_upper)
-    return np.einsum("il,plmd,jm->pijd", ms, coeffs, mt)
-
-
 def eval_grid(coeffs, bs: np.ndarray, bt: np.ndarray) -> np.ndarray:
     """Tensor evaluation on a grid: (P?, a, b, 3) from basis rows bs, bt.
 

@@ -299,9 +299,6 @@ class PatchSet:
             lo[i], hi[i] = p.control_box()
         return lo, hi
 
-    def orientation_signs(self) -> np.ndarray:
-        return np.array([p.orientation for p in self.patches])
-
     def replace_with_children(self, split: dict[int, list[SurfacePatch]]) -> "PatchSet":
         """New set where patch i is replaced by split[i] (its children)."""
         patches, ancestors = [], []

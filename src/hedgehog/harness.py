@@ -143,7 +143,7 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _subsample(n_total, limit, seed=0):
+def _subsample(n_total, limit):
     if not limit or n_total <= limit:
         return np.arange(n_total)
     stride = n_total / limit
@@ -204,7 +204,7 @@ def run_greens_identity(config: ExperimentConfig, backend=None):
         nodes = discretize(coarse, config.q)
         u_c = ref.field(nodes.positions)
         t_c = ref.conormal(nodes.positions, nodes.normals)
-        pick = _subsample(len(nodes), config.target_subsample, config.seed)
+        pick = _subsample(len(nodes), config.target_subsample)
         targets = nodes.positions[pick]
         labels = surface_node_labels(nodes)
         labels = _take_labels(labels, pick)
@@ -316,7 +316,7 @@ def run_solver_convergence(config: ExperimentConfig, backend=None):
         # independent, slightly coarser node set on the same surface
         q_eval = max(4, config.q - 2)
         eval_nodes = discretize(coarse, q_eval)
-        pick = _subsample(len(eval_nodes), config.target_subsample, config.seed)
+        pick = _subsample(len(eval_nodes), config.target_subsample)
         labels = _take_labels(surface_node_labels(eval_nodes), pick)
         t0 = time.perf_counter()
         values, _ = evaluate_one_sided(
@@ -495,12 +495,12 @@ def run_target_precision_sweep(config: ExperimentConfig, backend=None):
             upsampling=UpsamplingConfig(),
             options=opts,
         )
-        system = assemble(problem, backend)
+        system = assemble(problem)
         report = system.refinement_report
         density, solve_report = solve(system, backend)
         q_eval = max(4, config.q - 2)
         eval_nodes = discretize(system.coarse, q_eval)
-        pick = _subsample(len(eval_nodes), config.target_subsample, config.seed)
+        pick = _subsample(len(eval_nodes), config.target_subsample)
         labels = _take_labels(surface_node_labels(eval_nodes), pick)
         t0 = time.perf_counter()
         values, _ = evaluate_one_sided(

@@ -90,11 +90,6 @@ def fundamental_solution(kernel: KernelFamily, x, y) -> np.ndarray:
     return c * ((3.0 - 4.0 * nu) * np.eye(3) / rho + np.outer(r, r) / rho**3)
 
 
-def single_layer_kernel(kernel: KernelFamily, x, y) -> np.ndarray:
-    """The single-layer kernel is the fundamental solution itself."""
-    return fundamental_solution(kernel, x, y)
-
-
 def traction_kernel(kernel: KernelFamily, r, n) -> np.ndarray:
     """Traction matrix T(r, n) of a unit point force.
 

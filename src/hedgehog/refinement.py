@@ -28,7 +28,8 @@ from .quadrature import discretize
 from .spatial import (
     AABBTree,
     closest_point_on_patch,
-    points_triangles_min_sqdist,
+    grid_triangles,
+    point_triangle_sqdist,
 )
 
 
@@ -152,19 +153,13 @@ def refine_for_geometry(
 # ---------------------------------------------------------------------------
 
 
-def _bc_interpolation_error(patchset, indices, f: BoundaryCondition, q: int):
+def _bc_interpolation_error(patchset, f: BoundaryCondition, q: int):
     """Max validation-grid error of each patch's tensor interpolant of f."""
     rule = cc_rule(q)
     vpts = np.linspace(-1.0, 1.0, 2 * q)
     a = chebyshev_interpolation_matrix(q, vpts)
-    errs = np.zeros(len(indices))
-    groups: dict[int, list[int]] = {}
-    for k, i in enumerate(indices):
-        groups.setdefault(patchset[i].degree, []).append(k)
-    ss, tt = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-    vs, vt = np.meshgrid(vpts, vpts, indexing="ij")
-    for n, ks in groups.items():
-        coeffs = np.stack([patchset[indices[k]].coeffs for k in ks])
+    errs = np.zeros(len(patchset))
+    for n, (ks, coeffs) in patchset.degree_groups().items():
         b = bezier.bernstein_matrix(n, rule.nodes)
         pos = bezier.eval_grid(coeffs, b, b).reshape(len(ks), -1, 3)
         bv = bezier.bernstein_matrix(n, vpts)
@@ -180,6 +175,55 @@ def _bc_interpolation_error(patchset, indices, f: BoundaryCondition, q: int):
     return errs
 
 
+def _splittable(patchset, bad, max_depth, min_length, message, report):
+    """The patches of bad that may still split; warns about the others.
+
+    A patch is blocked at max_depth, or when its children would be shorter
+    than min_length (0 disables that floor).
+    """
+    blocked = [
+        i
+        for i in bad
+        if patchset[i].depth >= max_depth
+        or (min_length > 0.0 and patchset.lengths[i] / 2.0 < min_length)
+    ]
+    if blocked:
+        msg = message.format(blocked)
+        warnings.warn(msg)
+        if report is not None:
+            report.warnings.append(msg)
+    return [i for i in bad if i not in blocked]
+
+
+def _split(patchset: PatchSet, indices) -> PatchSet:
+    """A new set in which each listed coarse patch gives way to its children.
+
+    Children are refit from the exact embedding when the set has a mesh,
+    so the approximated surface keeps improving, and quadrisected
+    otherwise; both give the quadrisect child order.
+    """
+    split = {}
+    for i in indices:
+        p = patchset[i]
+        if patchset.mesh is None:
+            split[i] = quadrisect(p)
+            continue
+        emb = patchset.mesh.embeddings[p.root_id]
+        split[i] = [
+            fit_patch(
+                emb,
+                p.root_id,
+                p.domain.quadrant(s_up, t_up),
+                p.degree,
+                depth=p.depth + 1,
+                orientation=p.orientation,
+            )
+            for t_up in (False, True)
+            for s_up in (False, True)
+        ]
+    return patchset.replace_with_children(split)
+
+
 def refine_for_boundary_condition(
     patchset: PatchSet,
     f: BoundaryCondition,
@@ -192,44 +236,20 @@ def refine_for_boundary_condition(
     """Split patches until the tensor interpolant of f meets eps_boundary."""
     current = patchset
     for sweep in range(max_depth + 1):
-        errs = _bc_interpolation_error(current, list(range(len(current))), f, q)
-        bad = [i for i in range(len(current)) if errs[i] >= eps_boundary]
-        blocked = [
-            i
-            for i in bad
-            if current[i].depth >= max_depth
-            or (min_length > 0.0 and current.lengths[i] / 2.0 < min_length)
-        ]
-        if blocked:
-            msg = f"boundary-condition refinement stopped on patches {blocked}"
-            warnings.warn(msg)
-            if report is not None:
-                report.warnings.append(msg)
-            bad = [i for i in bad if i not in blocked]
+        errs = _bc_interpolation_error(current, f, q)
+        bad = _splittable(
+            current,
+            np.flatnonzero(errs >= eps_boundary).tolist(),
+            max_depth,
+            min_length,
+            "boundary-condition refinement stopped on patches {}",
+            report,
+        )
         if report is not None:
             report.add("boundary-condition", sweep, current, bad)
         if not bad:
             return current
-        split = {}
-        for i in bad:
-            p = current[i]
-            if current.mesh is not None:
-                emb = current.mesh.embeddings[p.root_id]
-                split[i] = [
-                    fit_patch(
-                        emb,
-                        p.root_id,
-                        p.domain.quadrant(s_up, t_up),
-                        p.degree,
-                        depth=p.depth + 1,
-                        orientation=p.orientation,
-                    )
-                    for t_up in (False, True)
-                    for s_up in (False, True)
-                ]
-            else:
-                split[i] = quadrisect(p)
-        current = current.replace_with_children(split)
+        current = _split(current, bad)
     raise RefinementError("boundary-condition refinement did not terminate")
 
 
@@ -237,10 +257,10 @@ def refine_for_boundary_condition(
 # Criterion 3: check-center admissibility
 # ---------------------------------------------------------------------------
 
-_SIGN = {"interior": -1.0, "exterior": 1.0}
+_SIDES = (-1.0, 1.0)  # interior, then exterior: the two-sided operator needs both
 
 
-def _check_centers(patchset, index_list, nodes, cfg: AdmissibilityConfig, sides):
+def _check_centers(patchset, index_list, nodes, cfg: AdmissibilityConfig):
     """Check centers per patch: {patch index: (centers, anchors)} arrays."""
     q = cfg.q
     dist = cfg.center_distance(patchset.lengths)
@@ -249,8 +269,8 @@ def _check_centers(patchset, index_list, nodes, cfg: AdmissibilityConfig, sides)
         rows = slice(i * q * q, (i + 1) * q * q)
         pos = nodes.positions[rows]
         nrm = nodes.normals[rows]
-        centers = [pos + _SIGN[side] * dist[i] * nrm for side in sides]
-        out[i] = (np.concatenate(centers), np.tile(pos, (len(sides), 1)))
+        centers = [pos + sign * dist[i] * nrm for sign in _SIDES]
+        out[i] = (np.concatenate(centers), np.tile(pos, (len(_SIDES), 1)))
     return out
 
 
@@ -264,23 +284,17 @@ def _patch_proxy(patch: SurfacePatch):
     cached = getattr(patch, "_proxy", None)
     if cached is not None:
         return cached
-    k = _DECISION_GRID
-    grid = np.linspace(-1.0, 1.0, k)
+    grid = np.linspace(-1.0, 1.0, _DECISION_GRID)
     b = bezier.bernstein_matrix(patch.degree, grid)
     pos = bezier.eval_grid(patch.coeffs, b, b)
-    p00 = pos[:-1, :-1].reshape(-1, 3)
-    p10 = pos[1:, :-1].reshape(-1, 3)
-    p01 = pos[:-1, 1:].reshape(-1, 3)
-    p11 = pos[1:, 1:].reshape(-1, 3)
-    tris = np.concatenate(
-        [np.stack([p00, p10, p11], axis=1), np.stack([p00, p11, p01], axis=1)]
-    )
+    tris = grid_triangles(pos)
     mids = 0.5 * (grid[:-1] + grid[1:])
     bm = bezier.bernstein_matrix(patch.degree, mids)
     mid_pos = bezier.eval_grid(patch.coeffs, bm, bm).reshape(-1, 3)
-    d2 = points_triangles_min_sqdist(mid_pos, tris)
-    cell = float(np.sqrt(np.max(np.einsum("tk,tk->t", p11 - p00, p11 - p00))))
-    sag = 2.0 * float(np.sqrt(d2.max())) + 1e-14
+    d2, _ = point_triangle_sqdist(mid_pos, tris)
+    diag = (pos[1:, 1:] - pos[:-1, :-1]).reshape(-1, 3)
+    cell = float(np.sqrt(np.max(np.einsum("tk,tk->t", diag, diag))))
+    sag = 2.0 * float(np.sqrt(d2.min(axis=1).max())) + 1e-14
     patch._proxy = (tris, sag, cell)
     return patch._proxy
 
@@ -311,10 +325,11 @@ def _admissibility_offenders(patchset, tree, per_patch, eps_opt, postol):
             rows = rows[bd < d]
             if not len(rows):
                 continue
-            d2, closest = points_triangles_min_sqdist(
-                centers[rows], tris, return_closest=True
-            )
-            tdist = np.sqrt(d2)
+            d2, closest = point_triangle_sqdist(centers[rows], tris)
+            nearest = np.argmin(d2, axis=1)
+            pairs = np.arange(len(rows))
+            tdist = np.sqrt(d2[pairs, nearest])
+            closest = closest[pairs, nearest]
             competitive = tdist - sag < d
             rows = rows[competitive]
             if not len(rows):
@@ -348,7 +363,6 @@ def _admissibility_offenders(patchset, tree, per_patch, eps_opt, postol):
 def enforce_admissibility(
     patchset: PatchSet,
     cfg: AdmissibilityConfig,
-    sides=("interior", "exterior"),
     report: RefinementReport | None = None,
 ) -> PatchSet:
     """Quadrisect patches until every check center projects onto its node.
@@ -364,9 +378,9 @@ def enforce_admissibility(
         if not inadmissible:
             break
         lo, hi = current.control_boxes()
-        tree = AABBTree(lo, hi, np.arange(len(current)), kind="patch-box")
+        tree = AABBTree(lo, hi, np.arange(len(current)))
         nodes = discretize(current, cfg.q)
-        centers = _check_centers(current, sorted(inadmissible), nodes, cfg, sides)
+        centers = _check_centers(current, sorted(inadmissible), nodes, cfg)
         # neighbor patches only agree along shared edges up to the fit
         # error, so the coincidence test cannot be tighter than that
         fit_gap = float(np.nanmax([p.fit_error for p in current.patches] + [0.0]))
@@ -382,52 +396,22 @@ def enforce_admissibility(
             report.add("admissibility", sweep, current, still_bad)
         if not still_bad:
             return current
-        blocked = [
-            i
-            for i in still_bad
-            if current[i].depth >= cfg.max_depth
-            or (cfg.min_length > 0.0 and current.lengths[i] / 2.0 < cfg.min_length)
-        ]
-        if blocked:
-            msg = f"admissibility unresolved on patches {blocked} (length floor)"
-            warnings.warn(msg)
-            if report is not None:
-                report.warnings.append(msg)
-        splitting = [i for i in still_bad if i not in blocked]
+        splitting = _splittable(
+            current,
+            still_bad,
+            cfg.max_depth,
+            cfg.min_length,
+            "admissibility unresolved on patches {} (length floor)",
+            report,
+        )
         if not splitting:
             return current
-        split = {}
-        for i in splitting:
-            p = current[i]
-            if current.mesh is not None:
-                emb = current.mesh.embeddings[p.root_id]
-                split[i] = [
-                    fit_patch(
-                        emb,
-                        p.root_id,
-                        p.domain.quadrant(s_up, t_up),
-                        p.degree,
-                        depth=p.depth + 1,
-                        orientation=p.orientation,
-                    )
-                    for t_up in (False, True)
-                    for s_up in (False, True)
-                ]
-            else:
-                split[i] = quadrisect(p)
         # children of split patches start inadmissible; everything else
-        # keeps its verdict
-        old_to_new = {}
-        counter = 0
-        for i in range(len(current)):
-            width = 4 if i in split else 1
-            old_to_new[i] = list(range(counter, counter + width))
-            counter += width
-        next_bad = set()
-        for i in splitting:
-            next_bad.update(old_to_new[i])
-        inadmissible = next_bad
-        current = current.replace_with_children(split)
+        # keeps its verdict.  Each earlier split shifts later indices by 3.
+        inadmissible = {
+            i + 3 * k + c for k, i in enumerate(sorted(splitting)) for c in range(4)
+        }
+        current = _split(current, splitting)
     if inadmissible:
         raise RefinementError(
             "admissibility did not converge", offenders=sorted(inadmissible)
@@ -441,21 +425,21 @@ def enforce_admissibility(
 
 
 def required_check_points(
-    coarse: PatchSet, nodes, cfg: AdmissibilityConfig, sides=("interior", "exterior")
+    coarse: PatchSet, nodes, cfg: AdmissibilityConfig
 ) -> np.ndarray:
     """All check points needed to evaluate the operator at the coarse nodes.
 
-    Rows run side by side, then check index s, then node.
+    Rows run side by side (interior first), then check index s, then node.
     """
     lengths = coarse.lengths[nodes.patch_ids]
     n, k = len(nodes), cfg.p + 1
     return np.concatenate(
         [
-            cfg.points(nodes.positions, nodes.normals, lengths, _SIGN[side])
+            cfg.points(nodes.positions, nodes.normals, lengths, sign)
             .reshape(n, k, 3)
             .swapaxes(0, 1)
             .reshape(-1, 3)
-            for side in sides
+            for sign in _SIDES
         ]
     )
 
@@ -470,9 +454,7 @@ def near_zone_boxes(patchset: PatchSet):
 _DECISION_GRID = 7
 
 
-def _pairs_within_length(
-    fine, rows_all, ids_all, check_points, lengths, box_lo, box_hi, eps_opt
-):
+def _pairs_within_length(fine, rows_all, ids_all, check_points, eps_opt):
     """(check row, patch id) pairs with dist(check, patch) < L(patch).
 
     Screens pairs by the patch-box lower bound, then by a proxy-triangle
@@ -481,12 +463,10 @@ def _pairs_within_length(
     """
     if len(rows_all) == 0:
         return []
+    lengths = fine.lengths
+    box_lo, box_hi = fine.control_boxes()
     pts = check_points[rows_all]
-    # the near-zone box already inflated by 2L; undo for the raw patch box
-    margin = 2.0 * lengths[ids_all]
-    lo = box_lo[ids_all] + margin[:, None]
-    hi = box_hi[ids_all] - margin[:, None]
-    clamped = np.clip(pts, lo, hi)
+    clamped = np.clip(pts, box_lo[ids_all], box_hi[ids_all])
     box_dist = np.linalg.norm(pts - clamped, axis=1)
     limit = lengths[ids_all]
     alive = box_dist < limit
@@ -500,7 +480,8 @@ def _pairs_within_length(
     for pid in np.unique(sub_ids):
         sel = sub_ids == pid
         tris, sag, _ = _patch_proxy(fine[pid])
-        tri_dist = np.sqrt(points_triangles_min_sqdist(sub_pts[sel], tris))
+        d2, _ = point_triangle_sqdist(sub_pts[sel], tris)
+        tri_dist = np.sqrt(d2.min(axis=1))
         rows = sub_rows[sel]
         lim = sub_limit[sel]
         sure_near = tri_dist + sag < lim
@@ -527,7 +508,6 @@ def adaptive_upsample(
     coarse: PatchSet,
     cfg: UpsamplingConfig,
     adm: AdmissibilityConfig,
-    sides=("interior", "exterior"),
     check_points: np.ndarray | None = None,
     report: RefinementReport | None = None,
 ) -> PatchSet:
@@ -539,7 +519,7 @@ def adaptive_upsample(
     """
     if check_points is None:
         nodes = discretize(coarse, adm.q)
-        check_points = required_check_points(coarse, nodes, adm, sides)
+        check_points = required_check_points(coarse, nodes, adm)
     fine = coarse.as_fine()
     near = np.ones(len(check_points), dtype=np.bool_)
     for sweep in range(cfg.max_depth + 1):
@@ -559,8 +539,7 @@ def adaptive_upsample(
             )
             continue
         lo, hi = near_zone_boxes(fine)
-        tree = AABBTree(lo, hi, np.arange(len(fine)), kind="near-zone-box")
-        lengths = fine.lengths
+        tree = AABBTree(lo, hi, np.arange(len(fine)))
         depths = np.array([p.depth for p in fine.patches])
         near_rows = np.flatnonzero(near)
         rows_local, ids_all = tree.query_points_bulk(check_points[near_rows])
@@ -571,7 +550,7 @@ def adaptive_upsample(
         to_split = set()
         still_near = np.zeros(len(check_points), dtype=np.bool_)
         close_pairs = _pairs_within_length(
-            fine, rows_all, ids_all, check_points, lengths, lo, hi, adm.eps_opt
+            fine, rows_all, ids_all, check_points, adm.eps_opt
         )
         for row, pid in close_pairs:
             to_split.add(pid)

@@ -20,7 +20,6 @@ from .backends import default_backend
 from .errors import UsageError
 from .evaluation import (
     EvalOptions,
-    ZoneLabels,
     evaluate_one_sided,
     evaluate_two_sided,
     mark_points,
@@ -110,7 +109,7 @@ class AssembledSystem:
         return self.rhs.size
 
 
-def assemble(problem: BVProblem, backend=None) -> AssembledSystem:
+def assemble(problem: BVProblem) -> AssembledSystem:
     """Run the refinement pipeline and sample the boundary condition."""
     report = RefinementReport()
     adm = problem.admissibility
@@ -209,9 +208,7 @@ class DensityField:
     kernel: KernelFamily
 
 
-def solve(
-    problem_or_system, backend=None, x0=None, max_iterations: int = MAX_GMRES_ITERATIONS
-):
+def solve(problem_or_system, backend=None):
     """Solve A phi = f with restart-free GMRES at the 1e-12 tolerance.
 
     Accepts a BVProblem (assembled here) or a prebuilt AssembledSystem.
@@ -223,7 +220,7 @@ def solve(
     system = (
         problem_or_system
         if isinstance(problem_or_system, AssembledSystem)
-        else assemble(problem_or_system, backend)
+        else assemble(problem_or_system)
     )
     n = system.n_unknowns
     d = system.problem.kernel.d
@@ -241,10 +238,9 @@ def solve(
     x, info = gmres(
         op,
         b,
-        x0=None if x0 is None else np.asarray(x0, float).reshape(-1),
         rtol=EPS_GMRES,
         atol=0.0,
-        restart=max_iterations,
+        restart=MAX_GMRES_ITERATIONS,
         maxiter=1,
         callback=lambda rk: history.append(float(rk)),
         callback_type="pr_norm",
@@ -268,11 +264,7 @@ def solve(
 
 
 def evaluate_solution(
-    system: AssembledSystem,
-    density: DensityField,
-    targets,
-    backend=None,
-    labels: ZoneLabels | None = None,
+    system: AssembledSystem, density: DensityField, targets, backend=None
 ):
     """Evaluate the solved potential at arbitrary targets.
 
@@ -291,10 +283,7 @@ def evaluate_solution(
             np.zeros(0, dtype=bool),
         )
     problem = system.problem
-    if labels is None:
-        labels = mark_points(
-            targets, system.nodes, problem.options.eps_target, backend
-        )
+    labels = mark_points(targets, system.nodes, problem.options.eps_target, backend)
     values, mask = evaluate_one_sided(
         targets,
         labels,

@@ -300,12 +300,13 @@ def test_criterion_7_oracle_equivalences(torus_patches):
     hi = lo + rng.uniform(0.01, 0.4, (1000, 3))
     tree = AABBTree(lo, hi, np.arange(1000))
     pts = rng.uniform(-1.2, 1.2, (100, 3))
+    rows, ids = tree.query_points_bulk(pts)
     aabb_ok = all(
         np.array_equal(
-            tree.query_point(x),
+            np.sort(ids[rows == j]),
             np.flatnonzero(np.all((lo <= x) & (x <= hi), axis=1)),
         )
-        for x in pts
+        for j, x in enumerate(pts)
     )
 
     # global closest point vs per-patch Newton oracle on 200 points
@@ -417,7 +418,7 @@ def test_criterion_8_refinement_correctness(admissible_sphere):
     rng = np.random.default_rng(2)
     sample = rng.choice(len(checks), size=500, replace=False)
     lo, hi = near_zone_boxes(fine)
-    tree = AABBTree(lo, hi, np.arange(len(fine)), kind="near-zone-box")
+    tree = AABBTree(lo, hi, np.arange(len(fine)))
     lengths = fine.lengths
     audit = True
     rows, ids = tree.query_points_bulk(checks[sample])

@@ -14,7 +14,7 @@ def test_laplace_unit_distance():
 
 
 def test_single_layer_at_distance_two():
-    g = K.single_layer_kernel(K.LAPLACE, [0, 0, 0], [0, 2, 0])
+    g = K.fundamental_solution(K.LAPLACE, [0, 0, 0], [0, 2, 0])
     assert g[0, 0] == pytest.approx(1.0 / (8.0 * np.pi))
 
 

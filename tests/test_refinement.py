@@ -221,7 +221,7 @@ def test_adaptive_upsample_distance_audit(unit_sphere_patches):
     lo, hi = near_zone_boxes(fine)
     from hedgehog.spatial import AABBTree
 
-    tree = AABBTree(lo, hi, np.arange(len(fine)), kind="near-zone-box")
+    tree = AABBTree(lo, hi, np.arange(len(fine)))
     rows, ids = tree.query_points_bulk(checks[sample])
     for row, pid in zip(rows, ids):
         res = closest_point_on_patch(fine[pid], checks[sample][row][None, :])

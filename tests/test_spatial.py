@@ -3,17 +3,12 @@ import pytest
 
 import hedgehog.geometry as geo
 from hedgehog.errors import UsageError
+from hedgehog.refinement import near_zone_boxes
 from hedgehog.spatial import (
     AABBTree,
-    BoundingBox,
-    NearZoneBox,
-    build_tree,
-    closest_point_global,
     closest_point_global_bulk,
     closest_point_on_patch,
-    patch_bounding_box,
     point_triangle_sqdist,
-    points_triangles_min_sqdist,
     surface_index,
     triangle_proxies,
 )
@@ -31,10 +26,36 @@ def _random_boxes(n, rng):
     return lo, hi
 
 
+def _containing(tree, x):
+    """Sorted ids of the boxes that contain one point, from the bulk query."""
+    _, ids = tree.query_points_bulk(np.asarray(x, dtype=float)[None, :])
+    return sorted(ids.tolist())
+
+
+def _triangle_sqdist_oracle(x, tri):
+    """Squared point-triangle distance without Ericson's region tests.
+
+    The foot of the perpendicular on the triangle's plane when it lies
+    inside the triangle, otherwise the nearest of the three edges, each a
+    clamped segment projection.
+    """
+    a, b, c = tri
+    n = np.cross(b - a, c - a)
+    foot = x - np.dot(x - a, n) / np.dot(n, n) * n
+    if all(np.dot(np.cross(q - p, foot - p), n) >= 0 for p, q in ((a, b), (b, c), (c, a))):
+        return float(np.sum((x - foot) ** 2))
+
+    def segment(p, q):
+        u = np.clip(np.dot(x - p, q - p) / np.dot(q - p, q - p), 0.0, 1.0)
+        return float(np.sum((x - p - u * (q - p)) ** 2))
+
+    return min(segment(a, b), segment(b, c), segment(c, a))
+
+
 def test_single_box_tree():
-    tree = build_tree([(BoundingBox(np.zeros(3), np.ones(3)), 7)])
-    assert list(tree.query_point([0.5, 0.5, 0.5])) == [7]
-    assert list(tree.query_point([2.0, 0.5, 0.5])) == []
+    tree = AABBTree(np.zeros((1, 3)), np.ones((1, 3)), [7])
+    assert _containing(tree, [0.5, 0.5, 0.5]) == [7]
+    assert _containing(tree, [2.0, 0.5, 0.5]) == []
 
 
 def test_query_point_matches_brute_force():
@@ -42,9 +63,6 @@ def test_query_point_matches_brute_force():
     lo, hi = _random_boxes(1000, rng)
     tree = AABBTree(lo, hi, np.arange(1000))
     pts = rng.uniform(-1.2, 1.2, (100, 3))
-    for x in pts:
-        brute = np.flatnonzero(np.all((lo <= x) & (x <= hi), axis=1))
-        assert np.array_equal(tree.query_point(x), brute)
     rows, ids = tree.query_points_bulk(pts)
     got = {(int(r), int(i)) for r, i in zip(rows, ids)}
     expect = {
@@ -70,7 +88,7 @@ def test_disjoint_boxes_empty_result():
     lo = np.array([[0.0, 0, 0], [2.0, 2, 2]])
     hi = lo + 0.5
     tree = AABBTree(lo, hi, np.array([0, 1]))
-    assert len(tree.query_point([1.2, 1.2, 1.2])) == 0
+    assert _containing(tree, [1.2, 1.2, 1.2]) == []
 
 
 def test_nested_boxes_all_returned():
@@ -78,12 +96,12 @@ def test_nested_boxes_all_returned():
     lo = np.stack([-np.arange(1, n + 1.0)] * 3, axis=1)
     hi = -lo
     tree = AABBTree(lo, hi, np.arange(n))
-    assert list(tree.query_point([0.0, 0.0, 0.0])) == list(range(n))
+    assert _containing(tree, [0.0, 0.0, 0.0]) == list(range(n))
 
 
 def test_empty_tree_rejected():
     with pytest.raises(UsageError):
-        build_tree([])
+        AABBTree(np.zeros((0, 3)), np.zeros((0, 3)), [])
 
 
 def test_nearest_triangle_on_flat_mesh(flat_square_patch):
@@ -99,28 +117,36 @@ def test_nearest_triangle_matches_brute_force():
     tris = rng.uniform(-1, 1, (500, 3, 3))
     lo = tris.min(axis=1)
     hi = tris.max(axis=1)
-    tree = AABBTree(lo, hi, np.arange(500), kind="proxy-triangle", triangles=tris)
+    tree = AABBTree(lo, hi, np.arange(500), triangles=tris)
     for _ in range(50):
         x = rng.uniform(-1.5, 1.5, 3)
         tid, dist = tree.nearest_triangle(x)
-        brute = np.sqrt(point_triangle_sqdist(x, tris))
+        brute = np.sqrt([_triangle_sqdist_oracle(x, tri) for tri in tris])
         assert dist == pytest.approx(brute.min(), abs=1e-12)
         assert brute[tid] == pytest.approx(brute.min(), abs=1e-12)
 
 
 def test_nearest_triangle_requires_triangle_tree():
-    tree = build_tree([(BoundingBox(np.zeros(3), np.ones(3)), 0)])
+    tree = AABBTree(np.zeros((1, 3)), np.ones((1, 3)), [0])
     with pytest.raises(UsageError):
         tree.nearest_triangle(np.zeros(3))
 
 
 def test_points_triangles_min_matches_scalar():
+    """Every (point, triangle) pair: distance and closest point vs the oracle."""
     rng = np.random.default_rng(3)
     tris = rng.uniform(-1, 1, (40, 3, 3))
     pts = rng.uniform(-1.5, 1.5, (25, 3))
-    bulk = points_triangles_min_sqdist(pts, tris)
+    d2, closest = point_triangle_sqdist(pts, tris)
+    assert d2.shape == (25, 40) and closest.shape == (25, 40, 3)
     for j, x in enumerate(pts):
-        assert bulk[j] == pytest.approx(point_triangle_sqdist(x, tris).min(), rel=1e-12)
+        for k, tri in enumerate(tris):
+            oracle = _triangle_sqdist_oracle(x, tri)
+            assert d2[j, k] == pytest.approx(oracle, rel=1e-12, abs=1e-14)
+            gap = np.sum((closest[j, k] - x) ** 2)
+            assert gap == pytest.approx(d2[j, k], rel=1e-12, abs=1e-14)
+    one, _ = point_triangle_sqdist(pts[7], tris)
+    assert np.array_equal(one[0], d2[7])
 
 
 def test_closest_point_flat_patch(flat_square_patch):
@@ -168,18 +194,18 @@ def test_closest_point_global_two_plates():
     top = geo.plate_embedding([-0.5, -0.5, 1.0], [1, 0, 0], [0, 1, 0])
     bot = geo.plate_embedding([-0.5, -0.5, 0.0], [1, 0, 0], [0, 1, 0])
     ps = PatchSet([fit_patch(bot, 0, Subdomain(), 2), fit_patch(top, 1, Subdomain(), 2)])
-    pid, s, t, dist = closest_point_global(ps, [0.0, 0.0, 0.2])
-    assert pid == 0
-    assert dist == pytest.approx(0.2, abs=1e-12)
+    pids, _, dists = closest_point_global_bulk(ps, [0.0, 0.0, 0.2])
+    assert pids[0] == 0
+    assert dists[0] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_closest_point_global_tie_breaks_low_id():
     top = geo.plate_embedding([-0.5, -0.5, 1.0], [1, 0, 0], [0, 1, 0])
     bot = geo.plate_embedding([-0.5, -0.5, 0.0], [1, 0, 0], [0, 1, 0])
     ps = PatchSet([fit_patch(bot, 0, Subdomain(), 2), fit_patch(top, 1, Subdomain(), 2)])
-    pid, _, _, dist = closest_point_global(ps, [0.1, -0.2, 0.5])
-    assert pid == 0
-    assert dist == pytest.approx(0.5, abs=1e-12)
+    pids, _, dists = closest_point_global_bulk(ps, [0.1, -0.2, 0.5])
+    assert pids[0] == 0
+    assert dists[0] == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.slow
@@ -203,25 +229,26 @@ def test_near_zone_box_contains_near_points(unit_sphere_patches):
     rng = np.random.default_rng(6)
     patch = unit_sphere_patches[3]
     length = characteristic_length(patch)
-    nz = NearZoneBox(base=patch_bounding_box(patch), inflation=2.0 * length)
-    box = nz.box
+    lo, hi = near_zone_boxes(unit_sphere_patches)
     st = rng.uniform(-1, 1, (1000, 2))
     on_patch = geo.evaluate(patch, st[:, 0], st[:, 1])
     offset = rng.normal(size=(1000, 3))
     offset *= (rng.uniform(0, length, 1000) / np.linalg.norm(offset, axis=1))[:, None]
     near_pts = on_patch + offset
-    assert all(box.contains(p) for p in near_pts)
+    assert np.all((lo[3] <= near_pts) & (near_pts <= hi[3]))
 
 
 def test_patch_box_contains_control_points_and_surface(random_cubic_patch):
-    box = patch_bounding_box(random_cubic_patch)
+    lo, hi = random_cubic_patch.control_box()
+    assert np.all(random_cubic_patch.coeffs.reshape(-1, 3) >= lo)
+    assert np.all(random_cubic_patch.coeffs.reshape(-1, 3) <= hi)
     st = np.random.default_rng(7).uniform(-1, 1, (500, 2))
     pts = geo.evaluate(random_cubic_patch, st[:, 0], st[:, 1])
-    assert np.all(pts >= box.lo - 1e-12) and np.all(pts <= box.hi + 1e-12)
+    assert np.all(pts >= lo - 1e-12) and np.all(pts <= hi + 1e-12)
 
 
 def test_triangle_proxies_cover_patches(unit_sphere_patches):
-    proxies = triangle_proxies(unit_sphere_patches, k=8)
+    proxies = triangle_proxies(unit_sphere_patches)
     per_patch = 2 * 7 * 7
     assert len(proxies.patch_ids) == per_patch * len(unit_sphere_patches)
     assert proxies.vertices.shape == (len(proxies.patch_ids), 3, 3)

@@ -111,3 +111,30 @@ def test_traced_solve_sums_the_fine_set_once(perfbench):
     assert tracer.counts["backends.pairs"] == pairs
     solve_workload = workloads.WORKLOADS["laplace-solve"](1)
     assert solve_workload.expected_pairs(system, tracer.counts) == pairs
+
+
+def test_traced_marking_reaches_the_per_point_tree_queries(perfbench, unit_sphere_patches):
+    """Marking near-surface targets runs the per-point tree methods the benchmark probes.
+
+    closest_point_global_bulk calls AABBTree.nearest_triangle and
+    AABBTree.query_box once per point; a refactor that stops calling them
+    fails here instead of leaving per-layer metrics that read zero.
+    """
+    tracing, _ = perfbench
+    from hedgehog import evaluation
+    from hedgehog.quadrature import discretize
+
+    nodes = discretize(unit_sphere_patches, 6)
+    rng = np.random.default_rng(3)
+    dirs = rng.normal(size=(4, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    targets = dirs * np.array([0.97, 0.98, 1.02, 1.03])[:, None]
+    tracer = tracing.Tracer("marking")
+    with tracing.Instrumentation(tracer):
+        labels = evaluation.mark_points(targets, nodes, 1e-6)
+    assert np.all(labels.patch_ids >= 0), "every target needs the closest-point search"
+    counts = tracer.counts
+    assert counts["spatial.AABBTree.nearest_triangle.calls"] > 0
+    assert counts["spatial.AABBTree.query_box.calls"] > 0
+    assert counts["spatial.surface_index.calls"] == 1
+    assert counts["spatial.closest_point_global_bulk.calls"] == 1
