@@ -70,11 +70,29 @@ def subdivision_matrix(n: int, upper: bool) -> np.ndarray:
 
 
 def subdivide(coeffs: np.ndarray, s_upper: bool, t_upper: bool) -> np.ndarray:
-    """Control points of the quadrant (s half, t half) of a patch."""
-    n = coeffs.shape[0] - 1
+    """Control points of the quadrant (s half, t half) of a patch.
+
+    coeffs is (n+1, n+1, 3) or a stack (P, n+1, n+1, 3).  Child point
+    (i, j) sums ms[i, l] c[l, m] mt[j, m] term by term, l outer and m inner,
+    skipping the zeros of the triangular subdivision matrices.  That fixed
+    order gives every patch of a stack the bits it gets on its own, the
+    same bits as np.einsum("il,lmd,jm->ijd") without path optimisation.
+    """
+    n = coeffs.shape[-2] - 1
     ms = subdivision_matrix(n, s_upper)
     mt = subdivision_matrix(n, t_upper)
-    return np.einsum("il,lmd,jm->ijd", ms, coeffs, mt)
+    lead = coeffs.shape[:-3]
+    # patches and coordinates on the last, contiguous axis
+    c = np.moveaxis(coeffs.reshape(-1, n + 1, n + 1, 3), 0, -1).reshape(n + 1, n + 1, -1)
+    left = ms.T[:, :, None, None] * c[:, None, :, :]  # [l, i, m] = ms[i, l] c[l, m]
+    out = np.zeros((n + 1, n + 1, c.shape[-1]))
+    for l in range(n + 1):
+        i0, i1 = (0, l + 1) if s_upper else (l, n + 1)
+        for m in range(n + 1):
+            j0, j1 = (0, m + 1) if t_upper else (m, n + 1)
+            out[i0:i1, j0:j1] += left[l, i0:i1, m, None, :] * mt[j0:j1, m, None]
+    out = np.moveaxis(out.reshape(n + 1, n + 1, 3, -1), -1, 0)
+    return np.ascontiguousarray(out).reshape(lead + (n + 1, n + 1, 3))
 
 
 def eval_grid(coeffs, bs: np.ndarray, bt: np.ndarray) -> np.ndarray:

@@ -62,11 +62,6 @@ class SurfacePatch:
     def degree(self) -> int:
         return self.coeffs.shape[0] - 1
 
-    def control_box(self):
-        """Componentwise min/max of control points; contains the patch."""
-        pts = self.coeffs.reshape(-1, 3)
-        return pts.min(axis=0), pts.max(axis=0)
-
 
 def evaluate(patch: SurfacePatch, s, t) -> np.ndarray:
     """Patch position at paired parameters; scalars give a (3,) point."""
@@ -114,26 +109,48 @@ def metric_det(patch: SurfacePatch, s, t):
     return np.einsum("...k,...k->...", cr, cr)
 
 
+# (s upper, t upper) of the quadrisection children, in child order
+_QUADRANTS = ((False, False), (True, False), (False, True), (True, True))
+
+
 def quadrisect(patch: SurfacePatch) -> list[SurfacePatch]:
     """Exact Bezier subdivision into the four dyadic children.
 
     Children are ordered [(-,-), (+,-), (-,+), (+,+)] in (s, t); the union
-    of their images equals the parent image exactly.
+    of their images equals the parent image exactly.  The one-patch case of
+    quadrisect_all.
     """
-    children = []
-    for t_upper in (False, True):
-        for s_upper in (False, True):
-            children.append(
+    return quadrisect_all([patch])[0]
+
+
+def quadrisect_all(patches) -> list[list[SurfacePatch]]:
+    """The quadrisect children of every patch, in input order.
+
+    One subdivision product per degree and quadrant over the stacked
+    control points.
+    """
+    patches = list(patches)
+    out = [None] * len(patches)
+    by_n: dict[int, list[int]] = {}
+    for k, p in enumerate(patches):
+        by_n.setdefault(p.degree, []).append(k)
+    for ks in by_n.values():
+        stack = np.stack([patches[k].coeffs for k in ks])
+        quads = [bezier.subdivide(stack, s_up, t_up) for s_up, t_up in _QUADRANTS]
+        for j, k in enumerate(ks):
+            p = patches[k]
+            out[k] = [
                 SurfacePatch(
-                    coeffs=bezier.subdivide(patch.coeffs, s_upper, t_upper),
-                    root_id=patch.root_id,
-                    domain=patch.domain.quadrant(s_upper, t_upper),
-                    depth=patch.depth + 1,
-                    orientation=patch.orientation,
-                    fit_error=patch.fit_error,
+                    coeffs=c[j],
+                    root_id=p.root_id,
+                    domain=p.domain.quadrant(s_up, t_up),
+                    depth=p.depth + 1,
+                    orientation=p.orientation,
+                    fit_error=p.fit_error,
                 )
-            )
-    return children
+                for c, (s_up, t_up) in zip(quads, _QUADRANTS)
+            ]
+    return out
 
 
 def characteristic_length(patch: SurfacePatch, q: int = LENGTH_RULE_ORDER) -> float:
@@ -206,9 +223,9 @@ def fit_patch(
     rvs, rvt = domain.to_root(vs.ravel(), vt.ravel())
     exact = embedding.position(rvs, rvt)
     jac = embedding.jacobian(rvs, rvt)
-    fit_pos = np.einsum("ai,ijd,bj->abd", b0, coeffs, b0).reshape(-1, 3)
-    fit_ps = np.einsum("ai,ijd,bj->abd", b1, coeffs, b0).reshape(-1, 3)
-    fit_pt = np.einsum("ai,ijd,bj->abd", b0, coeffs, b1).reshape(-1, 3)
+    fit_pos = bezier.eval_grid(coeffs, b0, b0).reshape(-1, 3)
+    fit_ps = bezier.eval_grid(coeffs, b1, b0).reshape(-1, 3)
+    fit_pt = bezier.eval_grid(coeffs, b0, b1).reshape(-1, 3)
     h = domain.halfwidth
     err = np.linalg.norm(fit_pos - exact, axis=1).max()
     err = max(err, np.linalg.norm(fit_ps - h * jac[..., 0], axis=1).max())
@@ -243,6 +260,7 @@ class PatchSet:
         self.ancestors = None if ancestors is None else np.asarray(ancestors, dtype=np.int64)
         self._groups = None
         self._lengths = None
+        self._boxes = None
         self._index = None
 
     def __len__(self):
@@ -292,12 +310,22 @@ class PatchSet:
         return self._lengths
 
     def control_boxes(self):
-        """(lo, hi) arrays of per-patch control-point bounding boxes."""
-        lo = np.empty((len(self.patches), 3))
-        hi = np.empty((len(self.patches), 3))
-        for i, p in enumerate(self.patches):
-            lo[i], hi[i] = p.control_box()
-        return lo, hi
+        """(lo, hi) arrays of per-patch control-point boxes (cached).
+
+        Each box is the componentwise min/max of the patch's control
+        points, which contains the patch.
+        """
+        if self._boxes is None:
+            lo = np.empty((len(self.patches), 3))
+            hi = np.empty((len(self.patches), 3))
+            for idx, coeffs in self.degree_groups().values():
+                pts = coeffs.reshape(len(idx), -1, 3)
+                lo[idx] = pts.min(axis=1)
+                hi[idx] = pts.max(axis=1)
+            lo.setflags(write=False)
+            hi.setflags(write=False)
+            self._boxes = (lo, hi)
+        return self._boxes
 
     def replace_with_children(self, split: dict[int, list[SurfacePatch]]) -> "PatchSet":
         """New set where patch i is replaced by split[i] (its children)."""
@@ -324,13 +352,17 @@ class PatchSet:
             ancestors=np.arange(len(self.patches)),
         )
 
+    def quadrisected(self, indices) -> "PatchSet":
+        """New set where each listed patch gives way to its quadrisect children."""
+        indices = [int(i) for i in indices]
+        children = quadrisect_all(self.patches[i] for i in indices)
+        return self.replace_with_children(dict(zip(indices, children)))
+
     def uniform_refined(self, levels: int) -> "PatchSet":
         """levels rounds of exact quadrisection applied to every patch."""
         out = self
         for _ in range(levels):
-            out = out.replace_with_children(
-                {i: quadrisect(p) for i, p in enumerate(out.patches)}
-            )
+            out = out.quadrisected(range(len(out)))
         return out
 
 

@@ -19,17 +19,18 @@ from .geometry.embeddings import BoundaryCondition, QuadMesh
 from .geometry.patches import (
     PatchSet,
     Subdomain,
-    SurfacePatch,
     characteristic_length,
     fit_patch,
-    quadrisect,
 )
 from .quadrature import discretize
 from .spatial import (
     AABBTree,
-    closest_point_on_patch,
+    chunks,
+    closest_points,
     grid_triangles,
-    point_triangle_sqdist,
+    pair_groups,
+    pair_sqdist,
+    patch_points,
 )
 
 
@@ -61,6 +62,7 @@ class SweepRecord:
     max_length: float
     min_length: float
     offenders: list = field(default_factory=list)
+    unconverged: int = 0  # closest-point solves of the sweep left unconverged
 
 
 @dataclass
@@ -68,7 +70,7 @@ class RefinementReport:
     sweeps: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
-    def add(self, stage, sweep, patchset: PatchSet, offenders):
+    def add(self, stage, sweep, patchset: PatchSet, offenders, unconverged=0):
         lengths = patchset.lengths
         self.sweeps.append(
             SweepRecord(
@@ -78,6 +80,7 @@ class RefinementReport:
                 max_length=float(lengths.max()),
                 min_length=float(lengths.min()),
                 offenders=list(offenders),
+                unconverged=int(unconverged),
             )
         )
 
@@ -89,7 +92,8 @@ class RefinementReport:
             lines.append(
                 f"{rec.stage} sweep {rec.sweep}: {rec.patch_count} patches, "
                 f"L in [{rec.min_length:.4g}, {rec.max_length:.4g}], "
-                f"{len(rec.offenders)} offenders [{ids}{more}]"
+                f"{len(rec.offenders)} offenders [{ids}{more}], "
+                f"{rec.unconverged} closest points unconverged"
             )
         for w in self.warnings:
             lines.append(f"warning: {w}")
@@ -202,12 +206,11 @@ def _split(patchset: PatchSet, indices) -> PatchSet:
     so the approximated surface keeps improving, and quadrisected
     otherwise; both give the quadrisect child order.
     """
+    if patchset.mesh is None:
+        return patchset.quadrisected(indices)
     split = {}
     for i in indices:
         p = patchset[i]
-        if patchset.mesh is None:
-            split[i] = quadrisect(p)
-            continue
         emb = patchset.mesh.embeddings[p.root_id]
         split[i] = [
             fit_patch(
@@ -261,103 +264,191 @@ _SIDES = (-1.0, 1.0)  # interior, then exterior: the two-sided operator needs bo
 
 
 def _check_centers(patchset, index_list, nodes, cfg: AdmissibilityConfig):
-    """Check centers per patch: {patch index: (centers, anchors)} arrays."""
-    q = cfg.q
-    dist = cfg.center_distance(patchset.lengths)
-    out = {}
-    for i in index_list:
-        rows = slice(i * q * q, (i + 1) * q * q)
-        pos = nodes.positions[rows]
-        nrm = nodes.normals[rows]
-        centers = [pos + sign * dist[i] * nrm for sign in _SIDES]
-        out[i] = (np.concatenate(centers), np.tile(pos, (len(_SIDES), 1)))
-    return out
+    """Check centers of the listed patches as flat rows.
 
-
-def _patch_proxy(patch: SurfacePatch):
-    """Cached (triangles, sag, cell diameter) screen for one patch.
-
-    sag bounds how far the true patch can deviate from the proxy triangles,
-    estimated at cell midpoints and doubled for safety; distances to the
-    patch therefore lie within +-sag of the proxy distance.
+    (centers, anchors, owner patch, search radius), each with one row per
+    (patch, side, node); a patch's interior rows come before its exterior
+    ones.
     """
-    cached = getattr(patch, "_proxy", None)
-    if cached is not None:
-        return cached
-    grid = np.linspace(-1.0, 1.0, _DECISION_GRID)
-    b = bezier.bernstein_matrix(patch.degree, grid)
-    pos = bezier.eval_grid(patch.coeffs, b, b)
-    tris = grid_triangles(pos)
+    qq = cfg.q * cfg.q
+    index_list = np.asarray(index_list, dtype=np.int64)
+    dist = cfg.center_distance(patchset.lengths)[index_list]
+    pos = nodes.positions.reshape(len(patchset), qq, 3)[index_list]
+    nrm = nodes.normals.reshape(len(patchset), qq, 3)[index_list]
+    d = dist[:, None, None]
+    centers = np.concatenate([pos + sign * d * nrm for sign in _SIDES], axis=1)
+    anchors = np.concatenate([pos] * len(_SIDES), axis=1)
+    per_patch = len(_SIDES) * qq
+    return (
+        centers.reshape(-1, 3),
+        anchors.reshape(-1, 3),
+        np.repeat(index_list, per_patch),
+        np.repeat(dist, per_patch),
+    )
+
+
+_DECISION_GRID = 7
+_MARGIN = 1e-9  # relative margin by which a bound must clear its threshold
+_ROW_BYTES = 8 * 2 * (_DECISION_GRID - 1) ** 2 * 3 * 8  # one point against its triangles
+
+
+@dataclass
+class _Proxies:
+    """Proxy screens of listed patches, stacked in list order.
+
+    The vertices sample the patch on a 7 x 7 parameter grid and the
+    triangles split its cells.  sag bounds how far the true patch can
+    deviate from the triangles, estimated at cell midpoints and doubled for
+    safety, so distances to the patch lie within +-sag of the triangle
+    distance.  cell is the longest cell diagonal.
+    """
+
+    vertices: np.ndarray  # (P, 49, 3)
+    tris: np.ndarray  # (P, 72, 3, 3)
+    lo: np.ndarray  # (P, 72, 3) triangle boxes
+    hi: np.ndarray  # (P, 72, 3)
+    sag: np.ndarray  # (P,)
+    cell: np.ndarray  # (P,)
+
+
+def _proxies(patchset: PatchSet, ids) -> _Proxies:
+    """Proxies of the patches ids, built per degree group in one pass."""
+    k = _DECISION_GRID
+    cells = (k - 1) ** 2
+    grid = np.linspace(-1.0, 1.0, k)
     mids = 0.5 * (grid[:-1] + grid[1:])
-    bm = bezier.bernstein_matrix(patch.degree, mids)
-    mid_pos = bezier.eval_grid(patch.coeffs, bm, bm).reshape(-1, 3)
-    d2, _ = point_triangle_sqdist(mid_pos, tris)
-    diag = (pos[1:, 1:] - pos[:-1, :-1]).reshape(-1, 3)
-    cell = float(np.sqrt(np.max(np.einsum("tk,tk->t", diag, diag))))
-    sag = 2.0 * float(np.sqrt(d2.min(axis=1).max())) + 1e-14
-    patch._proxy = (tris, sag, cell)
-    return patch._proxy
+    pos = np.empty((len(ids), k, k, 3))
+    mid = np.empty((len(ids), cells, 3))
+    for n, coeffs, rows, slot in pair_groups(patchset, ids):
+        sub = coeffs[slot]
+        b = bezier.bernstein_matrix(n, grid)
+        bm = bezier.bernstein_matrix(n, mids)
+        pos[rows] = bezier.eval_grid(sub, b, b)
+        mid[rows] = bezier.eval_grid(sub, bm, bm).reshape(len(rows), cells, 3)
+    tris = grid_triangles(pos)
+    lo, hi = tris.min(axis=2), tris.max(axis=2)
+    # the two triangles of a midpoint's own cell (c and c + cells) bound its
+    # triangle distance from above; only triangles whose box lies within
+    # that bound can hold the minimum
+    slot = np.repeat(np.arange(len(ids)), cells)
+    own = np.tile(np.arange(cells), len(ids))
+    pts = mid.reshape(-1, 3)
+    d2 = np.minimum(
+        pair_sqdist(pts, tris[slot, own])[0],
+        pair_sqdist(pts, tris[slot, own + cells])[0],
+    )
+    allow = _slack(np.sqrt(d2), pts).reshape(len(ids), cells, 1, 1)
+    others = np.ones((cells, tris.shape[1]), dtype=bool)
+    others[np.arange(cells), np.arange(cells)] = False
+    others[np.arange(cells), np.arange(cells) + cells] = False
+    for part in chunks(len(ids), cells * _ROW_BYTES):
+        m, a = mid[part, :, None, :], allow[part]
+        inside = np.all((lo[part, None] - m <= a) & (m - hi[part, None] <= a), axis=3)
+        p, c, t = np.nonzero(inside & others)
+        row = (part.start + p) * cells + c
+        np.minimum.at(d2, row, pair_sqdist(pts[row], tris[part.start + p, t])[0])
+    diag = (pos[:, 1:, 1:] - pos[:, :-1, :-1]).reshape(len(ids), -1, 3)
+    return _Proxies(
+        vertices=pos.reshape(len(ids), -1, 3),
+        tris=tris,
+        lo=lo,
+        hi=hi,
+        sag=2.0 * np.sqrt(d2.reshape(len(ids), cells).max(axis=1)) + 1e-14,
+        cell=np.sqrt(np.max(np.einsum("ptk,ptk->pt", diag, diag), axis=1)),
+    )
 
 
-def _admissibility_offenders(patchset, tree, per_patch, eps_opt, postol):
-    """Patch indices whose check centers project somewhere other than
-    their generating node.
+def _slack(bound, pts):
+    """bound widened to cover the rounding of box and triangle distances."""
+    return bound * (1.0 + _MARGIN) + 1e-12 * (1.0 + np.abs(pts).max(axis=1))
 
-    per_patch maps patch index -> (centers, anchors, search radius d).
-    Candidate competitor patches are screened by box and proxy distances;
-    competitors whose nearest point coincides with the anchor node are
-    accepted without a Newton solve.
+
+def _vertex_distance(prox, slot, x):
+    """Nearest proxy-vertex distance per pair.
+
+    Vertices lie on their triangles, so this bounds the proxy-triangle
+    distance from above.
     """
-    offenders = []
-    for i, (centers, anchors, d) in per_patch.items():
-        rows_all, ids_all = tree.query_boxes_bulk(centers - d, centers + d)
-        bad = False
-        by_patch: dict[int, np.ndarray] = {}
-        for pid in np.unique(ids_all):
-            by_patch[int(pid)] = rows_all[ids_all == pid]
-        for pid, rows in by_patch.items():
-            patch = patchset[pid]
-            tris, sag, cell = _patch_proxy(patch)
-            # box lower bound: cannot beat the node at distance d
-            blo, bhi = patch.control_box()
-            clamped = np.clip(centers[rows], blo, bhi)
-            bd = np.linalg.norm(centers[rows] - clamped, axis=1)
-            rows = rows[bd < d]
-            if not len(rows):
-                continue
-            d2, closest = point_triangle_sqdist(centers[rows], tris)
-            nearest = np.argmin(d2, axis=1)
-            pairs = np.arange(len(rows))
-            tdist = np.sqrt(d2[pairs, nearest])
-            closest = closest[pairs, nearest]
-            competitive = tdist - sag < d
-            rows = rows[competitive]
-            if not len(rows):
-                continue
-            closest = closest[competitive]
-            tdist = tdist[competitive]
-            # Newton can be skipped when the proxy evidence says the nearest
-            # candidate is the node itself: the proxy argmin falls in the
-            # node's cell AND the proxy distance is consistent with d
-            coincides = (
-                np.linalg.norm(closest - anchors[rows], axis=1) <= cell + 2.0 * sag
-            ) & (tdist >= d - 2.0 * sag)
-            suspect = rows[~coincides]
-            if not len(suspect):
-                continue
-            res = closest_point_on_patch(patch, centers[suspect], eps_opt)
-            from .geometry.patches import evaluate as _eval
+    d2 = np.empty(len(x))
+    for part in chunks(len(x), _ROW_BYTES):
+        diff = prox.vertices[slot[part]] - x[part, None, :]
+        d2[part] = np.einsum("pvk,pvk->pv", diff, diff).min(axis=1)
+    return np.sqrt(d2)
 
-            pos = _eval(patch, res.params[:, 0], res.params[:, 1])
-            beats = (res.distance < d - postol) & (
-                np.linalg.norm(pos - anchors[suspect], axis=1) >= postol
-            )
-            if beats.any():
-                bad = True
-                break
-        if bad:
-            offenders.append(i)
-    return offenders
+
+def _box_distance(prox, slot, x):
+    """Nearest triangle-box distance per pair, a lower bound on the triangle distance."""
+    d2 = np.empty(len(x))
+    for part in chunks(len(x), _ROW_BYTES):
+        s, xp = slot[part], x[part, None, :]
+        gap = np.maximum(prox.lo[s] - xp, 0.0) + np.maximum(xp - prox.hi[s], 0.0)
+        d2[part] = np.einsum("ptk,ptk->pt", gap, gap).min(axis=1)
+    return np.sqrt(d2)
+
+
+def _nearest_triangle(prox, slot, x, bound):
+    """Minimum proxy-triangle squared distance and its closest point, per pair.
+
+    bound is an upper bound on each pair's triangle distance.  Only the
+    triangles whose box lies within it (plus a rounding slack) are
+    evaluated; the one attaining the minimum always is, so the result
+    equals the minimum over all triangles bit for bit, ties going to the
+    lowest triangle index.
+    """
+    d2 = np.empty(len(x))
+    closest = np.empty((len(x), 3))
+    allow = _slack(bound, x)
+    for part in chunks(len(x), _ROW_BYTES):
+        s, xp, a = slot[part], x[part, None, :], allow[part, None, None]
+        inside = np.all((prox.lo[s] - xp <= a) & (xp - prox.hi[s] <= a), axis=2)
+        pair, tri = np.nonzero(inside)
+        rows_d2, rows_closest = pair_sqdist(x[part][pair], prox.tris[s[pair], tri])
+        # rows run pair by pair, triangles ascending, and every pair has one
+        d2[part] = np.minimum.reduceat(rows_d2, np.searchsorted(pair, np.arange(len(xp))))
+        hits = np.flatnonzero(rows_d2 == d2[part][pair])
+        closest[part] = rows_closest[hits[np.unique(pair[hits], return_index=True)[1]]]
+    return d2, closest
+
+
+def _admissibility_offenders(
+    patchset, tree, centers, anchors, owner, radius, eps_opt, postol
+):
+    """Patches owning a check center that projects somewhere other than its node.
+
+    Returns (sorted patch indices, unconverged closest-point count).  Each
+    center of radius d gathers competitor patches by box, then drops those
+    whose control box or proxy triangles stay at least d away.  A
+    competitor whose nearest proxy point coincides with the anchor node is
+    accepted without a Newton solve; the rest run one batched solve.
+    """
+    rows, pids = tree.query_boxes_bulk(centers - radius[:, None], centers + radius[:, None])
+    x, d = centers[rows], radius[rows]
+    # box lower bound: cannot beat the node at distance d
+    lo, hi = patchset.control_boxes()
+    keep = np.linalg.norm(x - np.clip(x, lo[pids], hi[pids]), axis=1) < d
+    rows, pids, x, d = rows[keep], pids[keep], x[keep], d[keep]
+    if not len(rows):
+        return [], 0
+    ids, slot = np.unique(pids, return_inverse=True)
+    prox = _proxies(patchset, ids)
+    d2, closest = _nearest_triangle(prox, slot, x, _vertex_distance(prox, slot, x))
+    tdist = np.sqrt(d2)
+    sag, cell = prox.sag[slot], prox.cell[slot]
+    competitive = tdist - sag < d
+    # Newton can be skipped when the proxy evidence says the nearest
+    # candidate is the node itself: the proxy argmin falls in the node's
+    # cell AND the proxy distance is consistent with d
+    coincides = (
+        np.linalg.norm(closest - anchors[rows], axis=1) <= cell + 2.0 * sag
+    ) & (tdist >= d - 2.0 * sag)
+    suspect = np.flatnonzero(competitive & ~coincides)
+    res = closest_points(patchset, pids[suspect], x[suspect], eps_opt)
+    pos = patch_points(patchset, pids[suspect], res.params)
+    beats = (res.distance < d[suspect] - postol) & (
+        np.linalg.norm(pos - anchors[rows[suspect]], axis=1) >= postol
+    )
+    offenders = np.unique(owner[rows[suspect[beats]]])
+    return offenders.tolist(), int(np.count_nonzero(~res.converged))
 
 
 def enforce_admissibility(
@@ -384,16 +475,12 @@ def enforce_admissibility(
         # neighbor patches only agree along shared edges up to the fit
         # error, so the coincidence test cannot be tighter than that
         fit_gap = float(np.nanmax([p.fit_error for p in current.patches] + [0.0]))
-        dist = cfg.center_distance(current.lengths)
-        per_patch = {
-            i: (cpts, anchors, dist[i]) for i, (cpts, anchors) in centers.items()
-        }
         postol = max(cfg.eps_opt, 10.0 * fit_gap, 1e-12)
-        still_bad = _admissibility_offenders(
-            current, tree, per_patch, cfg.eps_opt, postol
+        still_bad, unconverged = _admissibility_offenders(
+            current, tree, *centers, cfg.eps_opt, postol
         )
         if report is not None:
-            report.add("admissibility", sweep, current, still_bad)
+            report.add("admissibility", sweep, current, still_bad, unconverged)
         if not still_bad:
             return current
         splitting = _splittable(
@@ -451,57 +538,41 @@ def near_zone_boxes(patchset: PatchSet):
     return lo - margin[:, None], hi + margin[:, None]
 
 
-_DECISION_GRID = 7
-
-
 def _pairs_within_length(fine, rows_all, ids_all, check_points, eps_opt):
-    """(check row, patch id) pairs with dist(check, patch) < L(patch).
+    """(check rows, patch ids) of the pairs with dist(check, patch) < L(patch).
 
-    Screens pairs by the patch-box lower bound, then by a proxy-triangle
-    distance with a sag allowance; only pairs inside the uncertainty band
-    run the Newton solve.
+    Also returns the number of closest-point solves left unconverged.
+    Pairs whose control box lies within L are alive.  With d_T the
+    proxy-triangle distance, an alive pair is close when d_T + sag < L and
+    far when d_T - sag >= L; first the nearest proxy vertex (above d_T) and
+    the nearest triangle box (below d_T) try to decide it, each only when it
+    clears the threshold by a relative margin.  Pairs left get the exact
+    d_T, and pairs inside the +-sag band run one batched Newton solve.
     """
-    if len(rows_all) == 0:
-        return []
     lengths = fine.lengths
     box_lo, box_hi = fine.control_boxes()
     pts = check_points[rows_all]
     clamped = np.clip(pts, box_lo[ids_all], box_hi[ids_all])
     box_dist = np.linalg.norm(pts - clamped, axis=1)
-    limit = lengths[ids_all]
-    alive = box_dist < limit
-    out = []
-    band_rows = []
-    band_ids = []
-    sub_rows = rows_all[alive]
-    sub_ids = ids_all[alive]
-    sub_pts = check_points[sub_rows]
-    sub_limit = lengths[sub_ids]
-    for pid in np.unique(sub_ids):
-        sel = sub_ids == pid
-        tris, sag, _ = _patch_proxy(fine[pid])
-        d2, _ = point_triangle_sqdist(sub_pts[sel], tris)
-        tri_dist = np.sqrt(d2.min(axis=1))
-        rows = sub_rows[sel]
-        lim = sub_limit[sel]
-        sure_near = tri_dist + sag < lim
-        sure_far = tri_dist - sag >= lim
-        out.extend((int(r), int(pid)) for r in rows[sure_near])
-        undecided = ~(sure_near | sure_far)
-        if undecided.any():
-            band_rows.append(rows[undecided])
-            band_ids.append(np.full(undecided.sum(), pid))
-    if band_rows:
-        band_rows = np.concatenate(band_rows)
-        band_ids = np.concatenate(band_ids)
-        for pid in np.unique(band_ids):
-            sel = band_ids == pid
-            res = closest_point_on_patch(
-                fine[pid], check_points[band_rows[sel]], eps_opt
-            )
-            close = res.distance < lengths[pid]
-            out.extend((int(r), int(pid)) for r in band_rows[sel][close])
-    return out
+    alive = box_dist < lengths[ids_all]
+    rows, pids = rows_all[alive], ids_all[alive]
+    if not len(rows):
+        return rows, pids, 0
+    ids, slot = np.unique(pids, return_inverse=True)
+    prox = _proxies(fine, ids)
+    x, limit, sag = check_points[rows], lengths[pids], prox.sag[slot]
+    vert = _vertex_distance(prox, slot, x)
+    close = vert + sag < limit * (1.0 - _MARGIN)
+    rest = np.flatnonzero(~close)
+    far = _box_distance(prox, slot[rest], x[rest]) - sag[rest] >= limit[rest] * (1.0 + _MARGIN)
+    todo = rest[~far]
+    d2, _ = _nearest_triangle(prox, slot[todo], x[todo], vert[todo])
+    tdist = np.sqrt(d2)
+    close[todo] = tdist + sag[todo] < limit[todo]
+    band = todo[~close[todo] & (tdist - sag[todo] < limit[todo])]
+    res = closest_points(fine, pids[band], x[band], eps_opt)
+    close[band] = res.distance < limit[band]
+    return rows[close], pids[close], int(np.count_nonzero(~res.converged))
 
 
 def adaptive_upsample(
@@ -534,9 +605,7 @@ def adaptive_upsample(
                 report.add("upsampling", sweep, fine, list(range(len(fine))))
             if depths.max() >= cfg.max_depth:
                 raise RefinementError("adaptive upsampling exceeded max depth")
-            fine = fine.replace_with_children(
-                {i: quadrisect(p) for i, p in enumerate(fine.patches)}
-            )
+            fine = fine.quadrisected(range(len(fine)))
             continue
         lo, hi = near_zone_boxes(fine)
         tree = AABBTree(lo, hi, np.arange(len(fine)))
@@ -547,27 +616,23 @@ def adaptive_upsample(
         hit_any = np.zeros(len(check_points), dtype=np.bool_)
         hit_any[rows_all] = True
         near &= hit_any
-        to_split = set()
-        still_near = np.zeros(len(check_points), dtype=np.bool_)
-        close_pairs = _pairs_within_length(
+        close_rows, close_ids, unconverged = _pairs_within_length(
             fine, rows_all, ids_all, check_points, adm.eps_opt
         )
-        for row, pid in close_pairs:
-            to_split.add(pid)
-            still_near[row] = True
+        still_near = np.zeros(len(check_points), dtype=np.bool_)
+        still_near[close_rows] = True
         near &= still_near
-        offenders = sorted(to_split)
+        to_split = np.unique(close_ids)
         if report is not None:
-            report.add("upsampling", sweep, fine, offenders)
-        if not to_split:
+            report.add("upsampling", sweep, fine, to_split.tolist(), unconverged)
+        if not len(to_split):
             break
-        over = [i for i in to_split if depths[i] >= cfg.max_depth]
-        if over:
+        if np.any(depths[to_split] >= cfg.max_depth):
             raise RefinementError(
                 "adaptive upsampling exceeded max depth",
                 offenders=np.flatnonzero(near).tolist(),
             )
-        fine = fine.replace_with_children({i: quadrisect(fine[i]) for i in to_split})
+        fine = fine.quadrisected(to_split)
     else:
         if near.any():
             raise RefinementError(

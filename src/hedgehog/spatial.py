@@ -8,10 +8,16 @@ remain: query_box and nearest_triangle, which closest_point_global_bulk
 calls once per point; the benchmark probes both by name, so moving that
 loop onto bulk traversals waits for a change to the benchmark.
 
-Closest points on a Bezier patch come from projected Newton seeded at the
-best cell of a coarse parameter grid, with a dense-grid fallback when
-Newton stalls.  point_triangle_sqdist is the one point-triangle distance
-kernel; grid_triangles is the one triangulation of sampled patch grids.
+Closest points on Bezier patches come from closest_points, one batched
+projected-Newton solve over flat (point, patch) pairs per degree group.
+Newton starts at the best node of a coarse parameter grid, and every pair
+is value-checked against a dense grid scan that reseeds Newton where it
+stalled or converged into the wrong basin.  closest_point_on_patch is its
+one-patch case; marking, admissibility and upsampling all call the batched
+form.  pair_sqdist is the one point-triangle distance kernel (over flat
+pairs; point_triangle_sqdist forms all pairs of two lists); grid_triangles
+is the one triangulation of sampled patch grids.  Chunked passes keep their
+temporaries within CHUNK_BYTES.
 """
 
 from dataclasses import dataclass
@@ -241,14 +247,22 @@ def point_triangle_sqdist(points, tris):
     """Squared distances and closest points for every (point, triangle) pair.
 
     points (M, 3) or one point (3,), tris (T, 3, 3) -> (M, T) squared
-    distances and (M, T, 3) closest points.  Ericson's Voronoi-region
-    projection, evaluated on the point-major flattened pairs.
+    distances and (M, T, 3) closest points, from pair_sqdist on the
+    point-major flattened pairs.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     tris = np.asarray(tris, dtype=float).reshape(-1, 3, 3)
     m, t = len(points), len(tris)
-    tri = np.concatenate([tris] * m)
-    p = np.repeat(points, t, axis=0)
+    d2, closest = pair_sqdist(np.repeat(points, t, axis=0), np.concatenate([tris] * m))
+    return d2.reshape(m, t), closest.reshape(m, t, 3)
+
+
+def pair_sqdist(p, tri):
+    """Squared distance and closest point of each (point, triangle) row.
+
+    p (K, 3), tri (K, 3, 3) -> (K,) and (K, 3); each row depends on its own
+    inputs only.  Ericson's Voronoi-region projection.
+    """
     a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
     ab = b - a
     ac = c - a
@@ -297,7 +311,7 @@ def point_triangle_sqdist(points, tris):
     set_closest(~done, a + v[:, None] * ab + w[:, None] * ac)
 
     d = closest - p
-    return np.einsum("tk,tk->t", d, d).reshape(m, t), closest.reshape(m, t, 3)
+    return np.einsum("tk,tk->t", d, d), closest
 
 
 def grid_triangles(pos) -> np.ndarray:
@@ -318,8 +332,16 @@ def grid_triangles(pos) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Closest point on a patch: projected Newton with grid seeding
+# Closest points on patches: one projected-Newton solve over (point, patch) pairs
 # ---------------------------------------------------------------------------
+
+CHUNK_BYTES = 32 << 20  # cap on the temporaries of one chunked pass
+
+
+def chunks(n: int, row_bytes: int) -> list[slice]:
+    """Row slices of range(n) whose temporaries stay within CHUNK_BYTES."""
+    step = max(1, CHUNK_BYTES // max(int(row_bytes), 1))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 @dataclass
@@ -329,79 +351,153 @@ class ClosestPointResult:
     converged: np.ndarray  # (M,) bool
 
 
-def _patch_state(patch, su, tu, X):
-    n = patch.degree
-    b0s = bezier.bernstein_matrix(n, su)
-    b0t = bezier.bernstein_matrix(n, tu)
-    pos = bezier.eval_points(patch.coeffs, b0s, b0t)
-    diff = pos - X
-    f = 0.5 * np.einsum("mk,mk->m", diff, diff)
-    return b0s, b0t, pos, diff, f
-
-
 _SEED_GRID = 5  # Newton starts from the best node of this parameter grid
+_DENSE_GRID = 64  # the value check scans this grid for every pair
 _NEWTON_STEPS = 50
 
 
 def closest_point_on_patch(
     patch: SurfacePatch, points, eps_opt: float = 1e-14
 ) -> ClosestPointResult:
-    """Minimize |P(s, t) - x|^2 over the parameter square for each x.
+    """Closest points on one patch: closest_points with every pair on it."""
+    X = np.atleast_2d(np.asarray(points, dtype=float))
+    slot = np.zeros(len(X), dtype=np.int64)
+    return _closest_points(patch.coeffs[None], slot, X, eps_opt)
+
+
+def closest_points(
+    patchset: PatchSet, pids, points, eps_opt: float = 1e-14
+) -> ClosestPointResult:
+    """Minimize |P(s, t) - x|^2 over the parameter square for each pair.
+
+    Pair k asks for the point of patch pids[k] closest to points[k]; the
+    pairs of each degree group run as one batched solve.
+    """
+    pids = np.asarray(pids, dtype=np.int64)
+    X = np.asarray(points, dtype=float).reshape(-1, 3)
+    out = ClosestPointResult(
+        params=np.empty((len(X), 2)),
+        distance=np.empty(len(X)),
+        converged=np.empty(len(X), dtype=bool),
+    )
+    for _, coeffs, rows, slot in pair_groups(patchset, pids):
+        res = _closest_points(coeffs, slot, X[rows], eps_opt)
+        out.params[rows] = res.params
+        out.distance[rows] = res.distance
+        out.converged[rows] = res.converged
+    return out
+
+
+def pair_groups(patchset: PatchSet, pids):
+    """Per degree group the patch ids touch: (degree, stacked coeffs, rows, slots).
+
+    rows are the positions in pids that hold the group's patches and
+    slots their positions in the stacked coefficients.
+    """
+    pids = np.asarray(pids, dtype=np.int64)
+    for n, (idx, coeffs) in patchset.degree_groups().items():
+        rows = np.flatnonzero(np.isin(pids, idx))
+        if len(rows):
+            yield n, coeffs, rows, np.searchsorted(idx, pids[rows])
+
+
+def patch_points(patchset: PatchSet, pids, params) -> np.ndarray:
+    """Surface points P(s, t) of (patch id, params) pairs, per degree group."""
+    out = np.empty((len(pids), 3))
+    for n, coeffs, rows, slot in pair_groups(patchset, pids):
+        bs = bezier.bernstein_matrix(n, params[rows, 0])
+        bt = bezier.bernstein_matrix(n, params[rows, 1])
+        out[rows] = _eval_pairs(coeffs[slot], bs, bt)
+    return out
+
+
+def _closest_points(coeffs, slot, X, eps_opt):
+    """Closest points for pairs (patch coeffs[slot[k]], point X[k]) of one degree.
 
     Projected (box-constrained) Newton started from the best node of a
-    5 x 5 parameter grid; points that fail to converge fall back to a
-    dense 64 x 64 grid scan plus polish and are flagged.
+    5 x 5 parameter grid.  Every pair is then value-checked against a dense
+    64 x 64 grid scan, which catches Newton runs that converged into the
+    wrong basin as well as outright stalls; those pairs rerun Newton from
+    the scan's best node and stay flagged unless it converges.
     """
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    m = X.shape[0]
-    n = patch.degree
-    grid = np.linspace(-1.0, 1.0, _SEED_GRID)
-    bg = bezier.bernstein_matrix(n, grid)
-    gp = bezier.eval_grid(patch.coeffs, bg, bg).reshape(-1, 3)
-    d2 = ((gp[None, :, :] - X[:, None, :]) ** 2).sum(axis=2)
-    best = np.argmin(d2, axis=1)
-    cur = np.stack([grid[best // _SEED_GRID], grid[best % _SEED_GRID]], axis=1)
-
-    cur, f, conv = _projected_newton(patch, cur, X, eps_opt)
-
-    # value-checked fallback: a dense grid scan catches Newton runs that
-    # converged into the wrong basin as well as outright stalls
-    dense = np.linspace(-1.0, 1.0, 64)
-    dp = getattr(patch, "_dense_grid", None)
-    if dp is None:
-        bd = bezier.bernstein_matrix(n, dense)
-        dp = bezier.eval_grid(patch.coeffs, bd, bd).reshape(-1, 3)
-        patch._dense_grid = dp
-    d2 = ((dp[None, :, :] - X[:, None, :]) ** 2).sum(axis=2)
-    bestd = np.argmin(d2, axis=1)
-    grid_f = 0.5 * d2[np.arange(m), bestd]
-    bad = (~conv) | (grid_f < f * (1.0 - 1e-12))
-    if bad.any():
-        seeds = np.stack([dense[bestd[bad] // 64], dense[bestd[bad] % 64]], axis=1)
-        cur2, f2, conv2 = _projected_newton(patch, seeds, X[bad], eps_opt)
-        better = f2 <= f[bad]
-        rows = np.flatnonzero(bad)[better]
-        cur[rows] = cur2[better]
-        f[rows] = f2[better]
-        conv[np.flatnonzero(bad)[conv2 & better]] = True
-
-    return ClosestPointResult(
-        params=cur, distance=np.sqrt(2.0 * f), converged=conv
-    )
+    m = len(X)
+    params = np.empty((m, 2))
+    f = np.empty(m)
+    conv = np.empty(m, dtype=bool)
+    order = np.argsort(slot, kind="stable")  # pairs of one patch side by side
+    row_bytes = 16 * coeffs[0].size * 8
+    for part in chunks(m, row_bytes):
+        rows = order[part]
+        seeds, _ = _grid_scan(coeffs, slot[rows], X[rows], _SEED_GRID)
+        params[rows], f[rows], conv[rows] = _projected_newton(
+            coeffs, slot[rows], seeds, X[rows], eps_opt
+        )
+    dense, dense_f = _grid_scan(coeffs, slot[order], X[order], _DENSE_GRID)
+    bad = ~conv[order] | (dense_f < f[order] * (1.0 - 1e-12))
+    rows = order[bad]
+    for part in chunks(len(rows), row_bytes):
+        sub = rows[part]
+        p2, f2, conv2 = _projected_newton(
+            coeffs, slot[sub], dense[bad][part], X[sub], eps_opt
+        )
+        better = f2 <= f[sub]
+        params[sub[better]] = p2[better]
+        f[sub[better]] = f2[better]
+        conv[sub[conv2 & better]] = True
+    return ClosestPointResult(params=params, distance=np.sqrt(2.0 * f), converged=conv)
 
 
-def _projected_newton(patch, cur, X, eps_opt):
-    n = patch.degree
+def _grid_scan(coeffs, slot, X, k):
+    """Best node of a k x k parameter grid per pair: (params (M, 2), f (M,)).
+
+    Pairs should arrive grouped by slot, so each chunk evaluates few grids.
+    """
+    n = coeffs.shape[1] - 1
+    grid = np.linspace(-1.0, 1.0, k)
+    b = bezier.bernstein_matrix(n, grid)
+    best = np.empty(len(X), dtype=np.int64)
+    f = np.empty(len(X))
+    for part in chunks(len(X), 4 * k * k * 3 * 8):
+        used, which = np.unique(slot[part], return_inverse=True)
+        gp = bezier.eval_grid(coeffs[used], b, b).reshape(len(used), -1, 3)
+        d2 = ((gp[which] - X[part, None, :]) ** 2).sum(axis=2)
+        best[part] = np.argmin(d2, axis=1)
+        f[part] = 0.5 * np.take_along_axis(d2, best[part, None], axis=1)[:, 0]
+    return np.stack([grid[best // k], grid[best % k]], axis=1), f
+
+
+def _eval_pairs(C, bs, bt):
+    """Row m of basis rows bs, bt on its own coefficients C[m]: (M, 3).
+
+    Each row's bits do not depend on the other rows, so a batched solve
+    gives every pair the result it gets alone.
+    """
+    along_t = np.matmul(C.transpose(0, 3, 1, 2), bt[:, None, :, None])[..., 0]
+    return np.matmul(along_t, bs[:, :, None])[..., 0]
+
+
+def _half_sqdist(C, s, t, X):
+    """0.5 |P(s, t) - x|^2 for pairs with their own coefficients C (M, n+1, n+1, 3)."""
+    n = C.shape[1] - 1
+    bs = bezier.bernstein_matrix(n, s)
+    bt = bezier.bernstein_matrix(n, t)
+    diff = _eval_pairs(C, bs, bt) - X
+    return 0.5 * np.einsum("mk,mk->m", diff, diff)
+
+
+def _projected_newton(coeffs, slot, cur, X, eps_opt):
+    n = coeffs.shape[1] - 1
     m = X.shape[0]
     cur = cur.copy()
     active = np.ones(m, dtype=bool)
     converged = np.zeros(m, dtype=bool)
-    _, _, _, _, f = _patch_state(patch, cur[:, 0], cur[:, 1], X)
+    f = _half_sqdist(coeffs[slot], cur[:, 0], cur[:, 1], X)
     tol = max(eps_opt, 1e-15)
     for _ in range(_NEWTON_STEPS):
         if not active.any():
             break
         idx = np.flatnonzero(active)
+        C = coeffs[slot[idx]]
         s, t = cur[idx, 0], cur[idx, 1]
         b0s = bezier.bernstein_matrix(n, s)
         b1s = bezier.bernstein_matrix(n, s, 1)
@@ -409,13 +505,12 @@ def _projected_newton(patch, cur, X, eps_opt):
         b0t = bezier.bernstein_matrix(n, t)
         b1t = bezier.bernstein_matrix(n, t, 1)
         b2t = bezier.bernstein_matrix(n, t, 2)
-        C = patch.coeffs
-        pos = bezier.eval_points(C, b0s, b0t)
-        ps = bezier.eval_points(C, b1s, b0t)
-        pt = bezier.eval_points(C, b0s, b1t)
-        pss = bezier.eval_points(C, b2s, b0t)
-        pst = bezier.eval_points(C, b1s, b1t)
-        ptt = bezier.eval_points(C, b0s, b2t)
+        pos = _eval_pairs(C, b0s, b0t)
+        ps = _eval_pairs(C, b1s, b0t)
+        pt = _eval_pairs(C, b0s, b1t)
+        pss = _eval_pairs(C, b2s, b0t)
+        pst = _eval_pairs(C, b1s, b1t)
+        ptt = _eval_pairs(C, b0s, b2t)
         diff = pos - X[idx]
         g1 = np.einsum("mk,mk->m", ps, diff)
         g2 = np.einsum("mk,mk->m", pt, diff)
@@ -450,7 +545,7 @@ def _projected_newton(patch, cur, X, eps_opt):
         for _bt in range(25):
             trial_s = np.clip(cur[idx, 0] + alpha * ds, -1.0, 1.0)
             trial_t = np.clip(cur[idx, 1] + alpha * dt, -1.0, 1.0)
-            _, _, _, _, ftrial = _patch_state(patch, trial_s, trial_t, X[idx])
+            ftrial = _half_sqdist(C, trial_s, trial_t, X[idx])
             improve = pending & (ftrial <= fcur)
             newp[improve, 0] = trial_s[improve]
             newp[improve, 1] = trial_t[improve]
@@ -542,33 +637,26 @@ def closest_point_global_bulk(patchset: PatchSet, points):
         tri_id, _ = index.tree_triangles.nearest_triangle(X[j])
         cand0[j] = index.proxies.patch_ids[tri_id]
 
-    best_pid = cand0.copy()
-    best_params = np.zeros((m, 2))
-    best_dist = np.full(m, np.inf)
-    for pid in np.unique(cand0):
-        rows = np.flatnonzero(cand0 == pid)
-        res = closest_point_on_patch(patchset[pid], X[rows])
-        best_params[rows] = res.params
-        best_dist[rows] = res.distance
+    first = closest_points(patchset, cand0, X)
 
-    pair_rows: dict[int, list[int]] = {}
+    gather_rows, gather_pids = [], []
     for j in range(m):
-        d0 = best_dist[j]
+        d0 = first.distance[j]
         ids = index.tree_boxes.query_box(X[j] - d0, X[j] + d0)
-        for pid in ids:
-            if pid != best_pid[j]:
-                pair_rows.setdefault(int(pid), []).append(j)
+        ids = ids[ids != cand0[j]]
+        gather_rows.append(np.full(len(ids), j))
+        gather_pids.append(ids)
+    rows = np.concatenate([np.arange(m)] + gather_rows)
+    pids = np.concatenate([cand0] + gather_pids)
+    res = closest_points(patchset, pids[m:], X[rows[m:]])
+    dist = np.concatenate([first.distance, res.distance])
+    params = np.concatenate([first.params, res.params])
 
-    for pid, rows in pair_rows.items():
-        rows = np.asarray(rows)
-        res = closest_point_on_patch(patchset[pid], X[rows])
-        better = (res.distance < best_dist[rows] - 1e-300) | (
-            np.isclose(res.distance, best_dist[rows], rtol=1e-12, atol=1e-15)
-            & (pid < best_pid[rows])
-        )
-        upd = rows[better]
-        best_pid[upd] = pid
-        best_params[upd] = res.params[better]
-        best_dist[upd] = np.minimum(best_dist[upd], res.distance[better])
-
-    return best_pid, best_params, best_dist
+    # the closest candidate wins; candidates within rounding of it go to
+    # the lowest patch id
+    best_dist = np.full(m, np.inf)
+    np.minimum.at(best_dist, rows, dist)
+    tied = np.isclose(dist, best_dist[rows], rtol=1e-12, atol=1e-15)
+    order = np.lexsort((pids, ~tied, rows))
+    win = order[np.searchsorted(rows[order], np.arange(m))]
+    return pids[win], params[win], best_dist

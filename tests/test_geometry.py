@@ -9,6 +9,7 @@ from hedgehog.geometry.patches import (
     characteristic_length,
     fit_patch,
     quadrisect,
+    quadrisect_all,
 )
 
 
@@ -69,6 +70,38 @@ def test_quadrisect_children_reproduce_parent(random_cubic_patch):
         mask = (np.abs(sc) <= 1) & (np.abs(tc) <= 1)
         vals = geo.evaluate(child, sc[mask], tc[mask])
         assert np.abs(vals - parent_vals[mask]).max() < 1e-12
+
+
+def test_batched_quadrisection_keeps_the_reference_bits(unit_sphere_patches, random_cubic_patch):
+    """A stacked subdivision gives each patch the bits of the plain einsum product."""
+    rng = np.random.default_rng(11)
+    for n in (1, 3, 10, 16):
+        stack = rng.normal(size=(5, n + 1, n + 1, 3))
+        stack[0, ..., 2] = 0.0
+        for s_up in (False, True):
+            for t_up in (False, True):
+                ms = geo.subdivision_matrix(n, s_up)
+                mt = geo.subdivision_matrix(n, t_up)
+                out = geo.subdivide(stack, s_up, t_up)
+                for c, got in zip(stack, out):
+                    ref = np.einsum("il,lmd,jm->ijd", ms, c, mt)
+                    assert got.tobytes() == ref.tobytes()
+                    assert geo.subdivide(c, s_up, t_up).tobytes() == ref.tobytes()
+    mixed = [random_cubic_patch, unit_sphere_patches[0], unit_sphere_patches[5]]
+    for patch, children in zip(mixed, quadrisect_all(mixed)):
+        for got, one in zip(children, quadrisect(patch)):
+            assert got.coeffs.tobytes() == one.coeffs.tobytes()
+            assert (got.domain, got.depth, got.root_id) == (one.domain, one.depth, one.root_id)
+
+
+def test_patchset_control_boxes_match_each_patch(unit_sphere_patches, random_cubic_patch):
+    ps = PatchSet([random_cubic_patch] + list(unit_sphere_patches.patches[:4]))
+    lo, hi = ps.control_boxes()
+    for i, p in enumerate(ps):
+        pts = p.coeffs.reshape(-1, 3)
+        assert np.array_equal(lo[i], pts.min(axis=0))
+        assert np.array_equal(hi[i], pts.max(axis=0))
+    assert ps.control_boxes()[0] is lo
 
 
 def test_quadrisect_shared_corner():

@@ -245,3 +245,84 @@ def test_refinement_report_text():
     text = report.to_text()
     assert "geometry sweep" in text
     assert "admissibility sweep" in text
+
+
+def _first_screened_sweep(coarse, cfg):
+    """Fine set after the two unconditional sweeps, with its box-gathered pairs."""
+    from hedgehog.spatial import AABBTree
+
+    fine = coarse.as_fine().uniform_refined(2)
+    checks = required_check_points(coarse, discretize(coarse, cfg.q), cfg)
+    lo, hi = near_zone_boxes(fine)
+    rows, ids = AABBTree(lo, hi, np.arange(len(fine))).query_points_bulk(checks)
+    return fine, checks, rows, ids
+
+
+def test_pruned_screen_matches_brute_force_oracle(unit_sphere_patches):
+    """The bound-pruned screen keeps exactly the pairs a Newton solve on every alive pair finds close."""
+    from hedgehog.refinement import _pairs_within_length, _proxies
+    from hedgehog.spatial import closest_points, point_triangle_sqdist
+
+    cfg = AdmissibilityConfig(b=0.2, a=0.2 / 6, q=6)
+    fine, checks, rows_all, ids_all = _first_screened_sweep(unit_sphere_patches, cfg)
+    rows, pids, unconverged = _pairs_within_length(fine, rows_all, ids_all, checks, cfg.eps_opt)
+    assert unconverged == 0
+    got = set(zip(rows.tolist(), pids.tolist()))
+
+    lengths = fine.lengths
+    lo, hi = fine.control_boxes()
+    pts = checks[rows_all]
+    gap = np.linalg.norm(pts - np.clip(pts, lo[ids_all], hi[ids_all]), axis=1)
+    alive = gap < lengths[ids_all]
+    a_rows, a_ids = rows_all[alive], ids_all[alive]
+    exact = closest_points(fine, a_ids, checks[a_rows], cfg.eps_opt)
+    close = exact.distance < lengths[a_ids]
+    assert got == set(zip(a_rows[close].tolist(), a_ids[close].tolist()))
+    assert 0 < len(got) < len(a_rows)
+
+    # the old decision rule on all 72 triangles never contradicts Newton
+    ids = np.unique(a_ids)
+    prox = _proxies(fine, ids)
+    for k in np.random.default_rng(9).choice(len(a_rows), 400, replace=False):
+        j = np.searchsorted(ids, a_ids[k])
+        d2, _ = point_triangle_sqdist(checks[a_rows[k]], prox.tris[j])
+        tri = np.sqrt(d2.min())
+        if tri + prox.sag[j] < lengths[a_ids[k]]:
+            assert close[k]
+        elif tri - prox.sag[j] >= lengths[a_ids[k]]:
+            assert not close[k]
+
+
+def test_pruned_sag_equals_full_minimum(unit_sphere_patches, flat_square_patch, random_cubic_patch):
+    from hedgehog.geometry.bezier import bernstein_matrix, eval_grid
+    from hedgehog.refinement import _DECISION_GRID, _proxies
+    from hedgehog.spatial import point_triangle_sqdist
+
+    patches = unit_sphere_patches.as_fine().uniform_refined(1).patches[:40]
+    ps = PatchSet(patches + [flat_square_patch, random_cubic_patch])
+    prox = _proxies(ps, np.arange(len(ps)))
+    grid = np.linspace(-1.0, 1.0, _DECISION_GRID)
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    for i, p in enumerate(ps):
+        bm = bernstein_matrix(p.degree, mids)
+        mid = eval_grid(p.coeffs, bm, bm).reshape(-1, 3)
+        d2, _ = point_triangle_sqdist(mid, prox.tris[i])
+        full = 2.0 * np.sqrt(d2.min(axis=1).max()) + 1e-14
+        assert prox.sag[i] == full
+    assert prox.sag[len(patches)] < 1e-13  # flat: the midpoints lie on the triangles
+
+
+def test_unconverged_closest_points_are_recorded(unit_sphere_patches, monkeypatch):
+    """A Newton budget too small to converge shows in the sweep records and text."""
+    from hedgehog import spatial
+
+    cfg = AdmissibilityConfig(b=0.2, a=0.2 / 6, q=6)
+    report = RefinementReport()
+    adaptive_upsample(unit_sphere_patches, UpsamplingConfig(), cfg, report=report)
+    assert all(rec.unconverged == 0 for rec in report.sweeps)
+    monkeypatch.setattr(spatial, "_NEWTON_STEPS", 1)
+    starved = RefinementReport()
+    adaptive_upsample(unit_sphere_patches, UpsamplingConfig(), cfg, report=starved)
+    counts = [rec.unconverged for rec in starved.sweeps]
+    assert sum(counts) > 0
+    assert f"{max(counts)} closest points unconverged" in starved.to_text()

@@ -8,6 +8,7 @@ from hedgehog.spatial import (
     AABBTree,
     closest_point_global_bulk,
     closest_point_on_patch,
+    closest_points,
     point_triangle_sqdist,
     surface_index,
     triangle_proxies,
@@ -190,6 +191,28 @@ def test_closest_point_matches_grid_scan_oracle(random_cubic_patch):
         assert abs(res.distance[j] - oracle) < 1e-8
 
 
+def test_batched_closest_points_match_per_pair_solves(
+    unit_sphere_patches, random_cubic_patch, flat_square_patch
+):
+    """One batched solve over mixed-degree pairs equals each pair solved alone."""
+    ps = PatchSet(
+        [unit_sphere_patches[2], random_cubic_patch, flat_square_patch, unit_sphere_patches[9]]
+    )
+    rng = np.random.default_rng(12)
+    pids = rng.integers(0, len(ps), 120)
+    st = rng.uniform(-1.0, 1.0, (120, 2))
+    anchors = np.array([geo.evaluate(ps[p], s, t) for p, (s, t) in zip(pids, st)])
+    points = anchors + rng.normal(scale=0.3, size=(120, 3))
+    eps_opt = 1e-14
+    res = closest_points(ps, pids, points, eps_opt)
+    for k, (pid, x) in enumerate(zip(pids, points)):
+        one = closest_point_on_patch(ps[pid], x, eps_opt)
+        assert np.abs(res.params[k] - one.params[0]).max() <= eps_opt
+        assert abs(res.distance[k] - one.distance[0]) <= eps_opt
+        assert res.converged[k] == one.converged[0]
+    assert res.converged.all()
+
+
 def test_closest_point_global_two_plates():
     top = geo.plate_embedding([-0.5, -0.5, 1.0], [1, 0, 0], [0, 1, 0])
     bot = geo.plate_embedding([-0.5, -0.5, 0.0], [1, 0, 0], [0, 1, 0])
@@ -239,7 +262,7 @@ def test_near_zone_box_contains_near_points(unit_sphere_patches):
 
 
 def test_patch_box_contains_control_points_and_surface(random_cubic_patch):
-    lo, hi = random_cubic_patch.control_box()
+    (lo,), (hi,) = PatchSet([random_cubic_patch]).control_boxes()
     assert np.all(random_cubic_patch.coeffs.reshape(-1, 3) >= lo)
     assert np.all(random_cubic_patch.coeffs.reshape(-1, 3) <= hi)
     st = np.random.default_rng(7).uniform(-1, 1, (500, 2))

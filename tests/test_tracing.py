@@ -138,3 +138,17 @@ def test_traced_marking_reaches_the_per_point_tree_queries(perfbench, unit_spher
     assert counts["spatial.AABBTree.query_box.calls"] > 0
     assert counts["spatial.surface_index.calls"] == 1
     assert counts["spatial.closest_point_global_bulk.calls"] == 1
+
+
+def test_traced_targets_setup_reaches_the_upsampling(perfbench):
+    """A traced targets set-up builds the benchmark's coarse and fine sets in one upsampling call."""
+    tracing, workloads = perfbench
+    workload = workloads.WORKLOADS["targets"](1)
+    tracer = tracing.Tracer("setup")
+    with tracing.Instrumentation(tracer):
+        state = workload.setup()
+    sizes = workload.sizes(state)
+    assert sizes["refinement.coarse_patches"] == 24
+    assert sizes["refinement.fine_patches"] == 1320
+    assert tracer.counts["refinement.adaptive_upsample.calls"] == 1
+    assert tracer.self_times()["refinement.adaptive_upsample"] > 0.0
