@@ -425,7 +425,7 @@ def _closest_points(coeffs, slot, X, eps_opt):
     f = np.empty(m)
     conv = np.empty(m, dtype=bool)
     order = np.argsort(slot, kind="stable")  # pairs of one patch side by side
-    row_bytes = 16 * coeffs[0].size * 8
+    row_bytes = 16 * coeffs[0].size * 8  # a pair's gathered coefficients and their products
     for part in chunks(m, row_bytes):
         rows = order[part]
         seeds, _ = _grid_scan(coeffs, slot[rows], X[rows], _SEED_GRID)
@@ -434,12 +434,10 @@ def _closest_points(coeffs, slot, X, eps_opt):
         )
     dense, dense_f = _grid_scan(coeffs, slot[order], X[order], _DENSE_GRID)
     bad = ~conv[order] | (dense_f < f[order] * (1.0 - 1e-12))
-    rows = order[bad]
+    rows, seeds = order[bad], dense[bad]
     for part in chunks(len(rows), row_bytes):
         sub = rows[part]
-        p2, f2, conv2 = _projected_newton(
-            coeffs, slot[sub], dense[bad][part], X[sub], eps_opt
-        )
+        p2, f2, conv2 = _projected_newton(coeffs, slot[sub], seeds[part], X[sub], eps_opt)
         better = f2 <= f[sub]
         params[sub[better]] = p2[better]
         f[sub[better]] = f2[better]
