@@ -95,6 +95,12 @@ class ZoneLabels:
     params: np.ndarray  # (M, 2)
     distance: np.ndarray  # (M,), inf when not computed
     winding: np.ndarray  # (M,)
+    # (M,) bool: the closest-point solve converged; True where none ran
+    converged: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.converged is None:
+            self.converged = np.ones(len(self.inside), dtype=bool)
 
     def __len__(self):
         return len(self.inside)
@@ -112,7 +118,8 @@ def mark_points(
     the coarse nodes) culls far-inside and outside points; remaining points
     get a closest-point query.  Points near the surface can in principle be
     mismarked by the winding cull; the near/intermediate split uses the
-    patch length at the closest point.
+    patch length at the closest point, and converged records whether that
+    point's Newton solve converged.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     m = len(targets)
@@ -125,6 +132,7 @@ def mark_points(
     pids = np.full(m, -1, dtype=np.int64)
     params = np.zeros((m, 2))
     dist = np.full(m, np.inf)
+    converged = np.ones(m, dtype=bool)
 
     far_inside = np.abs(winding - 1.0) < eps_target
     outside = np.abs(winding) < eps_target
@@ -132,11 +140,12 @@ def mark_points(
     rest = ~(far_inside | outside)
     if rest.any():
         patchset = coarse_nodes.patchset
-        rp, rpar, rd = closest_point_global_bulk(patchset, targets[rest])
+        rp, rpar, rd, rconv = closest_point_global_bulk(patchset, targets[rest])
         rows = np.flatnonzero(rest)
         pids[rows] = rp
         params[rows] = rpar
         dist[rows] = rd
+        converged[rows] = rconv
         lengths = patchset.lengths[rp]
         zone[rows[rd <= lengths]] = Zone.NEAR
         zone[rows[rd > lengths]] = Zone.INTERMEDIATE
@@ -144,7 +153,7 @@ def mark_points(
         inside[rows] = np.einsum("mk,mk->m", normals, targets[rest] - anchors) < 0.0
     return ZoneLabels(
         inside=inside, zone=zone, patch_ids=pids, params=params,
-        distance=dist, winding=winding,
+        distance=dist, winding=winding, converged=converged,
     )
 
 

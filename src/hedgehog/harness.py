@@ -266,6 +266,7 @@ def _take_labels(labels, pick):
         params=labels.params[pick],
         distance=labels.distance[pick],
         winding=labels.winding[pick],
+        converged=labels.converged[pick],
     )
 
 

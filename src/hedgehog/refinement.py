@@ -31,6 +31,7 @@ from .spatial import (
     pair_groups,
     pair_sqdist,
     patch_points,
+    slack,
 )
 
 
@@ -337,7 +338,7 @@ def _proxies(patchset: PatchSet, ids) -> _Proxies:
         pair_sqdist(pts, tris[slot, own])[0],
         pair_sqdist(pts, tris[slot, own + cells])[0],
     )
-    allow = _slack(np.sqrt(d2), pts).reshape(len(ids), cells, 1, 1)
+    allow = slack(np.sqrt(d2), pts).reshape(len(ids), cells, 1, 1)
     others = np.ones((cells, tris.shape[1]), dtype=bool)
     others[np.arange(cells), np.arange(cells)] = False
     others[np.arange(cells), np.arange(cells) + cells] = False
@@ -356,11 +357,6 @@ def _proxies(patchset: PatchSet, ids) -> _Proxies:
         sag=2.0 * np.sqrt(d2.reshape(len(ids), cells).max(axis=1)) + 1e-14,
         cell=np.sqrt(np.max(np.einsum("ptk,ptk->pt", diag, diag), axis=1)),
     )
-
-
-def _slack(bound, pts):
-    """bound widened to cover the rounding of box and triangle distances."""
-    return bound * (1.0 + _MARGIN) + 1e-12 * (1.0 + np.abs(pts).max(axis=1))
 
 
 def _vertex_distance(prox, slot, x):
@@ -397,7 +393,7 @@ def _nearest_triangle(prox, slot, x, bound):
     """
     d2 = np.empty(len(x))
     closest = np.empty((len(x), 3))
-    allow = _slack(bound, x)
+    allow = slack(bound, x)
     for part in chunks(len(x), _ROW_BYTES):
         s, xp, a = slot[part], x[part, None, :], allow[part, None, None]
         inside = np.all((prox.lo[s] - xp <= a) & (xp - prox.hi[s] <= a), axis=2)
@@ -421,7 +417,7 @@ def _admissibility_offenders(
     competitor whose nearest proxy point coincides with the anchor node is
     accepted without a Newton solve; the rest run one batched solve.
     """
-    rows, pids = tree.query_boxes_bulk(centers - radius[:, None], centers + radius[:, None])
+    rows, pids = tree.query_box(centers - radius[:, None], centers + radius[:, None])
     x, d = centers[rows], radius[rows]
     # box lower bound: cannot beat the node at distance d
     lo, hi = patchset.control_boxes()
@@ -584,9 +580,8 @@ def adaptive_upsample(
 ) -> PatchSet:
     """Refine a copy of the coarse set until all check points are far.
 
-    A check point is far once it lies outside every patch's near-zone box
-    or at distance >= L(P) from every patch whose box contains it.  The
-    first n_skip sweeps refine on box containment alone.
+    A check point is far once it lies at distance >= L(P) from every fine
+    patch P.  The first n_skip sweeps refine every patch unconditionally.
     """
     if check_points is None:
         nodes = discretize(coarse, adm.q)
@@ -607,15 +602,15 @@ def adaptive_upsample(
                 raise RefinementError("adaptive upsampling exceeded max depth")
             fine = fine.quadrisected(range(len(fine)))
             continue
-        lo, hi = near_zone_boxes(fine)
-        tree = AABBTree(lo, hi, np.arange(len(fine)))
+        # only pairs whose control box lies within L can be close, so the
+        # boxes are inflated by L (plus rounding slack), not by the near zone's 2 L
+        lo, hi = fine.control_boxes()
+        reach = slack(fine.lengths, np.maximum(np.abs(lo), np.abs(hi)))[:, None]
+        tree = AABBTree(lo - reach, hi + reach, np.arange(len(fine)))
         depths = np.array([p.depth for p in fine.patches])
         near_rows = np.flatnonzero(near)
         rows_local, ids_all = tree.query_points_bulk(check_points[near_rows])
         rows_all = near_rows[rows_local]
-        hit_any = np.zeros(len(check_points), dtype=np.bool_)
-        hit_any[rows_all] = True
-        near &= hit_any
         close_rows, close_ids, unconverged = _pairs_within_length(
             fine, rows_all, ids_all, check_points, adm.eps_opt
         )

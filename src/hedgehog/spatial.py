@@ -1,12 +1,11 @@
 """Spatial queries: AABB trees, triangle proxies, closest points on patches.
 
-The AABB tree is a median-split bounding volume hierarchy over item boxes;
-all queries return exactly the brute-force answer sets over the stored
-primitives.  query_points_bulk and query_boxes_bulk traverse the tree for
-many points or boxes at once and serve refinement.  Two per-point methods
-remain: query_box and nearest_triangle, which closest_point_global_bulk
-calls once per point; the benchmark probes both by name, so moving that
-loop onto bulk traversals waits for a change to the benchmark.
+The AABB tree is a median-split bounding volume hierarchy over item boxes.
+Each of its queries (query_points_bulk, query_box, nearest_triangle)
+answers a whole stack of points or boxes in one level-synchronous traversal
+and returns exactly the brute-force answer over the stored primitives.
+closest_point_global_bulk calls nearest_triangle and query_box once for
+all its points; refinement calls query_points_bulk and query_box.
 
 Closest points on Bezier patches come from closest_points, one batched
 projected-Newton solve over flat (point, patch) pairs per degree group.
@@ -29,13 +28,29 @@ from .geometry import bezier
 from .geometry.patches import PatchSet, SurfacePatch
 
 _LEAF_SIZE = 8
+CHUNK_BYTES = 32 << 20  # cap on the temporaries of one chunked pass
+_PAIR_BYTES = 64 * 8  # pair_sqdist's temporaries for one (point, triangle) row
+_SLACK_REL = 1e-9  # relative widening of a distance bound against rounding
+
+
+def chunks(n: int, row_bytes: int) -> list[slice]:
+    """Row slices of range(n) whose temporaries stay within CHUNK_BYTES."""
+    step = max(1, CHUNK_BYTES // max(int(row_bytes), 1))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def slack(bound, pts):
+    """bound widened to cover the rounding of box and triangle distances near pts."""
+    return bound * (1.0 + _SLACK_REL) + 1e-12 * (1.0 + np.abs(pts).max(axis=1))
 
 
 class AABBTree:
     """Median-split AABB tree over (box, id) items.
 
-    A tree built with triangles (T, 3, 3), one per item, also answers
-    nearest_triangle.
+    Each query answers a whole stack of points or boxes in one
+    level-synchronous traversal, vectorised over the frontier, and returns
+    exactly the brute-force answer.  A tree built with triangles (T, 3, 3),
+    one per item, also answers nearest_triangle.
     """
 
     def __init__(self, lo, hi, ids, triangles=None):
@@ -86,28 +101,6 @@ class AABBTree:
         self._right[node] = right
         return node
 
-    def query_box(self, lo, hi) -> np.ndarray:
-        """ids of all item boxes intersecting the box [lo, hi]."""
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        out = []
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            if np.any(hi < self._node_lo[node]) or np.any(lo > self._node_hi[node]):
-                continue
-            if self._left[node] < 0:
-                s = self._leaf_start[node]
-                items = self.order[s : s + self._leaf_count[node]]
-                ok = np.all(
-                    (self.lo[items] <= hi) & (lo <= self.hi[items]), axis=1
-                )
-                out.extend(self.ids[items[ok]])
-            else:
-                stack.append(self._left[node])
-                stack.append(self._right[node])
-        return np.asarray(sorted(out), dtype=np.int64)
-
     def _expand_leaves(self, rows, nodes):
         """(row, item-slot) pairs for leaf frontier entries, vectorized."""
         counts = self._leaf_count[nodes]
@@ -122,53 +115,10 @@ class AABBTree:
         items = self.order[offsets + within]
         return rep_rows, items
 
-    def query_points_bulk(self, points):
-        """Containing-box ids for many points: (point rows, id rows) arrays.
-
-        Level-synchronous traversal, vectorized over the whole frontier
-        including leaf expansion.
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+    def _gather(self, los, his):
+        """(row, item) pairs of every item box meeting query box [los[row], his[row]]."""
         rows_out: list[np.ndarray] = []
-        ids_out: list[np.ndarray] = []
-        frontier_pts = np.arange(len(points))
-        frontier_nodes = np.zeros(len(points), dtype=np.int64)
-        while len(frontier_pts):
-            x = points[frontier_pts]
-            inside = np.all(
-                (x >= self._node_lo[frontier_nodes])
-                & (x <= self._node_hi[frontier_nodes]),
-                axis=1,
-            )
-            frontier_pts = frontier_pts[inside]
-            frontier_nodes = frontier_nodes[inside]
-            if not len(frontier_pts):
-                break
-            leaf = self._left[frontier_nodes] < 0
-            if leaf.any():
-                rep_rows, items = self._expand_leaves(
-                    frontier_pts[leaf], frontier_nodes[leaf]
-                )
-                p = points[rep_rows]
-                hit = np.all((self.lo[items] <= p) & (p <= self.hi[items]), axis=1)
-                rows_out.append(rep_rows[hit])
-                ids_out.append(self.ids[items[hit]])
-            inner_pts = frontier_pts[~leaf]
-            inner_nodes = frontier_nodes[~leaf]
-            frontier_pts = np.concatenate([inner_pts, inner_pts])
-            frontier_nodes = np.concatenate(
-                [self._left[inner_nodes], self._right[inner_nodes]]
-            )
-        if rows_out:
-            return np.concatenate(rows_out), np.concatenate(ids_out)
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-
-    def query_boxes_bulk(self, los, his):
-        """Intersecting-box ids for many query boxes, as (row, id) arrays."""
-        los = np.atleast_2d(np.asarray(los, dtype=float))
-        his = np.atleast_2d(np.asarray(his, dtype=float))
-        rows_out: list[np.ndarray] = []
-        ids_out: list[np.ndarray] = []
+        items_out: list[np.ndarray] = []
         frontier_rows = np.arange(len(los))
         frontier_nodes = np.zeros(len(los), dtype=np.int64)
         while len(frontier_rows):
@@ -191,7 +141,7 @@ class AABBTree:
                     axis=1,
                 )
                 rows_out.append(rep_rows[hit])
-                ids_out.append(self.ids[items[hit]])
+                items_out.append(items[hit])
             inner_rows = frontier_rows[~leaf]
             inner_nodes = frontier_nodes[~leaf]
             frontier_rows = np.concatenate([inner_rows, inner_rows])
@@ -199,48 +149,65 @@ class AABBTree:
                 [self._left[inner_nodes], self._right[inner_nodes]]
             )
         if rows_out:
-            return np.concatenate(rows_out), np.concatenate(ids_out)
+            return np.concatenate(rows_out), np.concatenate(items_out)
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
 
-    def _box_sqdist(self, node, x):
-        d = np.maximum(self._node_lo[node] - x, 0.0) + np.maximum(
-            x - self._node_hi[node], 0.0
-        )
-        return float(d @ d)
+    def query_points_bulk(self, points):
+        """Containing-box ids for many points: (point rows, id rows) arrays."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        rows, items = self._gather(points, points)
+        return rows, self.ids[items]
 
-    def nearest_triangle(self, x):
-        """(triangle id, distance) of the closest stored proxy triangle."""
+    def query_box(self, los, his):
+        """Intersecting-box ids for many query boxes [los, his]: (row, id) arrays."""
+        los = np.atleast_2d(np.asarray(los, dtype=float))
+        his = np.atleast_2d(np.asarray(his, dtype=float))
+        rows, items = self._gather(los, his)
+        return rows, self.ids[items]
+
+    def nearest_triangle(self, points):
+        """(triangle ids (M,), distances (M,)) of the closest stored triangle per point.
+
+        Each point first descends, one level for all points at a time, into
+        the nearer child box down to a leaf; its distance to that leaf's
+        triangles bounds the answer from above.  Every triangle whose box
+        lies within that bound (plus rounding slack) is then evaluated, and
+        the smallest squared distance wins, ties going to the lowest id.
+        Distances run in chunks within CHUNK_BYTES.
+        """
         if self.triangles is None:
             raise UsageError("nearest_triangle requires a tree built with triangles")
-        x = np.asarray(x, dtype=float)
-        best_d2 = np.inf
-        best_id = -1
-        stack = [(self._box_sqdist(0, x), 0)]
-        while stack:
-            d2, node = stack.pop()
-            if d2 >= best_d2:
-                continue
-            if self._left[node] < 0:
-                s = self._leaf_start[node]
-                items = self.order[s : s + self._leaf_count[node]]
-                d2s, _ = point_triangle_sqdist(x, self.triangles[items])
-                d2s = d2s[0]
-                for k in np.argsort(d2s):
-                    cand_d2, cand_id = d2s[k], int(self.ids[items[k]])
-                    if cand_d2 < best_d2 - 1e-300 or (
-                        cand_d2 <= best_d2 and cand_id < best_id
-                    ):
-                        best_d2, best_id = cand_d2, cand_id
-            else:
-                children = sorted(
-                    (
-                        (self._box_sqdist(self._left[node], x), self._left[node]),
-                        (self._box_sqdist(self._right[node], x), self._right[node]),
-                    ),
-                    reverse=True,
-                )
-                stack.extend(children)
-        return best_id, float(np.sqrt(best_d2))
+        X = np.atleast_2d(np.asarray(points, dtype=float))
+        m = len(X)
+        node = np.zeros(m, dtype=np.int64)
+        inner = np.flatnonzero(self._left[node] >= 0)
+        while len(inner):
+            x = X[inner]
+            child = np.stack([self._left[node[inner]], self._right[node[inner]]])
+            gap = np.maximum(self._node_lo[child] - x, 0.0) + np.maximum(
+                x - self._node_hi[child], 0.0
+            )
+            d2 = np.einsum("cmk,cmk->cm", gap, gap)
+            node[inner] = np.where(d2[1] < d2[0], child[1], child[0])
+            inner = inner[self._left[node[inner]] >= 0]
+        rows, items = self._expand_leaves(np.arange(m), node)
+        d2 = self._triangle_sqdist(X, rows, items)
+        # rows run point by point and every leaf holds at least one item
+        bound = np.sqrt(np.minimum.reduceat(d2, np.searchsorted(rows, np.arange(m))))
+        reach = slack(bound, X)[:, None]
+        rows, items = self._gather(X - reach, X + reach)
+        d2 = self._triangle_sqdist(X, rows, items)
+        ids = self.ids[items]
+        order = np.lexsort((ids, d2, rows))
+        best = order[np.searchsorted(rows[order], np.arange(m))]
+        return ids[best], np.sqrt(d2[best])
+
+    def _triangle_sqdist(self, X, rows, items):
+        """Squared distance of each (point X[row], triangle item) pair, chunked."""
+        d2 = np.empty(len(rows))
+        for part in chunks(len(rows), _PAIR_BYTES):
+            d2[part] = pair_sqdist(X[rows[part]], self.triangles[items[part]])[0]
+        return d2
 
 
 def point_triangle_sqdist(points, tris):
@@ -334,15 +301,6 @@ def grid_triangles(pos) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Closest points on patches: one projected-Newton solve over (point, patch) pairs
 # ---------------------------------------------------------------------------
-
-CHUNK_BYTES = 32 << 20  # cap on the temporaries of one chunked pass
-
-
-def chunks(n: int, row_bytes: int) -> list[slice]:
-    """Row slices of range(n) whose temporaries stay within CHUNK_BYTES."""
-    step = max(1, CHUNK_BYTES // max(int(row_bytes), 1))
-    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
-
 
 @dataclass
 class ClosestPointResult:
@@ -618,11 +576,12 @@ def surface_index(patchset: PatchSet) -> SurfaceIndex:
 
 
 def closest_point_global_bulk(patchset: PatchSet, points):
-    """Global closest points: (patch ids, params (M, 2), distances (M,)).
+    """Global closest points: (patch ids, params (M, 2), distances (M,), converged (M,)).
 
     Candidate patch from the nearest proxy triangle, Newton-refined distance,
     then a box gather of every patch that could be closer; ties broken by
-    the lowest patch id.
+    the lowest patch id.  converged is the winning solve's flag.  Each tree
+    query runs once for all points.
     """
     if len(patchset) == 0:
         raise UsageError("empty patch set")
@@ -630,25 +589,19 @@ def closest_point_global_bulk(patchset: PatchSet, points):
     m = X.shape[0]
     index = surface_index(patchset)
 
-    cand0 = np.empty(m, dtype=np.int64)
-    for j in range(m):
-        tri_id, _ = index.tree_triangles.nearest_triangle(X[j])
-        cand0[j] = index.proxies.patch_ids[tri_id]
-
+    tri_ids, _ = index.tree_triangles.nearest_triangle(X)
+    cand0 = index.proxies.patch_ids[tri_ids]
     first = closest_points(patchset, cand0, X)
 
-    gather_rows, gather_pids = [], []
-    for j in range(m):
-        d0 = first.distance[j]
-        ids = index.tree_boxes.query_box(X[j] - d0, X[j] + d0)
-        ids = ids[ids != cand0[j]]
-        gather_rows.append(np.full(len(ids), j))
-        gather_pids.append(ids)
-    rows = np.concatenate([np.arange(m)] + gather_rows)
-    pids = np.concatenate([cand0] + gather_pids)
+    reach = first.distance[:, None]
+    rows, pids = index.tree_boxes.query_box(X - reach, X + reach)
+    other = pids != cand0[rows]
+    rows = np.concatenate([np.arange(m), rows[other]])
+    pids = np.concatenate([cand0, pids[other]])
     res = closest_points(patchset, pids[m:], X[rows[m:]])
     dist = np.concatenate([first.distance, res.distance])
     params = np.concatenate([first.params, res.params])
+    converged = np.concatenate([first.converged, res.converged])
 
     # the closest candidate wins; candidates within rounding of it go to
     # the lowest patch id
@@ -657,4 +610,4 @@ def closest_point_global_bulk(patchset: PatchSet, points):
     tied = np.isclose(dist, best_dist[rows], rtol=1e-12, atol=1e-15)
     order = np.lexsort((pids, ~tied, rows))
     win = order[np.searchsorted(rows[order], np.arange(m))]
-    return pids[win], params[win], best_dist
+    return pids[win], params[win], best_dist, converged[win]

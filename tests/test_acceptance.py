@@ -319,7 +319,7 @@ def test_criterion_7_oracle_equivalences(torus_patches):
     shell = np.stack(
         [ring * np.cos(theta), ring * np.sin(theta), radial * np.sin(phi)], axis=1
     )
-    _, _, dists = closest_point_global_bulk(torus_patches, shell)
+    _, _, dists, _ = closest_point_global_bulk(torus_patches, shell)
     oracle = np.min(
         np.stack(
             [closest_point_on_patch(p, shell).distance for p in torus_patches],

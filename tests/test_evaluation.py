@@ -229,6 +229,26 @@ def test_near_and_intermediate_paths_agree_at_zone_boundary(sphere_system):
     assert abs(via_near[0, 0] - via_mid[0, 0]) < opts.eps_target
 
 
+def test_mark_points_records_unconverged_closest_points(unit_sphere_patches, monkeypatch):
+    """A Newton budget too small to converge shows in the labels' converged flags."""
+    from hedgehog import spatial
+
+    nodes = discretize(unit_sphere_patches, 10)
+    rng = np.random.default_rng(3)
+    dirs = rng.normal(size=(8, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    targets = np.concatenate([dirs * rng.uniform(0.95, 1.05, (8, 1)), np.zeros((1, 3))])
+    labels = mark_points(targets, nodes, 1e-6)
+    searched = labels.patch_ids >= 0
+    assert searched[:-1].all() and not searched[-1], "the centre needs no search"
+    assert labels.converged.all()
+    assert surface_node_labels(nodes).converged.all()
+    monkeypatch.setattr(spatial, "_NEWTON_STEPS", 1)
+    starved = mark_points(targets, nodes, 1e-6)
+    assert np.count_nonzero(~starved.converged[searched]) > 0
+    assert starved.converged[~searched].all()
+
+
 def test_mark_points_partition(sphere_system):
     coarse, fine, nodes, fine_nodes, opts = sphere_system
     rng = np.random.default_rng(2)

@@ -9,6 +9,7 @@ from hedgehog.spatial import (
     closest_point_global_bulk,
     closest_point_on_patch,
     closest_points,
+    grid_triangles,
     point_triangle_sqdist,
     surface_index,
     triangle_proxies,
@@ -78,11 +79,40 @@ def test_query_box_matches_brute_force():
     rng = np.random.default_rng(1)
     lo, hi = _random_boxes(500, rng)
     tree = AABBTree(lo, hi, np.arange(500))
-    for _ in range(50):
-        qlo = rng.uniform(-1.2, 1.0, 3)
-        qhi = qlo + rng.uniform(0.05, 0.6, 3)
-        brute = np.flatnonzero(np.all((lo <= qhi) & (qlo <= hi), axis=1))
-        assert np.array_equal(tree.query_box(qlo, qhi), brute)
+    qlo = rng.uniform(-1.2, 1.0, (50, 3))
+    qhi = qlo + rng.uniform(0.05, 0.6, (50, 3))
+    rows, ids = tree.query_box(qlo, qhi)
+    for j in range(50):
+        brute = np.flatnonzero(np.all((lo <= qhi[j]) & (qlo[j] <= hi), axis=1))
+        assert np.array_equal(np.sort(ids[rows == j]), brute)
+
+
+def test_query_box_bulk_matches_brute_force_with_empty_results():
+    """Many boxes in one call, some degenerate and some meeting nothing."""
+    rng = np.random.default_rng(8)
+    lo, hi = _random_boxes(400, rng)
+    ids = rng.permutation(400) + 1000
+    tree = AABBTree(lo, hi, ids)
+    qlo = np.concatenate(
+        [
+            rng.uniform(-1.5, 1.2, (250, 3)),
+            rng.uniform(-1.0, 1.0, (30, 3)),  # points, as zero-size boxes
+            rng.uniform(3.0, 4.0, (20, 3)),  # beyond every box
+        ]
+    )
+    size = np.concatenate(
+        [rng.uniform(0.0, 0.4, (250, 3)), np.zeros((30, 3)), rng.uniform(0.0, 0.5, (20, 3))]
+    )
+    qhi = qlo + size
+    rows, got = tree.query_box(qlo, qhi)
+    assert len(rows) == len(got) and len(set(zip(rows.tolist(), got.tolist()))) == len(rows)
+    empty = 0
+    for j in range(len(qlo)):
+        brute = np.sort(ids[np.all((lo <= qhi[j]) & (qlo[j] <= hi), axis=1)])
+        assert np.array_equal(np.sort(got[rows == j]), brute)
+        empty += len(brute) == 0
+    assert empty >= 20
+    assert tree.query_box(np.zeros((0, 3)), np.zeros((0, 3)))[0].shape == (0,)
 
 
 def test_disjoint_boxes_empty_result():
@@ -108,9 +138,9 @@ def test_empty_tree_rejected():
 def test_nearest_triangle_on_flat_mesh(flat_square_patch):
     ps = PatchSet([flat_square_patch])
     idx = surface_index(ps)
-    tri_id, dist = idx.tree_triangles.nearest_triangle(np.array([0.0, 0.0, 0.3]))
-    assert dist == pytest.approx(0.3, abs=1e-12)
-    assert idx.proxies.patch_ids[tri_id] == 0
+    tri_ids, dists = idx.tree_triangles.nearest_triangle(np.array([[0.0, 0.0, 0.3]]))
+    assert dists[0] == pytest.approx(0.3, abs=1e-12)
+    assert idx.proxies.patch_ids[tri_ids[0]] == 0
 
 
 def test_nearest_triangle_matches_brute_force():
@@ -119,18 +149,47 @@ def test_nearest_triangle_matches_brute_force():
     lo = tris.min(axis=1)
     hi = tris.max(axis=1)
     tree = AABBTree(lo, hi, np.arange(500), triangles=tris)
-    for _ in range(50):
-        x = rng.uniform(-1.5, 1.5, 3)
-        tid, dist = tree.nearest_triangle(x)
+    pts = rng.uniform(-1.5, 1.5, (50, 3))
+    tids, dists = tree.nearest_triangle(pts)
+    for x, tid, dist in zip(pts, tids, dists):
         brute = np.sqrt([_triangle_sqdist_oracle(x, tri) for tri in tris])
         assert dist == pytest.approx(brute.min(), abs=1e-12)
         assert brute[tid] == pytest.approx(brute.min(), abs=1e-12)
 
 
+def test_nearest_triangle_bulk_is_exactly_the_brute_force_minimum():
+    """Ids and distances equal the all-pairs minimum bit for bit, ties to the lowest id.
+
+    Half the triangles tile the plane z = 0, so points above a shared edge
+    or vertex sit at exactly the same distance from several triangles; the
+    ids are shuffled so the lowest id is not the lowest index.
+    """
+    rng = np.random.default_rng(9)
+    g = np.linspace(-1.0, 1.0, 9)
+    gx, gy = np.meshgrid(g, g, indexing="ij")
+    grid = np.stack([gx, gy, np.zeros_like(gx)], axis=-1)
+    flat = grid_triangles(grid)
+    tris = np.concatenate([flat, rng.uniform(-1, 1, (len(flat), 3, 3)) + [0, 0, 1.5]])
+    ids = rng.permutation(len(tris)) + 10
+    tree = AABBTree(tris.min(axis=1), tris.max(axis=1), ids, triangles=tris)
+    edges = 0.5 * (flat[:, 0] + flat[:, 1])  # edge midpoints, most edges shared
+    above = np.concatenate([edges, grid.reshape(-1, 3)]) + [0.0, 0.0, 0.25]
+    pts = np.concatenate([above, rng.uniform(-1.5, 1.5, (200, 3)) + [0, 0, 0.75]])
+    got_ids, got_dist = tree.nearest_triangle(pts)
+    d2, _ = point_triangle_sqdist(pts, tris)
+    best = d2.min(axis=1)
+    tied = d2 == best[:, None]
+    assert np.count_nonzero(tied.sum(axis=1) > 1) > len(above) // 2
+    assert np.array_equal(got_ids, np.where(tied, ids, np.iinfo(np.int64).max).min(axis=1))
+    assert np.array_equal(got_dist, np.sqrt(best))
+    none_ids, none_dist = tree.nearest_triangle(np.zeros((0, 3)))
+    assert none_ids.shape == none_dist.shape == (0,)
+
+
 def test_nearest_triangle_requires_triangle_tree():
     tree = AABBTree(np.zeros((1, 3)), np.ones((1, 3)), [0])
     with pytest.raises(UsageError):
-        tree.nearest_triangle(np.zeros(3))
+        tree.nearest_triangle(np.zeros((1, 3)))
 
 
 def test_points_triangles_min_matches_scalar():
@@ -217,7 +276,7 @@ def test_closest_point_global_two_plates():
     top = geo.plate_embedding([-0.5, -0.5, 1.0], [1, 0, 0], [0, 1, 0])
     bot = geo.plate_embedding([-0.5, -0.5, 0.0], [1, 0, 0], [0, 1, 0])
     ps = PatchSet([fit_patch(bot, 0, Subdomain(), 2), fit_patch(top, 1, Subdomain(), 2)])
-    pids, _, dists = closest_point_global_bulk(ps, [0.0, 0.0, 0.2])
+    pids, _, dists, _ = closest_point_global_bulk(ps, [0.0, 0.0, 0.2])
     assert pids[0] == 0
     assert dists[0] == pytest.approx(0.2, abs=1e-12)
 
@@ -226,7 +285,7 @@ def test_closest_point_global_tie_breaks_low_id():
     top = geo.plate_embedding([-0.5, -0.5, 1.0], [1, 0, 0], [0, 1, 0])
     bot = geo.plate_embedding([-0.5, -0.5, 0.0], [1, 0, 0], [0, 1, 0])
     ps = PatchSet([fit_patch(bot, 0, Subdomain(), 2), fit_patch(top, 1, Subdomain(), 2)])
-    pids, _, dists = closest_point_global_bulk(ps, [0.1, -0.2, 0.5])
+    pids, _, dists, _ = closest_point_global_bulk(ps, [0.1, -0.2, 0.5])
     assert pids[0] == 0
     assert dists[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -240,7 +299,7 @@ def test_closest_point_global_torus_matches_per_patch_oracle(torus_patches):
     radial = 0.25 + rng.uniform(-0.2, 0.2, 200)
     ring = 0.7 + radial * np.cos(phi)
     pts = np.stack([ring * np.cos(theta), ring * np.sin(theta), radial * np.sin(phi)], axis=1)
-    pids, params, dists = closest_point_global_bulk(torus_patches, pts)
+    pids, params, dists, _ = closest_point_global_bulk(torus_patches, pts)
     # oracle: per-patch Newton over every patch
     all_d = np.stack(
         [closest_point_on_patch(p, pts).distance for p in torus_patches], axis=1

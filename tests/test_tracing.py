@@ -114,11 +114,12 @@ def test_traced_solve_sums_the_fine_set_once(perfbench):
 
 
 def test_traced_marking_reaches_the_per_point_tree_queries(perfbench, unit_sphere_patches):
-    """Marking near-surface targets runs the per-point tree methods the benchmark probes.
+    """Marking near-surface targets runs the tree queries the benchmark probes.
 
     closest_point_global_bulk calls AABBTree.nearest_triangle and
-    AABBTree.query_box once per point; a refactor that stops calling them
-    fails here instead of leaving per-layer metrics that read zero.
+    AABBTree.query_box once for all its points; a refactor that stops
+    calling them, or falls back to one call per point, fails here instead
+    of leaving per-layer metrics that read zero or count points.
     """
     tracing, _ = perfbench
     from hedgehog import evaluation
@@ -134,8 +135,8 @@ def test_traced_marking_reaches_the_per_point_tree_queries(perfbench, unit_spher
         labels = evaluation.mark_points(targets, nodes, 1e-6)
     assert np.all(labels.patch_ids >= 0), "every target needs the closest-point search"
     counts = tracer.counts
-    assert counts["spatial.AABBTree.nearest_triangle.calls"] > 0
-    assert counts["spatial.AABBTree.query_box.calls"] > 0
+    assert counts["spatial.AABBTree.nearest_triangle.calls"] == 1
+    assert counts["spatial.AABBTree.query_box.calls"] == 1
     assert counts["spatial.surface_index.calls"] == 1
     assert counts["spatial.closest_point_global_bulk.calls"] == 1
 
