@@ -12,8 +12,9 @@ discretization, only points, normals and charge vectors.  A weighted density
 is one (N, d) vector field or a block of k of them, (N, d, k), or the same
 N * d * k values as (N, d * k); the potential keeps the trailing shape,
 (M, d) or (M, d, k) or (M, d * k).  DirectBackend sums a block in one pass
-over the pairs (one GEMM per kernel component); PluginBackend hands its
-callable one (N, d) density at a time.
+over the pairs, in tiles of bounded memory (one GEMM per kernel component
+and tile), and refuses a sum over more than kernels.PAIR_BUDGET
+pairs; PluginBackend hands its callable one (N, d) density at a time.
 """
 
 import numpy as np
@@ -45,9 +46,9 @@ class DirectBackend:
         if layer == "combined":
             if kernel.family is not K.Family.LAPLACE:
                 raise UsageError("combined layer sum is Laplace only")
-            out = K.apply_single_layer(kernel, targets, sources, _as_contig(weighted_density[0]))
-            out += K.apply_double_layer(
-                kernel, targets, sources, _as_contig(normals), _as_contig(weighted_density[1])
+            out = K.apply_combined(
+                kernel, targets, sources, _as_contig(normals),
+                _as_contig(weighted_density[0]), _as_contig(weighted_density[1]),
             )
         elif layer == "single":
             out = K.apply_single_layer(kernel, targets, sources, _as_contig(weighted_density))

@@ -50,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--charges", type=int, default=100)
     parser.add_argument("--charge-radius", type=float, default=1.0)
     parser.add_argument("--min-length", type=float, default=0.0)
-    parser.add_argument("--allow-large-levels", action="store_true",
-                        help="bypass the direct-summation budget gate")
     return parser
 
 
@@ -82,7 +80,6 @@ def config_from_args(args) -> ExperimentConfig:
         eps_geometry=args.eps_geometry,
         eps_boundary=args.eps_boundary,
         min_length=args.min_length,
-        max_levels_gate=args.allow_large_levels,
     )
 
 

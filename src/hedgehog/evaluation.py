@@ -19,7 +19,12 @@ from .geometry.patches import PatchSet
 from .geometry.patches import evaluate as patch_evaluate
 from .geometry.patches import normal as patch_normal
 from .kernels import LAPLACE, KernelFamily
-from .quadrature import QuadratureNodeSet, smooth_potential, upsample_density
+from .quadrature import (
+    QuadratureNodeSet,
+    smooth_potential,
+    upsample_density,
+    upsampled_potential,
+)
 from .spatial import closest_point_global_bulk
 
 
@@ -282,26 +287,25 @@ def evaluate_two_sided(
     -phi/2 for the exterior one.  density is (N, d) or a block (N, d, k),
     read as N * d * k channels; the result is (N, d * k).
     """
-    backend = backend or default_backend()
     density = np.asarray(density, float).reshape(len(nodes), -1)
-    fine_density = upsample_density(nodes, density, fine_nodes)
     lengths = nodes.patchset.lengths[nodes.patch_ids]
     pv = average_limits(
-        nodes.positions, nodes.normals, lengths, kernel, fine_nodes,
-        fine_density, opts, backend,
+        nodes.positions, nodes.normals, lengths, kernel, nodes, density,
+        fine_nodes, opts, backend,
     )
     pv += (0.5 if interior else -0.5) * density
     return pv
 
 
 def average_limits(
-    anchors, normals, lengths, kernel, fine_nodes, fine_density, opts, backend=None
+    anchors, normals, lengths, kernel, nodes, density, fine_nodes, opts, backend=None
 ):
     """Average of interior and exterior extrapolated limits (the PV).
 
-    fine_density is (N_fine, c): d values for each of k densities.
+    density is given at the coarse nodes, (N, c) for d values of each of k
+    densities, and summed at the check points through
+    quadrature.upsampled_potential, one coarse patch at a time.
     """
-    backend = backend or default_backend()
     m = len(anchors)
     both = np.concatenate(
         [
@@ -309,7 +313,8 @@ def average_limits(
             opts.points(anchors, normals, lengths, +1.0),
         ]
     )
-    cvals = smooth_potential(kernel, "double", fine_nodes, fine_density, both, backend)
+    cvals = upsampled_potential(kernel, "double", nodes, density, fine_nodes, both, backend)
+    cvals = cvals.reshape(len(both), -1)
     t_x = -opts.b / opts.a * np.ones(m)  # on-surface targets: |x - y*| = 0
     interior = _extrapolate_rows(cvals[: m * (opts.p + 1)], t_x, opts.p)
     exterior = _extrapolate_rows(cvals[m * (opts.p + 1) :], t_x, opts.p)

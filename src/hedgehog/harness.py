@@ -21,7 +21,7 @@ from .evaluation import EvalOptions, evaluate_one_sided, surface_node_labels
 from .geometry.embeddings import QuadMesh, builtin_mesh
 from .geometry.io import read_quad_mesh
 from .geometry.patches import PatchSet
-from .kernels import LAPLACE, STOKES, KernelFamily, elasticity
+from .kernels import LAPLACE, PAIR_BUDGET, STOKES, KernelFamily, elasticity
 from .quadrature import discretize, smooth_potential
 from .references import ReferenceSolution
 from .refinement import (
@@ -71,7 +71,6 @@ class ExperimentConfig:
     eps_geometry: float = 1e-5
     eps_boundary: float = 1e-5
     min_length: float = 0.0
-    max_levels_gate: bool = False  # allow levels beyond the direct-sum budget
 
     def resolve_kernel(self) -> KernelFamily:
         name = self.kernel.lower()
@@ -114,10 +113,8 @@ class ExperimentConfig:
         )
 
 
-DIRECT_SUM_BUDGET = 6.0e11  # kernel evaluations per level before gating
-
-
 def estimated_level_cost(config: ExperimentConfig, n_patches: int) -> float:
+    """Pairs of a level's check-point sum over the uniformly upsampled fine set."""
     nodes = n_patches * config.q**2
     targets = config.target_subsample or nodes
     checks = min(targets, nodes) * (config.p + 1)
@@ -192,13 +189,11 @@ def run_greens_identity(config: ExperimentConfig, backend=None):
     rows = []
     for level in range(config.levels):
         coarse = coarse0.uniform_refined(level)
-        if (
-            not config.max_levels_gate
-            and estimated_level_cost(config, len(coarse)) > DIRECT_SUM_BUDGET
-        ):
+        cost = estimated_level_cost(config, len(coarse))
+        if cost > PAIR_BUDGET:
             raise UsageError(
-                f"level {level} exceeds the direct summation budget; "
-                "pass the gate flag to run it anyway"
+                f"level {level} would sum {cost:.3g} pairs, over the budget of "
+                f"{PAIR_BUDGET:.3g} pairs"
             )
         fine = uniform_upsample(coarse, config.upsample_levels)
         nodes = discretize(coarse, config.q)

@@ -8,14 +8,21 @@ With that orientation the interior Dirichlet problem discretizes to
 inside the surface reads  S[t] + D[u] - u = 0,  where t is the conormal
 data (normal derivative for Laplace, boundary traction for the vector
 kernels).
+
+The direct sums (apply_single_layer, apply_double_layer, apply_combined and
+the point-source fields) run over tiles of (target, source) pairs whose
+temporaries stay within spatial.CHUNK_BYTES, and each refuses more than
+PAIR_BUDGET pairs with a UsageError.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import CoincidentPointsError, UsageError
+from . import spatial
 
 FOUR_PI = 4.0 * np.pi
 INV_4PI = 1.0 / FOUR_PI
@@ -127,15 +134,33 @@ def double_layer_kernel(kernel: KernelFamily, x, y, n_y) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized forms: plain numpy reference implementations used by the dense
-# test oracles and by the summation backend.  targets (M, 3), sources (N, 3),
-# normals (N, 3); density (N, d) -> (M, d), or a block of k densities
-# (N, d, k) -> (M, d, k).  Any density with d * k values per source keeps its
-# trailing shape, and a bare (N,) Laplace density gives (M, 1).  Each kernel
-# is summed as (M, N) matrices multiplied into the output by GEMM: one for
-# Laplace, one component K_ij per (i, j) for the vector kernels, so a block
-# of k densities costs one pass over the pairs.
+# Direct sums.  targets (M, 3), sources (N, 3), normals (N, 3); density (N, d)
+# -> (M, d), or a block of k densities (N, d, k) -> (M, d, k).  Any density
+# with d * k values per source keeps its trailing shape, and a bare (N,)
+# Laplace density gives (M, 1).  A sum runs over tiles of m targets by n
+# sources (row chunks over all sources unless the sources are many) whose
+# (m, n) temporaries stay within spatial.CHUNK_BYTES, so no (3, M, N)
+# offsets are ever formed.  Per tile, |r|^2 and r . n are GEMMs in
+# coordinates centred on the tile's targets, the vector kernels take r_i as
+# one outer difference per component, and each (m, n) kernel matrix (one
+# for Laplace, one component K_ij per (i, j) for the vector kernels) is
+# multiplied into the output by GEMM, so a block of k densities costs one
+# pass over the pairs.  A sum of more than PAIR_BUDGET pairs is refused
+# before it starts.
 # ---------------------------------------------------------------------------
+
+PAIR_BUDGET = 1e9  # pairs one operation may sum: about 25 s at 4e7 pairs/s
+_ROW_ARRAYS = 12  # (m, n) float temporaries one tile holds at most
+_COINCIDENT = 16.0 * np.finfo(float).eps  # |r|^2 rounding per unit |x|^2 + |y|^2
+
+
+def check_pairs(pairs) -> None:
+    """Refuse a sum over more than PAIR_BUDGET (target, source) pairs."""
+    if pairs > PAIR_BUDGET:
+        raise UsageError(
+            f"a direct sum over {pairs:.3g} pairs exceeds the budget of "
+            f"{PAIR_BUDGET:.3g} pairs"
+        )
 
 
 def density_columns(density, n, d):
@@ -145,38 +170,138 @@ def density_columns(density, n, d):
     return density.reshape(n, d, int(np.prod(shape)) // d), shape
 
 
-def _offsets(targets, sources):
-    """Components r_k = y_k - x_k, (3, M, N), and 1 / |r|, (M, N)."""
-    r = sources.T[:, None, :] - targets.T[:, :, None]
-    inv = np.einsum("kmn,kmn->mn", r, r)
-    np.sqrt(inv, out=inv)
-    np.divide(1.0, inv, out=inv)
-    return r, inv
+class _Pairs:
+    """Geometry of one tile: targets x = targets[rows] against sources
+    y = sources[cols].
+
+    r = y - x.  |r|^2 and the projections r . v are GEMMs in coordinates
+    centred on the targets' mean, so their rounding scales with the
+    distances from the tile, not with the coordinates' magnitude.
+    """
+
+    def __init__(self, targets, sources, rows, cols):
+        x, y = targets[rows], sources[cols]
+        self.rows, self.cols, self.x, self.y = rows, cols, x, y
+        centre = x.mean(axis=0)
+        self.xc, self.yc = x - centre, y - centre
+        xx = np.einsum("ik,ik->i", self.xc, self.xc)
+        yy = np.einsum("ik,ik->i", self.yc, self.yc)
+        rho2 = np.column_stack([-2.0 * self.xc, xx, np.ones(len(x))]) @ np.column_stack(
+            [self.yc, np.ones(len(y)), yy]
+        ).T
+        # a coincident pair leaves |r|^2 at the rounding level of |x|^2 + |y|^2
+        if rho2.min() <= _COINCIDENT * (xx.max() + yy.max()) and np.any(
+            rho2 <= _COINCIDENT * (xx[:, None] + yy[None, :])
+        ):
+            raise CoincidentPointsError("kernel evaluated with source == target")
+        self.inv = np.sqrt(rho2, out=rho2)
+        np.divide(1.0, self.inv, out=self.inv)
+        self._r = None
+
+    def dot_sources(self, v):
+        """r . v for one vector per source, v = vectors[cols] (n, 3)."""
+        yv = np.einsum("nk,nk->n", self.yc, v)
+        return np.column_stack([-self.xc, np.ones(len(self.xc))]) @ np.column_stack([v, yv]).T
+
+    def dot_targets(self, v):
+        """r . v for one vector per target, v = vectors[rows] (m, 3)."""
+        xv = np.einsum("mk,mk->m", self.xc, v)
+        return np.column_stack([v, -xv]) @ np.column_stack([self.yc, np.ones(len(self.yc))]).T
+
+    @property
+    def r(self):
+        """The components r_i, (m, n) each."""
+        if self._r is None:
+            y, x = self.y.T.copy(), self.x.T.copy()
+            self._r = [y[i] - x[i, :, None] for i in range(3)]
+        return self._r
 
 
-def _times_inverse_power(a, inv, k):
-    """a *= inv**k in place."""
-    for _ in range(k):
-        a *= inv
-    return a
+def _tiles(m, n):
+    """(rows, cols) tiles of the (m, n) pairs whose temporaries fit CHUNK_BYTES.
+
+    A row chunk spans every source while it holds at least as many rows as
+    the side of a square tile; with more sources than that, the sources
+    split into equal blocks no wider than the side, so that each tile's
+    per-source set-up is shared by that many rows.
+    """
+    side = max(1, math.isqrt(spatial.CHUNK_BYTES // (8 * _ROW_ARRAYS)))
+    width = math.ceil(n / math.ceil(n / side))
+    cols = [slice(start, min(start + width, n)) for start in range(0, n, width)]
+    return [(r, c) for r in spatial.chunks(m, 8 * _ROW_ARRAYS * width) for c in cols]
 
 
-def _sum_components(component, sigma, m, symmetric):
-    """sum_j K_ij sigma_j for i, j < 3: sigma (N, 3, k) -> (M, 3, k).
+def _direct_sum(kernel, targets, sources, densities, add):
+    """Sum over the sources, one tile of pairs at a time.
 
-    component(i, j, buf) writes the (M, N) matrix K_ij into buf; a symmetric
+    densities hold d * k values per source each, all of one shape.
+    add(pairs, sigs, acc) adds a tile's sum into acc (d, m, k), the rows of
+    the tile's targets, with each density given as its _components on the
+    tile's sources.
+    """
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    sources = np.atleast_2d(np.asarray(sources, dtype=float))
+    m, n, d = len(targets), len(sources), kernel.d
+    check_pairs(m * n)
+    blocks, shapes = zip(*(density_columns(s, n, d) for s in densities))
+    sigs = [_components(b) for b in blocks]
+    out = np.zeros((d, m, blocks[0].shape[2]))
+    if n:
+        for rows, cols in _tiles(m, n):
+            tile = [[(c, v[cols]) for c, v in parts] for parts in sigs]
+            add(_Pairs(targets, sources, rows, cols), tile, out[:, rows])
+    return out.transpose(1, 0, 2).reshape((m,) + shapes[0])
+
+
+def nonzero_columns(a):
+    """The columns of a (N, ..., k) with a nonzero entry.
+
+    Evenly spaced columns, as all of them or those of one component of an
+    identity block, come back as a slice, so that selecting them and adding
+    into them works on views; others as an index array.
+    """
+    cols = np.flatnonzero(a.reshape(-1, a.shape[-1]).any(axis=0))
+    if len(cols) == 1:
+        return slice(cols[0], cols[0] + 1)
+    if len(cols) and np.all(np.diff(cols) == cols[1] - cols[0]):
+        return slice(cols[0], cols[-1] + 1, cols[1] - cols[0])
+    return cols
+
+
+def _components(block):
+    """Component j of a density block (N, d, k) as (columns, values).
+
+    columns selects the densities whose component j is nonzero and values
+    holds them, (N, k_j); a block with local support, such as the identity,
+    so multiplies no zeros.
+    """
+    parts = []
+    for j in range(block.shape[1]):
+        cols = nonzero_columns(block[:, j, :])
+        parts.append((cols, np.ascontiguousarray(block[:, j, cols])))
+    return parts
+
+
+def _product(acc, matrix, part, scale=1.0):
+    """acc (m, k) += scale * matrix (m, n) @ sigma_j, for part = _components()[j]."""
+    cols, values = part
+    acc[:, cols] += scale * (matrix @ values)
+
+
+def _sum_components(component, sig, acc, symmetric):
+    """acc_i += sum_j K_ij sigma_j for i, j < 3: sig the density's _components,
+    acc (3, m, k).
+
+    component(i, j, buf) writes the (m, n) matrix K_ij into buf; a symmetric
     kernel forms each off-diagonal pair once.
     """
-    sig = np.ascontiguousarray(sigma.transpose(1, 0, 2))
-    buf = np.empty((m, sig.shape[1]))
-    out = np.zeros((3, m, sig.shape[2]))
+    buf = np.empty((acc.shape[1], len(sig[0][1])))
     for i in range(3):
         for j in range(i if symmetric else 0, 3):
             component(i, j, buf)
-            out[i] += buf @ sig[j]
+            _product(acc[i], buf, sig[j])
             if symmetric and j != i:
-                out[j] += buf @ sig[i]
-    return out.transpose(1, 0, 2)
+                _product(acc[j], buf, sig[i])
 
 
 def _pair_component(weight, r, diag=None):
@@ -191,17 +316,11 @@ def _pair_component(weight, r, diag=None):
     return component
 
 
-def apply_single_layer(kernel: KernelFamily, targets, sources, density) -> np.ndarray:
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    sources = np.atleast_2d(np.asarray(sources, dtype=float))
-    m = len(targets)
-    sigma, shape = density_columns(density, len(sources), kernel.d)
-    r, inv = _offsets(targets, sources)
+def _single(kernel, g, sig, acc):
+    """acc += the single layer of sig over the pairs g."""
     if kernel.family is Family.LAPLACE:
-        del r
-        out = inv @ sigma[:, 0, :]
-        out *= INV_4PI
-        return out.reshape((m,) + shape)
+        _product(acc[0], g.inv, sig[0], INV_4PI)
+        return
     # K_ij = c (diag delta_ij / |r| + r_i r_j / |r|^3)
     if kernel.family is Family.STOKES:
         c = 1.0 / (8.0 * np.pi * kernel.viscosity)
@@ -210,55 +329,87 @@ def apply_single_layer(kernel: KernelFamily, targets, sources, density) -> np.nd
         nu = kernel.poisson_ratio
         c = 1.0 / (16.0 * np.pi * kernel.viscosity * (1.0 - nu))
         diag = 3.0 - 4.0 * nu
-    inv3 = inv * inv
-    inv3 *= inv
-    inv *= diag
-    out = _sum_components(_pair_component(inv3, r, inv), sigma, m, symmetric=True)
-    out *= c
-    return out.reshape((m,) + shape)
+    inv3 = g.inv * c
+    on_diagonal = inv3 * diag
+    inv3 *= g.inv
+    inv3 *= g.inv
+    _sum_components(_pair_component(inv3, g.r, on_diagonal), sig, acc, symmetric=True)
 
 
-def apply_double_layer(kernel: KernelFamily, targets, sources, normals, density):
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    sources = np.atleast_2d(np.asarray(sources, dtype=float))
-    normals = np.asarray(normals, dtype=float)
-    m = len(targets)
-    sigma, shape = density_columns(density, len(sources), kernel.d)
-    # r = y - x pointing from target to source
-    r, inv = _offsets(targets, sources)
-    rn = np.einsum("kmn,nk->mn", r, normals)
+def _double(kernel, g, rn, normal, sig, acc, transpose=False):
+    """acc += the double layer of sig over the pairs g, with rn = r . n.
+
+    normal holds the components n_i, each broadcastable against (m, n): n(y)
+    per source for the double layer.  The conormal of a point source is the
+    same form with n(x) per target, transposed.
+    """
+    inv3 = g.inv * g.inv
+    inv3 *= g.inv
     if kernel.family is Family.LAPLACE:
-        del r
-        rn *= np.power(inv, 3, out=inv)
-        out = rn @ sigma[:, 0, :]
-        out *= INV_4PI
-        return out.reshape((m,) + shape)
+        inv3 *= rn
+        _product(acc[0], inv3, sig[0], INV_4PI)
+        return
     if kernel.family is Family.STOKES:
         # K_ij = 3 / (4 pi) (r . n) r_i r_j / |r|^5
-        rn *= 3.0 * INV_4PI
-        _times_inverse_power(rn, inv, 5)
-        del inv
-        out = _sum_components(_pair_component(rn, r), sigma, m, symmetric=True)
-        return out.reshape((m,) + shape)
+        inv3 *= (3.0 * INV_4PI) * rn
+        inv3 *= g.inv
+        inv3 *= g.inv
+        _sum_components(_pair_component(inv3, g.r), sig, acc, symmetric=True)
+        return
     # -(T^T psi) with T as in traction_kernel, r = y - x, n = n(y):
     # K_ij = c [(1 - 2 nu) (n_i r_j - r_i n_j + (r . n) delta_ij) / |r|^3
     #           + 3 (r . n) r_i r_j / |r|^5]
     nu = kernel.poisson_ratio
     c = 1.0 / (8.0 * np.pi * (1.0 - nu))
-    inv3 = inv * inv
-    inv3 *= inv
-    pair = _times_inverse_power((3.0 * c) * rn * inv3, inv, 2)
+    pair = (3.0 * c) * rn
+    pair *= inv3
+    pair *= g.inv
+    pair *= g.inv
     inv3 *= (1.0 - 2.0 * nu) * c
-    rn *= inv3
-    symmetric = _pair_component(pair, r, diag=rn)
+    symmetric = _pair_component(pair, g.r, rn * inv3)
+    r = g.r
 
     def component(i, j, buf):
+        if transpose:
+            i, j = j, i
         symmetric(i, j, buf)
         if i != j:
-            buf += inv3 * (normals[:, i] * r[j] - r[i] * normals[:, j])
+            skew = normal[i] * r[j]
+            skew -= r[i] * normal[j]
+            skew *= inv3
+            buf += skew
 
-    out = _sum_components(component, sigma, m, symmetric=False)
-    return out.reshape((m,) + shape)
+    _sum_components(component, sig, acc, symmetric=False)
+
+
+def apply_single_layer(kernel: KernelFamily, targets, sources, density) -> np.ndarray:
+    def add(g, sigs, acc):
+        _single(kernel, g, sigs[0], acc)
+
+    return _direct_sum(kernel, targets, sources, [density], add)
+
+
+def apply_double_layer(kernel: KernelFamily, targets, sources, normals, density):
+    normals = np.asarray(normals, dtype=float)
+
+    def add(g, sigs, acc):
+        n_y = normals[g.cols]
+        _double(kernel, g, g.dot_sources(n_y), n_y.T, sigs[0], acc)
+
+    return _direct_sum(kernel, targets, sources, [density], add)
+
+
+def apply_combined(kernel: KernelFamily, targets, sources, normals, single, double):
+    """Single layer of one density plus double layer of another, on one
+    geometry pass: the two densities share every tile's |r|."""
+    normals = np.asarray(normals, dtype=float)
+
+    def add(g, sigs, acc):
+        n_y = normals[g.cols]
+        _single(kernel, g, sigs[0], acc)
+        _double(kernel, g, g.dot_sources(n_y), n_y.T, sigs[1], acc)
+
+    return _direct_sum(kernel, targets, sources, [single, double], add)
 
 
 def point_source_field(kernel: KernelFamily, charges, strengths, points) -> np.ndarray:
@@ -272,28 +423,11 @@ def point_source_conormal(kernel: KernelFamily, charges, strengths, points, norm
     Laplace: normal derivative of the potential; Stokes/elasticity: traction
     of the velocity/displacement field.  Shape (M, d).
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    charges = np.atleast_2d(np.asarray(charges, dtype=float))
-    strengths = np.asarray(strengths, dtype=float)
-    normals = np.asarray(normals, dtype=float)
-    r = points[:, None, :] - charges[None, :, :]  # field - source
-    rho2 = np.einsum("mik,mik->mi", r, r)
-    inv = 1.0 / np.sqrt(rho2)
-    rn = np.einsum("mik,mk->mi", r, normals)
-    if kernel.family is Family.LAPLACE:
-        out = -INV_4PI * ((rn * inv**3) @ strengths.reshape(-1))
-        return out[:, None]
-    rq = np.einsum("mik,ik->mi", r, strengths)
-    if kernel.family is Family.STOKES:
-        w = -3.0 * INV_4PI * rn * rq * inv**5
-        return np.einsum("mi,mik->mk", w, r)
-    nu = kernel.poisson_ratio
-    c = 1.0 / (8.0 * np.pi * (1.0 - nu))
-    inv3 = inv**3
-    nq = np.einsum("mk,ik->mi", normals, strengths)
-    out = np.einsum("mi,mk->mk", rq * inv3, normals)
-    out -= np.einsum("mi,ik->mk", rn * inv3, strengths)
-    out -= np.einsum("mi,mik->mk", nq * inv3, r)
-    out *= 1.0 - 2.0 * nu
-    out -= 3.0 * np.einsum("mi,mik->mk", rn * rq * inv**5, r)
-    return c * out
+    normals = np.atleast_2d(np.asarray(normals, dtype=float))
+
+    def add(g, sigs, acc):
+        n_x = normals[g.rows]
+        rn = g.dot_targets(n_x)
+        _double(kernel, g, rn, n_x.T[:, :, None], sigs[0], acc, transpose=True)
+
+    return _direct_sum(kernel, points, charges, [strengths], add)

@@ -15,6 +15,7 @@ from .chebyshev import cc_rule, chebyshev_interpolation_matrix
 from .errors import DegenerateGeometryError, UsageError
 from .geometry import bezier
 from .geometry.patches import PatchSet
+from .kernels import check_pairs, density_columns, nonzero_columns
 
 _MIN_SQRTG = 1e-300
 
@@ -126,6 +127,37 @@ def _dyadic_key(rel_cs, rel_ct, rel_h):
     return depth, ix, iy
 
 
+def _fine_lineage(coarse_nodes: QuadratureNodeSet, fine_nodes: QuadratureNodeSet):
+    """Coarse ancestor and dyadic key of every fine patch."""
+    fine_set = fine_nodes.patchset
+    if fine_set.ancestors is None:
+        raise UsageError("fine patch set carries no lineage to a coarse set")
+    ancestors = np.asarray(fine_set.ancestors, dtype=np.int64)
+    keys = [
+        _dyadic_key(*p.domain.relative_to(coarse_nodes.patchset[int(a)].domain))
+        for p, a in zip(fine_set.patches, ancestors)
+    ]
+    return ancestors, keys
+
+
+def _upsample(values, source, keys, qc: int, qf: int) -> np.ndarray:
+    """Interpolate coarse patch values (P, qc, qc, c) onto fine patches.
+
+    Fine patch g reads coarse patch source[g] at dyadic key keys[g]; the
+    result is (len(keys), qf^2, c).
+    """
+    groups: dict[tuple, list[int]] = {}
+    for g, key in enumerate(keys):
+        groups.setdefault(key, []).append(g)
+    out = np.empty((len(keys), qf * qf, values.shape[-1]))
+    for (depth, ix, iy), idx in groups.items():
+        a_s = _interp_1d(qc, qf, depth, ix)
+        a_t = _interp_1d(qc, qf, depth, iy)
+        block = np.einsum("ai,gijd,bj->gabd", a_s, values[source[idx]], a_t, optimize=True)
+        out[idx] = block.reshape(len(idx), qf * qf, -1)
+    return out
+
+
 def upsample_density(
     coarse_nodes: QuadratureNodeSet, values, fine_nodes: QuadratureNodeSet
 ) -> np.ndarray:
@@ -135,34 +167,66 @@ def upsample_density(
     evaluated at the fine nodes' parameters pulled back through the dyadic
     lineage; exact for tensor polynomials of degree < q.
     """
-    fine_set = fine_nodes.patchset
-    if fine_set.ancestors is None:
-        raise UsageError("fine patch set carries no lineage to a coarse set")
+    ancestors, keys = _fine_lineage(coarse_nodes, fine_nodes)
     values = np.asarray(values, dtype=float)
     flat = values.ndim == 1
     values = values.reshape(len(coarse_nodes), -1)
-    d = values.shape[1]
-    qc, qf = coarse_nodes.q, fine_nodes.q
-    vals_c = values.reshape(len(coarse_nodes.patchset), qc, qc, d)
-
-    out = np.empty((len(fine_set), qf * qf, d))
-    groups: dict[tuple, list[int]] = {}
-    for i, p in enumerate(fine_set.patches):
-        anc = int(fine_set.ancestors[i])
-        rel = p.domain.relative_to(coarse_nodes.patchset[anc].domain)
-        groups.setdefault(_dyadic_key(*rel), []).append(i)
-
-    for (depth, ix, iy), idx in groups.items():
-        a_s = _interp_1d(qc, qf, depth, ix)
-        a_t = _interp_1d(qc, qf, depth, iy)
-        anc = fine_set.ancestors[np.asarray(idx)]
-        block = np.einsum(
-            "ai,gijd,bj->gabd", a_s, vals_c[anc], a_t, optimize=True
-        )
-        out[np.asarray(idx)] = block.reshape(len(idx), -1, d)
-
-    out = out.reshape(-1, d)
+    qc = coarse_nodes.q
+    vals_c = values.reshape(-1, qc, qc, values.shape[1])
+    out = _upsample(vals_c, ancestors, keys, qc, fine_nodes.q).reshape(-1, values.shape[1])
     return out.reshape(-1) if flat else out
+
+
+def upsampled_potential(
+    kernel,
+    layer: str,
+    nodes: QuadratureNodeSet,
+    density,
+    fine_nodes: QuadratureNodeSet,
+    targets,
+    backend=None,
+):
+    """Smooth quadrature on the fine set of a density given at the coarse nodes.
+
+    Sums sum_j K(X, F_j) (W U phi)_j over the coarse patches j, where F_j
+    are the fine nodes of patch j: each patch's density is upsampled onto
+    its own fine nodes only, and summed only into the density columns that
+    are nonzero on that patch.  The pairs are those of one sum over the
+    fine set; for a block with local support, such as the identity, the
+    GEMM flops drop by the number of coarse patches, and the dense fine
+    copy of the block is never formed.  layer is "single" or "double";
+    density is (N, d), (N, d, k) or (N, d * k) and the result keeps its
+    trailing shape.  Targets must be disjoint from the fine nodes.
+    """
+    backend = backend or default_backend()
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    check_pairs(len(targets) * len(fine_nodes))
+    ancestors, keys = _fine_lineage(nodes, fine_nodes)
+    d = kernel.d
+    block, shape = density_columns(density, len(nodes), d)
+    out = np.zeros((len(targets), d, block.shape[2]))
+    qc, qf = nodes.q, fine_nodes.q
+    order = np.argsort(ancestors, kind="stable")
+    bounds = np.searchsorted(ancestors[order], np.arange(len(nodes.patchset) + 1))
+    for j in range(len(nodes.patchset)):
+        patches = order[bounds[j] : bounds[j + 1]]
+        local = block[j * qc * qc : (j + 1) * qc * qc]
+        if not local.any() or not len(patches):
+            continue
+        cols = nonzero_columns(local)
+        fine = _upsample(
+            local[:, :, cols].reshape(1, qc, qc, -1),
+            np.zeros(len(patches), dtype=np.int64),
+            [keys[g] for g in patches],
+            qc,
+            qf,
+        )
+        rows = (patches[:, None] * (qf * qf) + np.arange(qf * qf)).ravel()
+        fine = fine.reshape(len(rows), d, -1) * fine_nodes.weights[rows, None, None]
+        out[:, :, cols] += backend.potential(
+            kernel, layer, fine_nodes.positions[rows], fine_nodes.normals[rows], fine, targets
+        )
+    return out.reshape((len(targets),) + shape)
 
 
 def quadrature_error_heuristic(h: float, k: int, q: int, variation: float) -> float:

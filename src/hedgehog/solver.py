@@ -6,8 +6,11 @@ then adds the +phi/2 identity term (interior problems).  The exterior
 Laplace problem on a single closed surface adds the standard rank-one
 completion (a point charge at an interior anchor scaled by the weighted
 density mean).  The operator is linear and fixed for a system, so solve
-forms it once, as the matvec of the identity block (one sum over the fine
-set for all N d columns), and runs GMRES on the dense matrix.
+forms it once, as the matvec of the identity block, and runs GMRES on the
+dense matrix.  The check-point sums run one coarse patch at a time, each
+patch's fine nodes into the identity columns of that patch's own nodes, so
+the build sums the pairs of one pass over the fine set and never forms the
+dense fine copy of the identity.
 """
 
 import time
@@ -26,7 +29,7 @@ from .evaluation import (
 )
 from .geometry.embeddings import BoundaryCondition, QuadMesh
 from .geometry.patches import PatchSet
-from .kernels import Family, KernelFamily, point_source_field
+from .kernels import Family, KernelFamily, check_pairs, point_source_field
 from .quadrature import QuadratureNodeSet, discretize
 from .refinement import (
     AdmissibilityConfig,
@@ -182,7 +185,8 @@ def matvec(system: AssembledSystem, density, backend=None) -> np.ndarray:
     Interior: (1/2 I + D) phi via the two-sided extrapolated double layer.
     Exterior Laplace: (-1/2 I + D + M) phi with the rank-one completion M.
     density is (N, d), or (N, d, k) for k densities at once, which comes
-    back as (N, d, k) from one sum over the fine set.
+    back as (N, d, k); each coarse patch's fine nodes are summed only into
+    the densities that are nonzero on that patch.
     """
     backend = backend or default_backend()
     problem = system.problem
@@ -213,8 +217,10 @@ def solve(problem_or_system, backend=None):
 
     Accepts a BVProblem (assembled here) or a prebuilt AssembledSystem.
     A is formed once, as the matvec of the N d x N d identity, and GMRES
-    runs on the dense matrix.  Returns (DensityField, SolveReport);
-    non-convergence keeps the best iterate and reports converged=False.
+    runs on the dense matrix.  A build over kernels.PAIR_BUDGET check-point
+    pairs raises UsageError before anything is formed.  Returns
+    (DensityField, SolveReport); non-convergence keeps the best iterate and
+    reports converged=False.
     """
     backend = backend or default_backend()
     system = (
@@ -226,11 +232,9 @@ def solve(problem_or_system, backend=None):
     d = system.problem.kernel.d
     history = []
     t0 = time.perf_counter()
-    # a system too large for one sum over the fine set must fail before the
-    # identity block's fine copy (N_fine x N d values) is formed, so try the
-    # sum's largest temporary, its (3, M, N_fine) offsets, first
+    # refuse a build over the pair budget before the identity is formed
     checks = 2 * (system.problem.options.p + 1) * len(system.nodes)
-    np.empty((3, checks, len(system.fine_nodes)))
+    check_pairs(checks * len(system.fine_nodes))
     op = matvec(system, np.eye(n).reshape(-1, d, n), backend).reshape(n, n)
     build = time.perf_counter() - t0
     b = system.rhs.reshape(-1)

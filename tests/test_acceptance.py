@@ -230,8 +230,9 @@ def test_criterion_4_jump_relations(admissible_sphere):
         normals,
         lengths[pids],
         K.LAPLACE,
+        nodes,
+        ones,
         fine_nodes,
-        upsample_density(nodes, ones, fine_nodes),
         opts,
     )
     err_pv = float(np.abs(pv - 0.5).max())

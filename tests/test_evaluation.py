@@ -153,8 +153,9 @@ def test_two_sided_average_matches_flat_plate_principal_value():
         nodes.normals,
         coarse.lengths[nodes.patch_ids],
         K.LAPLACE,
+        nodes,
+        phi,
         fine_nodes,
-        upsample_density(nodes, phi, fine_nodes),
         opts,
     )
     assert np.abs(pv).max() < 1e-7

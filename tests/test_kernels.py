@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hedgehog import kernels as K
+from hedgehog import spatial
 from hedgehog.backends import DirectBackend
 from hedgehog.errors import CoincidentPointsError, UsageError
 from hedgehog.chebyshev import cc_rule
@@ -59,6 +62,16 @@ def test_coincident_points_raise():
         K.fundamental_solution(K.LAPLACE, [1, 2, 3], [1, 2, 3])
     with pytest.raises(CoincidentPointsError):
         K.double_layer_kernel(K.STOKES, [1, 0, 0], [1, 0, 0], [0, 0, 1])
+    # the direct sums too, away from the origin where |r|^2 carries rounding
+    rng = np.random.default_rng(3)
+    sources = 100.0 + rng.normal(size=(20, 3))
+    normals = rng.normal(size=(20, 3))
+    for kern in (K.LAPLACE, K.STOKES, K.elasticity(0.3)):
+        density = np.ones((20, kern.d))
+        with pytest.raises(CoincidentPointsError):
+            K.apply_single_layer(kern, sources[7:9], sources, density)
+        with pytest.raises(CoincidentPointsError):
+            K.apply_double_layer(kern, sources[[2, 5]] + 1e-14, sources, normals, density)
 
 
 def test_value_dimensions():
@@ -216,3 +229,74 @@ def test_block_density_matches_stacked_columns(kern, layer):
     flat = apply(block.reshape(31, -1))
     assert flat.shape == (23, kern.d * 4)
     assert np.abs(flat - out.reshape(23, -1)).max() <= 1e-12 * np.abs(stacked).max()
+
+
+@pytest.mark.parametrize("k", [None, 3])
+@pytest.mark.parametrize("layer", ["single", "double", "combined"])
+@pytest.mark.parametrize("kern", [K.LAPLACE, K.STOKES, K.elasticity(0.3)])
+def test_tiled_sums_match_one_tile(kern, layer, k, monkeypatch):
+    """Tiles of any size give the one-tile sum up to rounding.
+
+    Targets fill the unit ball and sources lie on the sphere of radius 1.5,
+    as check points lie off the surface: |r|^2 from a GEMM carries rounding
+    of order eps |x - c|^2 / |r|^2 relative, c the tile's centre, so the
+    tiling shows only at that level.
+    """
+    rng = np.random.default_rng(11)
+    targets = rng.normal(size=(29, 3))
+    targets *= rng.uniform(0.0, 1.0, (29, 1)) / np.linalg.norm(targets, axis=1, keepdims=True)
+    normals = rng.normal(size=(41, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    sources = 1.5 * normals
+    shape = (kern.d,) if k is None else (kern.d, k)
+    first, second = rng.normal(size=(2, 41) + shape)
+
+    def apply(m, n):
+        if layer == "single":
+            return K.apply_single_layer(kern, targets[:m], sources[:n], first[:n])
+        if layer == "double":
+            return K.apply_double_layer(kern, targets[:m], sources[:n], normals[:n], first[:n])
+        return K.apply_combined(
+            kern, targets[:m], sources[:n], normals[:n], first[:n], second[:n]
+        )
+
+    whole = apply(29, 41)
+    assert whole.shape == (29,) + shape
+    scale = np.abs(whole).max()
+    if layer == "combined":
+        parts = K.apply_single_layer(kern, targets, sources, first)
+        parts += K.apply_double_layer(kern, targets, sources, normals, second)
+        assert np.abs(whole - parts).max() <= 1e-13 * scale
+    for chunk_bytes in (2000, 20000):  # uneven tiles of rows and sources
+        monkeypatch.setattr(spatial, "CHUNK_BYTES", chunk_bytes)
+        assert np.abs(apply(29, 41) - whole).max() <= 1e-13 * scale
+        assert apply(0, 41).shape == (0,) + shape
+        empty = apply(29, 0)
+        assert empty.shape == (29,) + shape and not empty.any()
+
+
+def test_direct_sum_memory_stays_within_the_chunk_budget(monkeypatch):
+    monkeypatch.setattr(spatial, "CHUNK_BYTES", 1 << 20)
+    rng = np.random.default_rng(5)
+    targets = rng.normal(size=(1500, 3))
+    sources = 3.0 + rng.normal(size=(2000, 3))
+    normals = rng.normal(size=(2000, 3))
+    density = rng.normal(size=(2000, 3))
+    tracemalloc.start()
+    try:
+        out = K.apply_double_layer(K.elasticity(0.3), targets, sources, normals, density)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (3, M, N) offsets of one unchunked pass alone would take 72 MB
+    assert peak <= 4 * spatial.CHUNK_BYTES + out.nbytes
+
+
+def test_direct_sum_over_the_pair_budget_is_refused(monkeypatch):
+    monkeypatch.setattr(K, "PAIR_BUDGET", 999)
+    rng = np.random.default_rng(6)
+    targets, sources = rng.normal(size=(2, 40, 3))
+    with pytest.raises(UsageError, match="1.6e\\+03 pairs exceeds the budget of 999 pairs"):
+        K.apply_single_layer(K.LAPLACE, targets, sources, np.ones(40))
+    with pytest.raises(UsageError, match="budget"):
+        DirectBackend().potential(K.STOKES, "double", sources, sources, np.ones((40, 3)), targets)

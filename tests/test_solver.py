@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -6,6 +9,7 @@ import hedgehog.geometry as geo
 from hedgehog import kernels as K
 from hedgehog.backends import DirectBackend
 from hedgehog.chebyshev import extrapolation_weights
+from hedgehog.errors import UsageError
 from hedgehog.evaluation import EvalOptions, Zone
 from hedgehog.geometry.embeddings import constant_boundary_condition
 from hedgehog.geometry.patches import PatchSet, Subdomain, fit_patch
@@ -86,16 +90,21 @@ class CountingBackend(DirectBackend):
 def test_matvec_block_matches_columns(kernel, side):
     system = _small_system(kernel, side)
     n, d = len(system.nodes), kernel.d
-    block = np.random.default_rng(9).normal(size=(n, d, 5))
-    out = matvec(system, block)
-    columns = np.stack([matvec(system, block[:, :, c]) for c in range(5)], axis=-1)
-    assert out.shape == (n, d, 5)
+    rng = np.random.default_rng(9)
+    # a dense block, and columns of the identity, each nonzero on one coarse
+    # patch only, as in the operator build
+    dense = rng.normal(size=(n, d, 5))
+    identity = np.eye(n * d)[:, rng.choice(n * d, 5, replace=False)].reshape(n, d, 5)
     # the sums differ in rounding only; extrapolating to the surface
     # amplifies that by the weights' absolute sum (about 4e4 here)
     opts = system.problem.options
     weights = extrapolation_weights(opts.p, np.array([-opts.b / opts.a]))
     floor = 10.0 * np.finfo(float).eps * np.abs(weights).sum()
-    assert np.abs(out - columns).max() <= floor * np.abs(columns).max()
+    for block in (dense, identity):
+        out = matvec(system, block)
+        columns = np.stack([matvec(system, block[:, :, c]) for c in range(5)], axis=-1)
+        assert out.shape == (n, d, 5)
+        assert np.abs(out - columns).max() <= floor * np.abs(columns).max()
 
 
 @pytest.mark.parametrize(
@@ -107,7 +116,10 @@ def test_solve_forms_the_operator_in_one_fine_set_sum(kernel, side):
     backend = CountingBackend()
     density, report = solve(system, backend)
     p = system.problem.options.p
-    assert backend.pairs == [2 * (p + 1) * len(system.nodes) * len(system.fine_nodes)]
+    # one sum per coarse patch, over that patch's fine nodes: together the
+    # pairs of one pass over the fine set
+    assert len(backend.pairs) == len(system.coarse)
+    assert sum(backend.pairs) == 2 * (p + 1) * len(system.nodes) * len(system.fine_nodes)
     assert report.converged
     assert report.build_time > 0.0
 
@@ -123,6 +135,24 @@ def test_solve_forms_the_operator_in_one_fine_set_sum(kernel, side):
     )
     assert report.iterations == len(history)
     assert np.abs(density.values.reshape(-1) - x).max() <= 1e-8 * np.abs(x).max()
+
+
+def test_solve_over_the_pair_budget_is_refused_before_the_build(monkeypatch):
+    system = _small_system()
+    p = system.problem.options.p
+    pairs = 2 * (p + 1) * len(system.nodes) * len(system.fine_nodes)
+    monkeypatch.setattr(K, "PAIR_BUDGET", pairs - 1)
+    n = system.n_unknowns
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match=re.escape(f"{pairs:.3g} pairs exceeds the budget")):
+            solve(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n  # not even the identity was formed
+    with pytest.raises(UsageError, match="budget"):
+        matvec(system, np.ones((n, 1)))
 
 
 def test_assemble_pipeline_products(assembled_sphere):
