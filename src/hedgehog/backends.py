@@ -12,9 +12,10 @@ discretization, only points, normals and charge vectors.  A weighted density
 is one (N, d) vector field or a block of k of them, (N, d, k), or the same
 N * d * k values as (N, d * k); the potential keeps the trailing shape,
 (M, d) or (M, d, k) or (M, d * k).  DirectBackend sums a block in one pass
-over the pairs, in tiles of bounded memory (one GEMM per kernel component
-and tile), and refuses a sum over more than kernels.PAIR_BUDGET
-pairs; PluginBackend hands its callable one (N, d) density at a time.
+over the pairs, in tiles of bounded memory (one GEMM per output component
+and tile, see kernels.py), and refuses a sum over more than
+kernels.PAIR_BUDGET pairs; PluginBackend hands its callable one (N, d)
+density at a time.
 """
 
 import numpy as np

@@ -16,8 +16,6 @@ from .backends import default_backend
 from .chebyshev import extrapolation_weights
 from .errors import UsageError
 from .geometry.patches import PatchSet
-from .geometry.patches import evaluate as patch_evaluate
-from .geometry.patches import normal as patch_normal
 from .kernels import LAPLACE, KernelFamily
 from .quadrature import (
     QuadratureNodeSet,
@@ -25,7 +23,7 @@ from .quadrature import (
     upsample_density,
     upsampled_potential,
 )
-from .spatial import closest_point_global_bulk
+from .spatial import closest_point_global_bulk, patch_normals, patch_points
 
 
 @dataclass
@@ -178,16 +176,9 @@ def surface_node_labels(nodes: QuadratureNodeSet, inside: bool = True) -> ZoneLa
 def _surface_frames(patchset: PatchSet, pids, params):
     """Surface points and unit normals at (patch id, params) pairs.
 
-    One batched evaluation per distinct patch.
+    One batched evaluation per degree group.
     """
-    anchors = np.empty((len(pids), 3))
-    normals = np.empty((len(pids), 3))
-    for pid in np.unique(pids):
-        ks = np.flatnonzero(pids == pid)
-        patch = patchset[pid]
-        anchors[ks] = patch_evaluate(patch, params[ks, 0], params[ks, 1])
-        normals[ks] = patch_normal(patch, params[ks, 0], params[ks, 1])
-    return anchors, normals
+    return patch_points(patchset, pids, params), patch_normals(patchset, pids, params)
 
 
 def _extrapolate_rows(values, t_x, p):

@@ -141,12 +141,21 @@ def double_layer_kernel(kernel: KernelFamily, x, y, n_y) -> np.ndarray:
 # sources (row chunks over all sources unless the sources are many) whose
 # (m, n) temporaries stay within spatial.CHUNK_BYTES, so no (3, M, N)
 # offsets are ever formed.  Per tile, |r|^2 and r . n are GEMMs in
-# coordinates centred on the tile's targets, the vector kernels take r_i as
-# one outer difference per component, and each (m, n) kernel matrix (one
-# for Laplace, one component K_ij per (i, j) for the vector kernels) is
-# multiplied into the output by GEMM, so a block of k densities costs one
-# pass over the pairs.  A sum of more than PAIR_BUDGET pairs is refused
-# before it starts.
+# coordinates centred on the tile's targets.  Laplace multiplies its one
+# (m, n) kernel matrix into the density by GEMM.  The vector kernels form
+# one (m, n) matrix per output component, M_i = w r_i with r_i = y_i - x_i
+# an exact difference, and move the second factor r_j to the source side:
+#     sum_n w r_i r_j sigma_j = M_i @ (y_j sigma_j) - x_j (M_i @ sigma_j)
+# in the tile-centred coordinates.  Each density value array V thus enters
+# one right-hand block [V, y_0 V, y_1 V, y_2 V], shared by the components
+# whose values are equal (all three, for the identity block of the operator
+# build), and each tile does one GEMM per output component.  The single
+# layer's delta_ij / |r| term multiplies the same arrays V by 1 / |r|; the
+# elasticity double layer's delta_ij and skew terms, u r_a n_b with
+# u = (1 - 2 nu) c / |r|^3, take three more matrices u r_a against
+# [n_0 V, n_1 V, n_2 V], or against V with n per target for the conormal.
+# A block of k densities costs one pass over the pairs.  A sum of more than
+# PAIR_BUDGET pairs is refused before it starts.
 # ---------------------------------------------------------------------------
 
 PAIR_BUDGET = 1e9  # pairs one operation may sum: about 25 s at 4e7 pairs/s
@@ -196,7 +205,6 @@ class _Pairs:
             raise CoincidentPointsError("kernel evaluated with source == target")
         self.inv = np.sqrt(rho2, out=rho2)
         np.divide(1.0, self.inv, out=self.inv)
-        self._r = None
 
     def dot_sources(self, v):
         """r . v for one vector per source, v = vectors[cols] (n, 3)."""
@@ -208,13 +216,28 @@ class _Pairs:
         xv = np.einsum("mk,mk->m", self.xc, v)
         return np.column_stack([v, -xv]) @ np.column_stack([self.yc, np.ones(len(self.yc))]).T
 
-    @property
-    def r(self):
-        """The components r_i, (m, n) each."""
-        if self._r is None:
-            y, x = self.y.T.copy(), self.x.T.copy()
-            self._r = [y[i] - x[i, :, None] for i in range(3)]
-        return self._r
+    def weighted_r(self, weight, values, factors):
+        """Products (weight r_a) @ (f V) for a < 3, f in factors, V in values.
+
+        weight is (m, n); each factor is (n,) per source, or None for 1.
+        Returns get(a, g, f) -> the (m, k_g) product of M_a = weight r_a
+        with factors[f] times values[g]: one GEMM per a over every block.
+        """
+        rhs = np.hstack([v if f is None else f[:, None] * v for v in values for f in factors])
+        starts = np.cumsum([0] + [len(factors) * v.shape[1] for v in values])
+        x, y = self.x.T.copy(), self.y.T.copy()
+        buf = np.empty_like(weight)
+        products = []
+        for a in range(3):
+            np.subtract(y[a], x[a, :, None], out=buf)
+            buf *= weight
+            products.append(buf @ rhs)
+
+        def get(a, g, f):
+            k = values[g].shape[1]
+            return products[a][:, starts[g] + f * k : starts[g] + (f + 1) * k]
+
+        return get
 
 
 def _tiles(m, n):
@@ -248,7 +271,7 @@ def _direct_sum(kernel, targets, sources, densities, add):
     out = np.zeros((d, m, blocks[0].shape[2]))
     if n:
         for rows, cols in _tiles(m, n):
-            tile = [[(c, v[cols]) for c, v in parts] for parts in sigs]
+            tile = [(parts, [v[cols] for v in values]) for parts, values in sigs]
             add(_Pairs(targets, sources, rows, cols), tile, out[:, rows])
     return out.transpose(1, 0, 2).reshape((m,) + shapes[0])
 
@@ -269,57 +292,47 @@ def nonzero_columns(a):
 
 
 def _components(block):
-    """Component j of a density block (N, d, k) as (columns, values).
+    """A density block (N, d, k) as ([(columns, group)] per component, values).
 
-    columns selects the densities whose component j is nonzero and values
-    holds them, (N, k_j); a block with local support, such as the identity,
-    so multiplies no zeros.
+    columns selects the densities whose component j is nonzero, so a block
+    with local support, such as the identity, multiplies no zeros; values
+    holds the distinct value arrays (N, k_j) that those columns select, and
+    group is the index of component j's array.  Components with equal
+    values, as the three of an identity block, share one array.
     """
-    parts = []
+    parts, values = [], []
     for j in range(block.shape[1]):
         cols = nonzero_columns(block[:, j, :])
-        parts.append((cols, np.ascontiguousarray(block[:, j, cols])))
-    return parts
+        v = block[:, j, cols]
+        g = next(
+            (g for g, u in enumerate(values) if u.shape == v.shape and np.array_equal(u, v)),
+            len(values),
+        )
+        if g == len(values):
+            values.append(np.ascontiguousarray(v))
+        parts.append((cols, g))
+    return parts, values
 
 
-def _product(acc, matrix, part, scale=1.0):
-    """acc (m, k) += scale * matrix (m, n) @ sigma_j, for part = _components()[j]."""
-    cols, values = part
-    acc[:, cols] += scale * (matrix @ values)
+def _pair_term(g, weight, sig, acc):
+    """acc_i += sum_j sum over the sources of weight r_i r_j sigma_j, for a
+    vector kernel; sig is (parts, values) as _components gives them.
 
-
-def _sum_components(component, sig, acc, symmetric):
-    """acc_i += sum_j K_ij sigma_j for i, j < 3: sig the density's _components,
-    acc (3, m, k).
-
-    component(i, j, buf) writes the (m, n) matrix K_ij into buf; a symmetric
-    kernel forms each off-diagonal pair once.
+    r_j = y_j - x_j splits over the tile-centred coordinates: the y_j
+    factor goes with the values, the x_j factor scales the rows.
     """
-    buf = np.empty((acc.shape[1], len(sig[0][1])))
+    parts, values = sig
+    get = g.weighted_r(weight, values, (None, *g.yc.T))
     for i in range(3):
-        for j in range(i if symmetric else 0, 3):
-            component(i, j, buf)
-            _product(acc[i], buf, sig[j])
-            if symmetric and j != i:
-                _product(acc[j], buf, sig[i])
-
-
-def _pair_component(weight, r, diag=None):
-    """K_ij = weight r_i r_j + diag delta_ij."""
-
-    def component(i, j, buf):
-        np.multiply(weight, r[i], out=buf)
-        buf *= r[j]
-        if diag is not None and i == j:
-            buf += diag
-
-    return component
+        for j, (cols, grp) in enumerate(parts):
+            acc[i][:, cols] += get(i, grp, 1 + j) - g.xc[:, j, None] * get(i, grp, 0)
 
 
 def _single(kernel, g, sig, acc):
     """acc += the single layer of sig over the pairs g."""
+    parts, values = sig
     if kernel.family is Family.LAPLACE:
-        _product(acc[0], g.inv, sig[0], INV_4PI)
+        acc[0][:, parts[0][0]] += INV_4PI * (g.inv @ values[0])
         return
     # K_ij = c (diag delta_ij / |r| + r_i r_j / |r|^3)
     if kernel.family is Family.STOKES:
@@ -330,56 +343,64 @@ def _single(kernel, g, sig, acc):
         c = 1.0 / (16.0 * np.pi * kernel.viscosity * (1.0 - nu))
         diag = 3.0 - 4.0 * nu
     inv3 = g.inv * c
-    on_diagonal = inv3 * diag
     inv3 *= g.inv
     inv3 *= g.inv
-    _sum_components(_pair_component(inv3, g.r, on_diagonal), sig, acc, symmetric=True)
+    _pair_term(g, inv3, sig, acc)
+    on_diagonal = [(c * diag) * (g.inv @ v) for v in values]
+    for i, (cols, grp) in enumerate(parts):
+        acc[i][:, cols] += on_diagonal[grp]
 
 
-def _double(kernel, g, rn, normal, sig, acc, transpose=False):
-    """acc += the double layer of sig over the pairs g, with rn = r . n.
+def _double(kernel, g, sig, acc, normals, on_targets=False):
+    """acc += the double layer of sig over the pairs g.
 
-    normal holds the components n_i, each broadcastable against (m, n): n(y)
-    per source for the double layer.  The conormal of a point source is the
-    same form with n(x) per target, transposed.
+    normals holds n(y) per source, (n, 3), for the double layer.  The
+    conormal of a point source is the same form with n(x) per target,
+    (m, 3), and transposed: on_targets.
     """
-    inv3 = g.inv * g.inv
-    inv3 *= g.inv
+    parts, values = sig
+    dot = g.dot_targets if on_targets else g.dot_sources
     if kernel.family is Family.LAPLACE:
-        inv3 *= rn
-        _product(acc[0], inv3, sig[0], INV_4PI)
-        return
-    if kernel.family is Family.STOKES:
-        # K_ij = 3 / (4 pi) (r . n) r_i r_j / |r|^5
-        inv3 *= (3.0 * INV_4PI) * rn
+        inv3 = g.inv * g.inv
         inv3 *= g.inv
-        inv3 *= g.inv
-        _sum_components(_pair_component(inv3, g.r), sig, acc, symmetric=True)
+        inv3 *= dot(normals)
+        acc[0][:, parts[0][0]] += INV_4PI * (inv3 @ values[0])
         return
-    # -(T^T psi) with T as in traction_kernel, r = y - x, n = n(y):
-    # K_ij = c [(1 - 2 nu) (n_i r_j - r_i n_j + (r . n) delta_ij) / |r|^3
-    #           + 3 (r . n) r_i r_j / |r|^5]
+    # pair term: 3 c (r . n) r_i r_j / |r|^5, with c = 1 / (4 pi) for Stokes
     nu = kernel.poisson_ratio
-    c = 1.0 / (8.0 * np.pi * (1.0 - nu))
-    pair = (3.0 * c) * rn
-    pair *= inv3
+    c = INV_4PI if kernel.family is Family.STOKES else 1.0 / (8.0 * np.pi * (1.0 - nu))
+    inv3 = g.inv * g.inv
+    pair = inv3 * inv3
     pair *= g.inv
-    pair *= g.inv
-    inv3 *= (1.0 - 2.0 * nu) * c
-    symmetric = _pair_component(pair, g.r, rn * inv3)
-    r = g.r
+    pair *= dot((3.0 * c) * normals)
+    _pair_term(g, pair, sig, acc)
+    if kernel.family is Family.STOKES:
+        return
+    # -(T^T psi) with T as in traction_kernel, r = y - x, n = n(y), adds
+    # u (n_i r_j - r_i n_j + (r . n) delta_ij), u = (1 - 2 nu) c / |r|^3;
+    # with s(a, b) = sum over the sources of u r_a n_b, (r . n) = sum_k r_k n_k
+    inv3 *= g.inv
+    normals = ((1.0 - 2.0 * nu) * c) * normals
+    if on_targets:
+        get = g.weighted_r(inv3, values, (None,))
 
-    def component(i, j, buf):
-        if transpose:
-            i, j = j, i
-        symmetric(i, j, buf)
-        if i != j:
-            skew = normal[i] * r[j]
-            skew -= r[i] * normal[j]
-            skew *= inv3
-            buf += skew
+        def s(a, b, grp):
+            return normals[:, b, None] * get(a, grp, 0)
 
-    _sum_components(component, sig, acc, symmetric=False)
+    else:
+        get = g.weighted_r(inv3, values, tuple(normals.T))
+
+        def s(a, b, grp):
+            return get(a, grp, b)
+
+    for i in range(3):
+        for j, (cols, grp) in enumerate(parts):
+            if j != i:
+                skew = s(i, j, grp) - s(j, i, grp)
+                acc[i][:, cols] += skew if on_targets else -skew
+    trace = [s(0, 0, grp) + s(1, 1, grp) + s(2, 2, grp) for grp in range(len(values))]
+    for i, (cols, grp) in enumerate(parts):
+        acc[i][:, cols] += trace[grp]
 
 
 def apply_single_layer(kernel: KernelFamily, targets, sources, density) -> np.ndarray:
@@ -393,8 +414,7 @@ def apply_double_layer(kernel: KernelFamily, targets, sources, normals, density)
     normals = np.asarray(normals, dtype=float)
 
     def add(g, sigs, acc):
-        n_y = normals[g.cols]
-        _double(kernel, g, g.dot_sources(n_y), n_y.T, sigs[0], acc)
+        _double(kernel, g, sigs[0], acc, normals[g.cols])
 
     return _direct_sum(kernel, targets, sources, [density], add)
 
@@ -405,9 +425,8 @@ def apply_combined(kernel: KernelFamily, targets, sources, normals, single, doub
     normals = np.asarray(normals, dtype=float)
 
     def add(g, sigs, acc):
-        n_y = normals[g.cols]
         _single(kernel, g, sigs[0], acc)
-        _double(kernel, g, g.dot_sources(n_y), n_y.T, sigs[1], acc)
+        _double(kernel, g, sigs[1], acc, normals[g.cols])
 
     return _direct_sum(kernel, targets, sources, [single, double], add)
 
@@ -426,8 +445,6 @@ def point_source_conormal(kernel: KernelFamily, charges, strengths, points, norm
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
 
     def add(g, sigs, acc):
-        n_x = normals[g.rows]
-        rn = g.dot_targets(n_x)
-        _double(kernel, g, rn, n_x.T[:, :, None], sigs[0], acc, transpose=True)
+        _double(kernel, g, sigs[0], acc, normals[g.rows], on_targets=True)
 
     return _direct_sum(kernel, points, charges, [strengths], add)

@@ -5,7 +5,7 @@ w_hat = sqrt(g) * w_a * w_b, indexed globally patch-major: node (a, b) of
 patch i has global index i * q^2 + a * q + b.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -31,6 +31,8 @@ class QuadratureNodeSet:
     patch_ids: np.ndarray  # (N,)
     q: int
     patchset: PatchSet
+    # (coarse node set, its per-patch upsampling onto these nodes), see _upsampling
+    _upsampling: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.weights)
@@ -120,42 +122,46 @@ def _interp_1d(q_coarse: int, q_fine: int, depth: int, offset: int) -> np.ndarra
     return chebyshev_interpolation_matrix(q_coarse, t)
 
 
-def _dyadic_key(rel_cs, rel_ct, rel_h):
-    depth = int(round(-np.log2(rel_h)))
-    ix = int(round(((rel_cs + 1.0) / rel_h - 1.0) / 2.0))
-    iy = int(round(((rel_ct + 1.0) / rel_h - 1.0) / 2.0))
-    return depth, ix, iy
+def _upsampling(coarse_nodes: QuadratureNodeSet, fine_nodes: QuadratureNodeSet):
+    """Per coarse patch j: (rows, U_j), U_j (len(rows), q_c^2) interpolating
+    its node values onto its own fine nodes fine_nodes[rows].
 
-
-def _fine_lineage(coarse_nodes: QuadratureNodeSet, fine_nodes: QuadratureNodeSet):
-    """Coarse ancestor and dyadic key of every fine patch."""
+    U_j stacks kron(A_s, A_t) of the cached 1D factors over the fine patches
+    that descend from j.  Built once per (coarse, fine) pair of node sets and
+    cached on the fine set; coarse patches refined alike, as all of them in
+    a uniform set, share one matrix.
+    """
+    cached = fine_nodes._upsampling
+    if cached is not None and cached[0] is coarse_nodes:
+        return cached[1]
     fine_set = fine_nodes.patchset
     if fine_set.ancestors is None:
         raise UsageError("fine patch set carries no lineage to a coarse set")
-    ancestors = np.asarray(fine_set.ancestors, dtype=np.int64)
-    keys = [
-        _dyadic_key(*p.domain.relative_to(coarse_nodes.patchset[int(a)].domain))
-        for p, a in zip(fine_set.patches, ancestors)
-    ]
-    return ancestors, keys
-
-
-def _upsample(values, source, keys, qc: int, qf: int) -> np.ndarray:
-    """Interpolate coarse patch values (P, qc, qc, c) onto fine patches.
-
-    Fine patch g reads coarse patch source[g] at dyadic key keys[g]; the
-    result is (len(keys), qf^2, c).
-    """
-    groups: dict[tuple, list[int]] = {}
-    for g, key in enumerate(keys):
-        groups.setdefault(key, []).append(g)
-    out = np.empty((len(keys), qf * qf, values.shape[-1]))
-    for (depth, ix, iy), idx in groups.items():
-        a_s = _interp_1d(qc, qf, depth, ix)
-        a_t = _interp_1d(qc, qf, depth, iy)
-        block = np.einsum("ai,gijd,bj->gabd", a_s, values[source[idx]], a_t, optimize=True)
-        out[idx] = block.reshape(len(idx), qf * qf, -1)
-    return out
+    qc, qf = coarse_nodes.q, fine_nodes.q
+    ancestors = fine_set.ancestors
+    order = np.argsort(ancestors, kind="stable")
+    bounds = np.searchsorted(ancestors[order], np.arange(len(coarse_nodes.patchset) + 1))
+    matrices, shared = [], {}
+    for j, coarse in enumerate(coarse_nodes.patchset):
+        patches = order[bounds[j] : bounds[j + 1]]
+        keys = []
+        for g in patches:
+            # fine patch g is the dyadic square (ix, iy) at depth of patch j
+            cs, ct, h = fine_set[int(g)].domain.relative_to(coarse.domain)
+            depth = int(round(-np.log2(h)))
+            ix = int(round(((cs + 1.0) / h - 1.0) / 2.0))
+            iy = int(round(((ct + 1.0) / h - 1.0) / 2.0))
+            keys.append((depth, ix, iy))
+        keys = tuple(keys)
+        if keys not in shared:
+            shared[keys] = np.concatenate(
+                [np.empty((0, qc * qc))]
+                + [np.kron(_interp_1d(qc, qf, k, ix), _interp_1d(qc, qf, k, iy)) for k, ix, iy in keys]
+            )
+        rows = (patches[:, None] * (qf * qf) + np.arange(qf * qf)).ravel()
+        matrices.append((rows, shared[keys]))
+    fine_nodes._upsampling = (coarse_nodes, matrices)
+    return matrices
 
 
 def upsample_density(
@@ -165,15 +171,17 @@ def upsample_density(
 
     Uses the tensor Chebyshev interpolant of each coarse patch's q^2 nodes,
     evaluated at the fine nodes' parameters pulled back through the dyadic
-    lineage; exact for tensor polynomials of degree < q.
+    lineage; exact for tensor polynomials of degree < q.  One GEMM per
+    coarse patch, with the matrices upsampled_potential uses.
     """
-    ancestors, keys = _fine_lineage(coarse_nodes, fine_nodes)
+    matrices = _upsampling(coarse_nodes, fine_nodes)
     values = np.asarray(values, dtype=float)
     flat = values.ndim == 1
     values = values.reshape(len(coarse_nodes), -1)
-    qc = coarse_nodes.q
-    vals_c = values.reshape(-1, qc, qc, values.shape[1])
-    out = _upsample(vals_c, ancestors, keys, qc, fine_nodes.q).reshape(-1, values.shape[1])
+    qq = coarse_nodes.q**2
+    out = np.empty((len(fine_nodes), values.shape[1]))
+    for j, (rows, up) in enumerate(matrices):
+        out[rows] = up @ values[j * qq : (j + 1) * qq]
     return out.reshape(-1) if flat else out
 
 
@@ -188,43 +196,35 @@ def upsampled_potential(
 ):
     """Smooth quadrature on the fine set of a density given at the coarse nodes.
 
-    Sums sum_j K(X, F_j) (W U phi)_j over the coarse patches j, where F_j
-    are the fine nodes of patch j: each patch's density is upsampled onto
-    its own fine nodes only, and summed only into the density columns that
-    are nonzero on that patch.  The pairs are those of one sum over the
-    fine set; for a block with local support, such as the identity, the
-    GEMM flops drop by the number of coarse patches, and the dense fine
-    copy of the block is never formed.  layer is "single" or "double";
-    density is (N, d), (N, d, k) or (N, d * k) and the result keeps its
-    trailing shape.  Targets must be disjoint from the fine nodes.
+    Sums sum_j K(X, F_j) (W U_j phi_j) over the coarse patches j, where F_j
+    are the fine nodes of patch j, U_j the cached interpolation onto them
+    and W their weights: each patch's density block is upsampled by one
+    GEMM onto its own fine nodes only, and summed only into the density
+    columns that are nonzero on that patch.  The pairs are those of one sum
+    over the fine set; for a block with local support, such as the
+    identity, the GEMM flops drop by the number of coarse patches, and the
+    dense fine copy of the block is never formed.  layer is "single" or
+    "double"; density is (N, d), (N, d, k) or (N, d * k) and the result
+    keeps its trailing shape.  Targets must be disjoint from the fine nodes.
     """
     backend = backend or default_backend()
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     check_pairs(len(targets) * len(fine_nodes))
-    ancestors, keys = _fine_lineage(nodes, fine_nodes)
+    matrices = _upsampling(nodes, fine_nodes)
     d = kernel.d
     block, shape = density_columns(density, len(nodes), d)
     out = np.zeros((len(targets), d, block.shape[2]))
-    qc, qf = nodes.q, fine_nodes.q
-    order = np.argsort(ancestors, kind="stable")
-    bounds = np.searchsorted(ancestors[order], np.arange(len(nodes.patchset) + 1))
-    for j in range(len(nodes.patchset)):
-        patches = order[bounds[j] : bounds[j + 1]]
-        local = block[j * qc * qc : (j + 1) * qc * qc]
-        if not local.any() or not len(patches):
+    qq = nodes.q**2
+    for j, (rows, up) in enumerate(matrices):
+        local = block[j * qq : (j + 1) * qq]
+        if not local.any() or not len(rows):
             continue
         cols = nonzero_columns(local)
-        fine = _upsample(
-            local[:, :, cols].reshape(1, qc, qc, -1),
-            np.zeros(len(patches), dtype=np.int64),
-            [keys[g] for g in patches],
-            qc,
-            qf,
-        )
-        rows = (patches[:, None] * (qf * qf) + np.arange(qf * qf)).ravel()
-        fine = fine.reshape(len(rows), d, -1) * fine_nodes.weights[rows, None, None]
+        fine = up @ local[:, :, cols].reshape(qq, -1)
+        fine *= fine_nodes.weights[rows, None]
         out[:, :, cols] += backend.potential(
-            kernel, layer, fine_nodes.positions[rows], fine_nodes.normals[rows], fine, targets
+            kernel, layer, fine_nodes.positions[rows], fine_nodes.normals[rows],
+            fine.reshape(len(rows), d, -1), targets,
         )
     return out.reshape((len(targets),) + shape)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DegenerateGeometryError, UsageError
 from .geometry import bezier
 from .geometry.patches import PatchSet, SurfacePatch
 
@@ -367,6 +367,23 @@ def patch_points(patchset: PatchSet, pids, params) -> np.ndarray:
         bt = bezier.bernstein_matrix(n, params[rows, 1])
         out[rows] = _eval_pairs(coeffs[slot], bs, bt)
     return out
+
+
+def patch_normals(patchset: PatchSet, pids, params) -> np.ndarray:
+    """Unit exterior normals of (patch id, params) pairs, per degree group."""
+    pids = np.asarray(pids, dtype=np.int64)
+    out = np.empty((len(pids), 3))
+    for n, coeffs, rows, slot in pair_groups(patchset, pids):
+        s, t = params[rows, 0], params[rows, 1]
+        C = coeffs[slot]
+        ps = _eval_pairs(C, bezier.bernstein_matrix(n, s, 1), bezier.bernstein_matrix(n, t))
+        pt = _eval_pairs(C, bezier.bernstein_matrix(n, s), bezier.bernstein_matrix(n, t, 1))
+        out[rows] = np.cross(ps, pt)
+    norm = np.linalg.norm(out, axis=1, keepdims=True)
+    if np.any(norm == 0.0):
+        raise DegenerateGeometryError("zero surface Jacobian")
+    orientation = np.array([patchset[p].orientation for p in pids])
+    return orientation.reshape(-1, 1) * out / norm
 
 
 def _closest_points(coeffs, slot, X, eps_opt):

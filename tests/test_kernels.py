@@ -300,3 +300,151 @@ def test_direct_sum_over_the_pair_budget_is_refused(monkeypatch):
         K.apply_single_layer(K.LAPLACE, targets, sources, np.ones(40))
     with pytest.raises(UsageError, match="budget"):
         DirectBackend().potential(K.STOKES, "double", sources, sources, np.ones((40, 3)), targets)
+
+
+def _traction_long_double(kern, r, n):
+    """traction_kernel(kern, r, n) per pair in long double: r (m, n, 3), n broadcast."""
+    n = np.broadcast_to(n, r.shape)
+    rho2 = np.einsum("mnk,mnk->mn", r, r)
+    rn = np.einsum("mnk,mnk->mn", r, n)
+    rr = r[..., :, None] * r[..., None, :]
+    if kern.family is K.Family.STOKES:
+        return (-3.0 / (4.0 * np.pi)) * (rn / rho2**2.5)[..., None, None] * rr
+    nu = kern.poisson_ratio
+    sym = (1.0 - 2.0 * nu) * (
+        n[..., :, None] * r[..., None, :]
+        - rn[..., None, None] * np.eye(3)
+        - r[..., :, None] * n[..., None, :]
+    )
+    c = 1.0 / (8.0 * np.pi * (1.0 - nu) * rho2**1.5)
+    return c[..., None, None] * (sym - 3.0 * (rn / rho2)[..., None, None] * rr)
+
+
+def _direct_long_double(kern, layer, x, y, normals, density):
+    """The direct sums of kernels.py from the closed forms, in long double.
+
+    layer "conormal" takes x as the field points, normals at x, and y as
+    the charges; "single" and "double" take normals at the sources y.
+    """
+    x, y, normals, density = (np.asarray(a, dtype=np.longdouble) for a in (x, y, normals, density))
+    if layer == "single":
+        r = x[:, None, :] - y[None, :, :]
+        rho = np.sqrt(np.einsum("mnk,mnk->mn", r, r))[..., None, None]
+        if kern.family is K.Family.STOKES:
+            c, diag = 1.0 / (8.0 * np.pi), 1.0
+        else:
+            nu = kern.poisson_ratio
+            c, diag = 1.0 / (16.0 * np.pi * (1.0 - nu)), 3.0 - 4.0 * nu
+        G = c * (diag * np.eye(3) / rho + r[..., :, None] * r[..., None, :] / rho**3)
+        return np.einsum("mnij,nj->mi", G, density)
+    if layer == "double":
+        T = _traction_long_double(kern, y[None, :, :] - x[:, None, :], normals[None, :, :])
+        return -np.einsum("mnji,nj->mi", T, density)
+    T = _traction_long_double(kern, x[:, None, :] - y[None, :, :], normals[:, None, :])
+    return np.einsum("mnij,nj->mi", T, density)
+
+
+# Error at b = 0.2, 0.05 and 0.01 of the test below, relative to the largest
+# value, of sums that form each component K_ij = w r_i r_j from exact
+# differences (with |r|^2 and r . n from the same GEMMs); the test allows
+# twice these.  Expanding r_i r_j in the tile-centred coordinates raises
+# the double-layer errors 2- to 13-fold and fails it.
+_NEAR_ERRORS = {
+    ("stokes", "single"): (5.91e-16, 4.27e-15, 3.22e-14),
+    ("stokes", "double"): (1.00e-14, 3.16e-13, 2.05e-12),
+    ("stokes", "conormal"): (2.94e-14, 3.05e-13, 3.58e-12),
+    ("elasticity", "single"): (6.90e-16, 3.29e-15, 2.42e-14),
+    ("elasticity", "double"): (7.83e-15, 2.40e-13, 1.90e-12),
+    ("elasticity", "conormal"): (2.96e-14, 3.07e-13, 4.28e-12),
+}
+
+
+@pytest.fixture(scope="module")
+def sphere_fine_nodes(unit_sphere_patches):
+    from hedgehog.quadrature import discretize
+    from hedgehog.refinement import uniform_upsample
+
+    return discretize(unit_sphere_patches, 6), discretize(uniform_upsample(unit_sphere_patches, 1), 6)
+
+
+@pytest.mark.parametrize("layer", ["single", "double", "conormal"])
+@pytest.mark.parametrize("kern", [K.STOKES, K.elasticity(0.3)])
+def test_near_source_sums_match_long_double(kern, layer, unit_sphere_patches, sphere_fine_nodes):
+    """Targets at b L inside every patch of the sphere against its fine nodes.
+
+    Each direct sum stays within twice the error of per-component kernel
+    matrices (_NEAR_ERRORS); the error grows as b shrinks because rounding
+    in the tile-centred coordinates scales like |x - c| / |r|.  For the conormal the off-surface points are the
+    charges and the fine nodes the field points.
+    """
+    from hedgehog.geometry.patches import evaluate, normal
+
+    _, fine = sphere_fine_nodes
+    rng = np.random.default_rng(3)
+    pids = np.repeat(np.arange(len(unit_sphere_patches)), 2)
+    params = rng.uniform(-0.8, 0.8, (len(pids), 2))
+    anchors = np.array([evaluate(unit_sphere_patches[p], s, t) for p, (s, t) in zip(pids, params)])
+    normals = np.array([normal(unit_sphere_patches[p], s, t) for p, (s, t) in zip(pids, params)])
+    lengths = unit_sphere_patches.lengths[pids][:, None]
+    y, n_y = fine.positions, fine.normals
+    density = np.stack(
+        [np.sin(2.0 * y[:, 0]) + 1.5, np.cos(y[:, 1]) - 0.3, y[:, 2] ** 2 + 0.4], axis=1
+    ) * fine.weights[:, None]
+    strengths = np.cos(np.arange(3 * len(pids))).reshape(-1, 3)
+    bounds = _NEAR_ERRORS[kern.family.value, layer]
+    for b, parent_error in zip((0.2, 0.05, 0.01), bounds):
+        x = anchors - b * lengths * normals
+        if layer == "single":
+            got = K.apply_single_layer(kern, x, y, density)
+            exact = _direct_long_double(kern, layer, x, y, n_y, density)
+        elif layer == "double":
+            got = K.apply_double_layer(kern, x, y, n_y, density)
+            exact = _direct_long_double(kern, layer, x, y, n_y, density)
+        else:
+            got = K.point_source_conormal(kern, x, strengths, y, n_y)
+            exact = _direct_long_double(kern, layer, y, x, n_y, strengths)
+        error = float(np.abs(got - exact).max() / np.abs(exact).max())
+        assert error <= 2.0 * parent_error, f"b = {b}: {error:.3g}"
+
+
+@pytest.mark.parametrize("layer", ["single", "double"])
+@pytest.mark.parametrize("kern", [K.STOKES, K.elasticity(0.3)])
+def test_identity_block_shares_one_product_per_tile(kern, layer, sphere_fine_nodes):
+    """One coarse patch of the identity the operator build sums.
+
+    Its three components hold the same upsampled basis, so every tile
+    multiplies one shared block; the result must match the columns summed
+    one at a time, and the same block once an extra column per component
+    makes the three components' value arrays distinct.
+    """
+    from hedgehog.quadrature import upsample_density
+
+    coarse, fine = sphere_fine_nodes
+    qq = coarse.q**2
+    rows = np.flatnonzero(np.repeat(fine.patchset.ancestors, fine.q**2) == 0)
+    unit = np.zeros((len(coarse), qq))
+    unit[:qq] = np.eye(qq)
+    basis = upsample_density(coarse, unit, fine)[rows] * fine.weights[rows, None]
+    sources, normals = fine.positions[rows], fine.normals[rows]
+    targets = 0.9 * coarse.positions[:qq] + 0.01
+    shared = np.zeros((len(rows), 3, 3 * qq))
+    for j in range(3):
+        shared[:, j, j::3] = basis
+    rng = np.random.default_rng(4)
+    distinct = np.concatenate([shared, np.zeros((len(rows), 3, 3))], axis=2)
+    for j in range(3):
+        distinct[:, j, 3 * qq + j] = rng.normal(size=len(rows))
+
+    def apply(density):
+        if layer == "single":
+            return K.apply_single_layer(kern, targets, sources, density)
+        return K.apply_double_layer(kern, targets, sources, normals, density)
+
+    out = apply(shared)
+    scale = np.abs(out).max()
+    columns = np.stack([apply(shared[:, :, c]) for c in range(3 * qq)], axis=-1)
+    assert np.abs(out - columns).max() <= 1e-13 * scale
+    apart = apply(distinct)
+    assert np.abs(out - apart[:, :, : 3 * qq]).max() <= 1e-13 * scale
+    extra = np.stack([apply(distinct[:, :, 3 * qq + j]) for j in range(3)], axis=-1)
+    assert np.abs(apart[:, :, 3 * qq :] - extra).max() <= 1e-13 * np.abs(extra).max()

@@ -219,6 +219,33 @@ def test_upsample_trig_density_q_order_decay():
     assert errs[0] > 1e3 * errs[1] > 1e6 * errs[2] or errs[2] < 1e-14
 
 
+def test_upsample_mixed_depths_from_each_coarse_node_set():
+    """One fine node set of depths 1 and 2 read from coarse sets of q = 6, 4, 6.
+
+    The interpolation matrices are cached on the fine node set, so each
+    coarse node set must get its own; every one reproduces a bicubic.
+    """
+    coarse = _flat_patchset()
+    fine = uniform_upsample(coarse, 1).quadrisected([1, 2])
+    fn = discretize(fine, 8)
+    pulled = np.concatenate(
+        [
+            np.stack(p.domain.to_root(*fn.params[i * 64 : (i + 1) * 64].T), axis=1)
+            for i, p in enumerate(fine.patches)
+        ]
+    )
+    cs = np.random.default_rng(6).normal(size=(4, 4))
+
+    def poly(params):
+        return np.polynomial.polynomial.polyval2d(params[:, 0], params[:, 1], cs)
+
+    for q in (6, 4, 6):
+        cn = discretize(coarse, q)
+        up = upsample_density(cn, np.stack([poly(cn.params), 2.0 * poly(cn.params)], 1), fn)
+        assert np.abs(up[:, 0] - poly(pulled)).max() < 1e-12 * np.abs(poly(pulled)).max()
+        assert np.abs(up[:, 1] - 2.0 * up[:, 0]).max() < 1e-14 * np.abs(up).max()
+
+
 def test_upsample_requires_lineage():
     coarse = _flat_patchset()
     cn = discretize(coarse, 6)

@@ -10,6 +10,8 @@ from hedgehog.spatial import (
     closest_point_on_patch,
     closest_points,
     grid_triangles,
+    patch_normals,
+    patch_points,
     point_triangle_sqdist,
     surface_index,
     triangle_proxies,
@@ -18,7 +20,9 @@ from hedgehog.geometry.patches import (
     PatchSet,
     Subdomain,
     characteristic_length,
+    evaluate,
     fit_patch,
+    normal,
 )
 
 
@@ -334,3 +338,21 @@ def test_triangle_proxies_cover_patches(unit_sphere_patches):
     per_patch = 2 * 7 * 7
     assert len(proxies.patch_ids) == per_patch * len(unit_sphere_patches)
     assert proxies.vertices.shape == (len(proxies.patch_ids), 3, 3)
+
+
+def test_patch_frames_match_the_per_patch_evaluation(unit_sphere_patches, flat_square_patch):
+    """Batched points and normals over two degrees and both orientations
+    against the one-patch evaluate and normal, pair by pair."""
+    from dataclasses import replace
+
+    flipped = replace(flat_square_patch, orientation=-1.0)
+    patchset = PatchSet(list(unit_sphere_patches) + [flat_square_patch, flipped])
+    rng = np.random.default_rng(8)
+    pids = rng.integers(0, len(patchset), 200)
+    params = rng.uniform(-1.0, 1.0, (200, 2))
+    points = patch_points(patchset, pids, params)
+    normals = patch_normals(patchset, pids, params)
+    for k, (p, (s, t)) in enumerate(zip(pids, params)):
+        assert np.abs(points[k] - evaluate(patchset[p], s, t)).max() < 1e-14
+        assert np.abs(normals[k] - normal(patchset[p], s, t)).max() < 1e-14
+    assert patch_normals(patchset, pids[:0], params[:0]).shape == (0, 3)

@@ -79,7 +79,8 @@ def test_workloads_build_from_a_seed(perfbench):
         make(1)
 
 
-def test_traced_solve_sums_the_fine_set_once(perfbench):
+@pytest.mark.parametrize("family", ["LAPLACE", "STOKES"])
+def test_traced_solve_sums_the_fine_set_once(perfbench, family):
     """A solve makes one matvec, and its pair count is the benchmark's formula."""
     tracing, workloads = perfbench
     from hedgehog import kernels as K
@@ -88,12 +89,13 @@ def test_traced_solve_sums_the_fine_set_once(perfbench):
     from hedgehog.geometry.embeddings import constant_boundary_condition, sphere_mesh
     from hedgehog.refinement import AdmissibilityConfig
 
+    kernel = getattr(K, family)
     b, p, q = 0.2, workloads.P, 4
     system = solver.assemble(
         solver.BVProblem(
-            kernel=K.LAPLACE,
+            kernel=kernel,
             geometry=sphere_mesh(0.8, per_face=1),
-            boundary_condition=constant_boundary_condition(1.0),
+            boundary_condition=constant_boundary_condition(np.ones(kernel.d)),
             degree=10,
             admissibility=AdmissibilityConfig(
                 eps_geometry=1e-2, eps_boundary=1e-1, b=b, a=b / 6, p=p, q=q
@@ -109,7 +111,7 @@ def test_traced_solve_sums_the_fine_set_once(perfbench):
     assert tracer.counts["solver.matvec.calls"] == 1
     pairs = 2 * (p + 1) * len(system.nodes) * len(system.fine_nodes)
     assert tracer.counts["backends.pairs"] == pairs
-    solve_workload = workloads.WORKLOADS["laplace-solve"](1)
+    solve_workload = workloads.WORKLOADS[f"{kernel.family.value}-solve"](1)
     assert solve_workload.expected_pairs(system, tracer.counts) == pairs
 
 
