@@ -3,8 +3,10 @@
 Near-surface potentials are computed at p + 1 collinear check points placed
 along the surface normal at the target's closest surface point, using smooth
 quadrature on the upsampled patch set, then extrapolated back to the target
-with the first-kind barycentric formula.  Far and intermediate targets
-dispatch to plain smooth quadrature on the coarse and fine sets.
+with the first-kind barycentric formula.  Far targets get plain smooth
+quadrature on the coarse nodes; intermediate targets and the check points of
+near and on-surface targets are summed on the upsampled set through
+quadrature.upsampled_potential, the same sum the operator build makes.
 """
 
 from dataclasses import dataclass, fields
@@ -20,7 +22,6 @@ from .kernels import LAPLACE, KernelFamily
 from .quadrature import (
     QuadratureNodeSet,
     smooth_potential,
-    upsample_density,
     upsampled_potential,
 )
 from .spatial import closest_point_global_bulk, patch_normals, patch_points
@@ -208,34 +209,21 @@ def evaluate_one_sided(
 ):
     """Zone-dispatched evaluation of a layer potential at marked targets.
 
-    Far targets use coarse smooth quadrature, intermediate targets the fine
-    (upsampled) quadrature, near/on-surface targets the extrapolated
-    evaluation with the limit taken from the domain side.  Targets on the
-    wrong side of the surface get value 0 and a False entry in the returned
-    mask.
+    density is given at the coarse nodes, one (N, d) field ((N,) when
+    d = 1) or, for layer "combined", a (single, double) pair.  Far targets use coarse smooth
+    quadrature.  Intermediate targets and the check points of near and
+    on-surface targets are stacked into one upsampled_potential sum on the
+    fine set; the near rows are then extrapolated to their targets, with
+    the limit taken from the domain side.  Targets on the wrong side of the
+    surface get value 0 and a False entry in the returned mask.
 
     Returns (values (M, d), evaluated_mask (M,)).
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     backend = backend or default_backend()
-    m = len(targets)
-    d = kernel.d
-    values = np.zeros((m, d))
+    values = np.zeros((len(targets), kernel.d))
     in_domain = labels.inside if domain_side == "interior" else ~labels.inside
     mask = in_domain.copy()
-
-    if layer == "combined":
-        density = (
-            np.asarray(density[0], float).reshape(len(coarse_nodes), -1),
-            np.asarray(density[1], float).reshape(len(coarse_nodes), -1),
-        )
-        fine_density = (
-            upsample_density(coarse_nodes, density[0], fine_nodes),
-            upsample_density(coarse_nodes, density[1], fine_nodes),
-        )
-    else:
-        density = np.asarray(density, float).reshape(len(coarse_nodes), -1)
-        fine_density = upsample_density(coarse_nodes, density, fine_nodes)
 
     far = np.flatnonzero((labels.zone == Zone.FAR) & in_domain)
     if len(far):
@@ -243,22 +231,22 @@ def evaluate_one_sided(
             kernel, layer, coarse_nodes, density, targets[far], backend
         )
     mid = np.flatnonzero((labels.zone == Zone.INTERMEDIATE) & in_domain)
-    if len(mid):
-        values[mid] = smooth_potential(
-            kernel, layer, fine_nodes, fine_density, targets[mid], backend
-        )
     near = np.flatnonzero((labels.zone == Zone.NEAR) & in_domain)
-    if len(near):
+    if len(mid) or len(near):
         patchset = coarse_nodes.patchset
         pids = labels.patch_ids[near]
         anchors, normals = _surface_frames(patchset, pids, labels.params[near])
         lengths = patchset.lengths[pids]
         sign = -1.0 if domain_side == "interior" else 1.0
-        pts = opts.points(anchors, normals, lengths, sign)
-        cvals = smooth_potential(kernel, layer, fine_nodes, fine_density, pts, backend)
-        ray, step = opts.spacings(lengths)
-        t_x = (np.linalg.norm(targets[near] - anchors, axis=1) - ray) / step
-        values[near] = _extrapolate_rows(cvals, t_x, opts.p)
+        pts = np.concatenate([targets[mid], opts.points(anchors, normals, lengths, sign)])
+        sums = upsampled_potential(
+            kernel, layer, coarse_nodes, density, fine_nodes, pts, backend
+        ).reshape(len(pts), -1)
+        values[mid] = sums[: len(mid)]
+        if len(near):
+            ray, step = opts.spacings(lengths)
+            t_x = (np.linalg.norm(targets[near] - anchors, axis=1) - ray) / step
+            values[near] = _extrapolate_rows(sums[len(mid) :], t_x, opts.p)
     return values, mask
 
 
@@ -310,24 +298,3 @@ def average_limits(
     interior = _extrapolate_rows(cvals[: m * (opts.p + 1)], t_x, opts.p)
     exterior = _extrapolate_rows(cvals[m * (opts.p + 1) :], t_x, opts.p)
     return 0.5 * (interior + exterior)
-
-
-def read_targets(path) -> np.ndarray:
-    """Read target points from a text file with `x y z` lines."""
-    pts = np.loadtxt(path, ndmin=2)
-    if pts.shape[1] != 3:
-        raise UsageError("target files carry three columns: x y z")
-    return pts
-
-
-def write_target_values(path, targets, labels: ZoneLabels, values):
-    """Write `x y z inside zone v_1..v_d` lines."""
-    zone_names = {Zone.FAR: "far", Zone.INTERMEDIATE: "intermediate", Zone.NEAR: "near"}
-    values = np.atleast_2d(values)
-    with open(path, "w") as fh:
-        for j, (x, y, z) in enumerate(np.atleast_2d(targets)):
-            vals = " ".join(f"{v:.17g}" for v in values[j])
-            fh.write(
-                f"{x:.17g} {y:.17g} {z:.17g} "
-                f"{int(labels.inside[j])} {zone_names[Zone(labels.zone[j])]} {vals}\n"
-            )

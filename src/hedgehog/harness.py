@@ -278,6 +278,34 @@ def _write_summary(config, rows, eoc, report, extra=""):
         fh.write(report.to_text() if report is not None else "")
 
 
+def _solution_error(config, system, density, ref, opts, backend):
+    """Error of a solved density against the reference field.
+
+    Evaluates the solution at (a subsample of) an independent, slightly
+    coarser node set on the same surface.  Returns the max relative error
+    and the evaluation rate in targets per second per core.
+    """
+    eval_nodes = discretize(system.coarse, max(4, config.q - 2))
+    pick = _subsample(len(eval_nodes), config.target_subsample)
+    targets = eval_nodes.positions[pick]
+    labels = _take_labels(surface_node_labels(eval_nodes), pick)
+    t0 = time.perf_counter()
+    values, _ = evaluate_one_sided(
+        targets,
+        labels,
+        system.problem.kernel,
+        density.values,
+        system.nodes,
+        system.fine_nodes,
+        opts,
+        backend,
+    )
+    dt = time.perf_counter() - t0
+    exact = ref.field(targets)
+    err = np.abs(values - exact).max() / np.abs(exact).max()
+    return float(err), len(pick) / dt / _cores()
+
+
 # ---------------------------------------------------------------------------
 # Solver convergence
 # ---------------------------------------------------------------------------
@@ -309,25 +337,7 @@ def run_solver_convergence(config: ExperimentConfig, backend=None):
         )
         system = assemble_from_sets(problem, coarse, fine)
         density, solve_report = solve(system, backend)
-        # independent, slightly coarser node set on the same surface
-        q_eval = max(4, config.q - 2)
-        eval_nodes = discretize(coarse, q_eval)
-        pick = _subsample(len(eval_nodes), config.target_subsample)
-        labels = _take_labels(surface_node_labels(eval_nodes), pick)
-        t0 = time.perf_counter()
-        values, _ = evaluate_one_sided(
-            eval_nodes.positions[pick],
-            labels,
-            kernel,
-            density.values,
-            system.nodes,
-            system.fine_nodes,
-            opts,
-            backend,
-        )
-        dt = time.perf_counter() - t0
-        exact = ref.field(eval_nodes.positions[pick])
-        err = np.abs(values - exact).max() / np.abs(exact).max()
+        err, rate = _solution_error(config, system, density, ref, opts, backend)
         rows.append(
             (
                 level,
@@ -335,9 +345,9 @@ def run_solver_convergence(config: ExperimentConfig, backend=None):
                 len(system.nodes),
                 solve_report.iterations,
                 float(solve_report.final_residual),
-                float(err),
+                err,
                 float(coarse.lengths.max()),
-                len(pick) / dt / _cores(),
+                rate,
             )
         )
     eoc = fit_convergence_order([r[6] for r in rows], [r[5] for r in rows])
@@ -494,24 +504,7 @@ def run_target_precision_sweep(config: ExperimentConfig, backend=None):
         system = assemble(problem)
         report = system.refinement_report
         density, solve_report = solve(system, backend)
-        q_eval = max(4, config.q - 2)
-        eval_nodes = discretize(system.coarse, q_eval)
-        pick = _subsample(len(eval_nodes), config.target_subsample)
-        labels = _take_labels(surface_node_labels(eval_nodes), pick)
-        t0 = time.perf_counter()
-        values, _ = evaluate_one_sided(
-            eval_nodes.positions[pick],
-            labels,
-            kernel,
-            density.values,
-            system.nodes,
-            system.fine_nodes,
-            opts,
-            backend,
-        )
-        dt = time.perf_counter() - t0
-        exact = ref.field(eval_nodes.positions[pick])
-        achieved = float(np.abs(values - exact).max() / np.abs(exact).max())
+        achieved, rate = _solution_error(config, system, density, ref, opts, backend)
         row = (
             eps,
             float(b),
@@ -519,7 +512,7 @@ def run_target_precision_sweep(config: ExperimentConfig, backend=None):
             len(system.coarse),
             len(system.fine),
             solve_report.iterations,
-            len(pick) / dt / _cores(),
+            rate,
         )
         print(
             f"eps_target={eps:g} b={b:.4f} achieved={achieved:.3e} "

@@ -92,10 +92,13 @@ def smooth_potential(
 ):
     """Direct quadrature of the layer potential at off-surface targets.
 
-    density has shape (N, d) or (N,), or holds k densities as (N, d, k),
-    which gives d * k result columns; layer "combined" (Laplace) takes a
-    (single, double) density pair and sums both layers in one sweep.
-    Targets must be disjoint from the nodes.
+    Sums over the node set as given, with the density at those nodes: the
+    coarse far-field sum and the winding number.  A density given at the
+    coarse nodes and summed on the upsampled set goes through
+    upsampled_potential instead.  density has shape (N, d) or (N,), or
+    holds k densities as (N, d, k), which gives d * k result columns; layer
+    "combined" (Laplace) takes a (single, double) density pair and sums both
+    layers in one sweep.  Targets must be disjoint from the nodes.
     """
     backend = backend or default_backend()
     if layer == "combined":
@@ -196,37 +199,45 @@ def upsampled_potential(
 ):
     """Smooth quadrature on the fine set of a density given at the coarse nodes.
 
-    Sums sum_j K(X, F_j) (W U_j phi_j) over the coarse patches j, where F_j
-    are the fine nodes of patch j, U_j the cached interpolation onto them
-    and W their weights: each patch's density block is upsampled by one
-    GEMM onto its own fine nodes only, and summed only into the density
-    columns that are nonzero on that patch.  The pairs are those of one sum
-    over the fine set; for a block with local support, such as the
-    identity, the GEMM flops drop by the number of coarse patches, and the
-    dense fine copy of the block is never formed.  layer is "single" or
-    "double"; density is (N, d), (N, d, k) or (N, d * k) and the result
-    keeps its trailing shape.  Targets must be disjoint from the fine nodes.
+    The one sum over an upsampled set: the operator build and off-surface
+    evaluation both go through it.  Sums sum_j K(X, F_j) (W U_j phi_j) over
+    the coarse patches j, where F_j are the fine nodes of patch j, U_j the
+    cached interpolation onto them and W their weights: each patch's density
+    block is upsampled by one GEMM onto its own fine nodes only, and summed
+    only into the density columns that are nonzero on that patch.  The pairs
+    are those of one sum over the fine set; for a block with local support,
+    such as the identity, the GEMM flops drop by the number of coarse
+    patches, and the dense fine copy of the block is never formed.  layer is
+    "single", "double" or "combined" (Laplace), which takes a (single,
+    double) pair of densities of one shape and sums both layers in one
+    backend call per patch, into the union of their nonzero columns.
+    density is (N,), (N, d), (N, d, k) or (N, d * k) and the result keeps
+    its trailing shape.  Targets must be disjoint from the fine nodes.
     """
     backend = backend or default_backend()
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     check_pairs(len(targets) * len(fine_nodes))
     matrices = _upsampling(nodes, fine_nodes)
     d = kernel.d
-    block, shape = density_columns(density, len(nodes), d)
-    out = np.zeros((len(targets), d, block.shape[2]))
+    parts = density if layer == "combined" else (density,)
+    blocks, shapes = zip(*(density_columns(part, len(nodes), d) for part in parts))
+    out = np.zeros((len(targets), d, blocks[0].shape[2]))
     qq = nodes.q**2
     for j, (rows, up) in enumerate(matrices):
-        local = block[j * qq : (j + 1) * qq]
-        if not local.any() or not len(rows):
+        local = [block[j * qq : (j + 1) * qq] for block in blocks]
+        if not len(rows) or not any(part.any() for part in local):
             continue
-        cols = nonzero_columns(local)
-        fine = up @ local[:, :, cols].reshape(qq, -1)
-        fine *= fine_nodes.weights[rows, None]
+        cols = nonzero_columns(np.stack(local))
+        weighted = []
+        for part in local:
+            fine = up @ part[:, :, cols].reshape(qq, -1)
+            fine *= fine_nodes.weights[rows, None]
+            weighted.append(fine.reshape(len(rows), d, -1))
         out[:, :, cols] += backend.potential(
             kernel, layer, fine_nodes.positions[rows], fine_nodes.normals[rows],
-            fine.reshape(len(rows), d, -1), targets,
+            tuple(weighted) if layer == "combined" else weighted[0], targets,
         )
-    return out.reshape((len(targets),) + shape)
+    return out.reshape((len(targets),) + shapes[0])
 
 
 def quadrature_error_heuristic(h: float, k: int, q: int, variation: float) -> float:

@@ -527,13 +527,6 @@ def required_check_points(
     )
 
 
-def near_zone_boxes(patchset: PatchSet):
-    """Near-zone bounding boxes: control boxes inflated by 2 L(P)."""
-    lo, hi = patchset.control_boxes()
-    margin = 2.0 * patchset.lengths
-    return lo - margin[:, None], hi + margin[:, None]
-
-
 def _pairs_within_length(fine, rows_all, ids_all, check_points, eps_opt):
     """(check rows, patch ids) of the pairs with dist(check, patch) < L(patch).
 

@@ -32,7 +32,6 @@ from hedgehog.refinement import (
     UpsamplingConfig,
     adaptive_upsample,
     enforce_admissibility,
-    near_zone_boxes,
     refine_for_geometry,
     required_check_points,
 )
@@ -418,9 +417,11 @@ def test_criterion_8_refinement_correctness(admissible_sphere):
     checks = required_check_points(coarse, nodes, cfg)
     rng = np.random.default_rng(2)
     sample = rng.choice(len(checks), size=500, replace=False)
-    lo, hi = near_zone_boxes(fine)
-    tree = AABBTree(lo, hi, np.arange(len(fine)))
+    # control boxes inflated by 2 L(P) gather every pair closer than L(P)
     lengths = fine.lengths
+    lo, hi = fine.control_boxes()
+    margin = 2.0 * lengths[:, None]
+    tree = AABBTree(lo - margin, hi + margin, np.arange(len(fine)))
     audit = True
     rows, ids = tree.query_points_bulk(checks[sample])
     for pid in np.unique(ids):

@@ -9,9 +9,7 @@ from hedgehog.evaluation import (
     evaluate_one_sided,
     evaluate_two_sided,
     mark_points,
-    read_targets,
     surface_node_labels,
-    write_target_values,
 )
 from hedgehog.geometry.patches import PatchSet, Subdomain, characteristic_length, fit_patch
 from hedgehog.quadrature import discretize, smooth_potential, upsample_density
@@ -287,21 +285,3 @@ def test_mark_points_torus_shell_matches_distance_oracle(torus_patches):
     got_near = labels.zone == Zone.NEAR
     assert np.array_equal(got_near[culled], near[culled])
 
-
-def test_target_file_round_trip(tmp_path, sphere_system):
-    coarse, fine, nodes, fine_nodes, opts = sphere_system
-    targets = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [1.5, 0.0, 0.0]])
-    path = tmp_path / "targets.txt"
-    np.savetxt(path, targets)
-    loaded = read_targets(path)
-    assert np.abs(loaded - targets).max() < 1e-15
-    labels = mark_points(loaded, nodes, 1e-6)
-    vals, _ = evaluate_one_sided(
-        loaded, labels, K.LAPLACE, np.ones(len(nodes)), nodes, fine_nodes, opts
-    )
-    out = tmp_path / "values.txt"
-    write_target_values(out, loaded, labels, vals)
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 3
-    assert lines[0].split()[4] == "far" and lines[0].split()[3] == "1"
-    assert lines[2].split()[3] == "0"

@@ -12,6 +12,7 @@ from hedgehog.quadrature import (
     quadrature_error_heuristic,
     smooth_potential,
     upsample_density,
+    upsampled_potential,
 )
 from hedgehog.references import ReferenceSolution
 from hedgehog.refinement import uniform_upsample
@@ -251,6 +252,36 @@ def test_upsample_requires_lineage():
     cn = discretize(coarse, 6)
     with pytest.raises(UsageError):
         upsample_density(cn, np.ones(len(cn)), cn)
+
+
+@pytest.mark.parametrize("m", [0, 6])
+@pytest.mark.parametrize("layer", ["single", "double", "combined"])
+def test_upsampled_potential_matches_sum_on_upsampled_density(unit_sphere_patches, layer, m):
+    """The per-coarse-patch sum equals smooth quadrature of the upsampled density.
+
+    Two density columns, zero on the first coarse patches; on patch 4 the
+    single-layer density keeps only column 0 and the double-layer density
+    only column 1, so the combined sum must add into the union of both.
+    """
+    q = 6
+    cn = discretize(unit_sphere_patches, q)
+    fn = discretize(uniform_upsample(unit_sphere_patches, 1), q)
+    rng = np.random.default_rng(11)
+    single, double = rng.normal(size=(2, len(cn), 2))
+    single[: 4 * q * q] = double[: 4 * q * q] = 0.0
+    single[4 * q * q : 5 * q * q, 1] = double[4 * q * q : 5 * q * q, 0] = 0.0
+    dirs = rng.normal(size=(m, 3))
+    targets = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * rng.uniform(0.3, 1.7, (m, 1))
+    density = {"single": single, "double": double, "combined": (single, double)}[layer]
+    fine_density = (
+        tuple(upsample_density(cn, part, fn) for part in density)
+        if layer == "combined"
+        else upsample_density(cn, density, fn)
+    )
+    got = upsampled_potential(K.LAPLACE, layer, cn, density, fn, targets)
+    want = smooth_potential(K.LAPLACE, layer, fn, fine_density, targets)
+    assert got.shape == want.shape == (m, 2)
+    assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=1.0)
 
 
 def test_upsampled_far_quadrature_matches_coarse(sphere96):

@@ -12,7 +12,6 @@ from hedgehog.refinement import (
     UpsamplingConfig,
     adaptive_upsample,
     enforce_admissibility,
-    near_zone_boxes,
     refine_for_boundary_condition,
     refine_for_geometry,
     required_check_points,
@@ -217,11 +216,13 @@ def test_adaptive_upsample_distance_audit(unit_sphere_patches):
     rng = np.random.default_rng(8)
     sample = rng.choice(len(checks), size=500, replace=False)
     lengths = fine.lengths
-    # audit: every sampled check point is at least L(P) from every patch
-    lo, hi = near_zone_boxes(fine)
+    # audit: every sampled check point is at least L(P) from every patch;
+    # control boxes inflated by 2 L(P) gather every pair closer than L(P)
+    lo, hi = fine.control_boxes()
+    margin = 2.0 * lengths[:, None]
     from hedgehog.spatial import AABBTree
 
-    tree = AABBTree(lo, hi, np.arange(len(fine)))
+    tree = AABBTree(lo - margin, hi + margin, np.arange(len(fine)))
     rows, ids = tree.query_points_bulk(checks[sample])
     for row, pid in zip(rows, ids):
         res = closest_point_on_patch(fine[pid], checks[sample][row][None, :])
@@ -253,8 +254,9 @@ def _first_screened_sweep(coarse, cfg):
 
     fine = coarse.as_fine().uniform_refined(2)
     checks = required_check_points(coarse, discretize(coarse, cfg.q), cfg)
-    lo, hi = near_zone_boxes(fine)
-    rows, ids = AABBTree(lo, hi, np.arange(len(fine))).query_points_bulk(checks)
+    lo, hi = fine.control_boxes()
+    margin = 2.0 * fine.lengths[:, None]
+    rows, ids = AABBTree(lo - margin, hi + margin, np.arange(len(fine))).query_points_bulk(checks)
     return fine, checks, rows, ids
 
 

@@ -3,7 +3,6 @@ import pytest
 
 import hedgehog.geometry as geo
 from hedgehog.errors import UsageError
-from hedgehog.refinement import near_zone_boxes
 from hedgehog.spatial import (
     AABBTree,
     closest_point_global_bulk,
@@ -19,7 +18,6 @@ from hedgehog.spatial import (
 from hedgehog.geometry.patches import (
     PatchSet,
     Subdomain,
-    characteristic_length,
     evaluate,
     fit_patch,
     normal,
@@ -309,19 +307,6 @@ def test_closest_point_global_torus_matches_per_patch_oracle(torus_patches):
         [closest_point_on_patch(p, pts).distance for p in torus_patches], axis=1
     )
     assert np.abs(dists - all_d.min(axis=1)).max() < 1e-8
-
-
-def test_near_zone_box_contains_near_points(unit_sphere_patches):
-    rng = np.random.default_rng(6)
-    patch = unit_sphere_patches[3]
-    length = characteristic_length(patch)
-    lo, hi = near_zone_boxes(unit_sphere_patches)
-    st = rng.uniform(-1, 1, (1000, 2))
-    on_patch = geo.evaluate(patch, st[:, 0], st[:, 1])
-    offset = rng.normal(size=(1000, 3))
-    offset *= (rng.uniform(0, length, 1000) / np.linalg.norm(offset, axis=1))[:, None]
-    near_pts = on_patch + offset
-    assert np.all((lo[3] <= near_pts) & (near_pts <= hi[3]))
 
 
 def test_patch_box_contains_control_points_and_surface(random_cubic_patch):

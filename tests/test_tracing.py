@@ -115,6 +115,37 @@ def test_traced_solve_sums_the_fine_set_once(perfbench, family):
     assert solve_workload.expected_pairs(system, tracer.counts) == pairs
 
 
+def test_traced_targets_evaluation_sums_each_coarse_patch_once(perfbench, unit_sphere_patches):
+    """Marking and combined-layer evaluation sum the benchmark's pair formula.
+
+    Near and intermediate targets share one fine-set sum, which makes one
+    backend call per coarse patch after the winding number's one call.
+    """
+    tracing, workloads = perfbench
+    from hedgehog.quadrature import discretize
+    from hedgehog.refinement import uniform_upsample
+
+    workload = workloads.WORKLOADS["targets"](1)
+    coarse, q = unit_sphere_patches, workload.options.q
+    fine = uniform_upsample(coarse, 1)
+    nodes, fine_nodes = discretize(coarse, q), discretize(fine, q)
+    ref = workload.reference
+    data = (ref.conormal(nodes.positions, nodes.normals), ref.field(nodes.positions))
+    state = (coarse, fine, nodes, fine_nodes, data)
+    rows = np.array([40, 100, 300, 500, 700])
+    depth = np.array([0.3, 0.6, 1.05, 1.15, -0.5]) * coarse.lengths[nodes.patch_ids[rows]]
+    surface = nodes.positions[rows] - depth[:, None] * nodes.normals[rows]
+    workload.targets = np.vstack([surface, np.zeros((1, 3))])
+    tracer = tracing.Tracer("targets")
+    with tracing.Instrumentation(tracer):
+        labels, _ = workload.run(state)
+    counts = tracer.counts
+    assert counts["evaluation.zone.near"] > 0 and counts["evaluation.zone.intermediate"] > 0
+    assert not labels.inside.all(), "an exterior target is masked out of the sums"
+    assert counts["backends.pairs"] == workload.expected_pairs(state, counts)
+    assert counts["backends.potential.calls"] == 1 + len(coarse)
+
+
 def test_traced_marking_reaches_the_per_point_tree_queries(perfbench, unit_sphere_patches):
     """Marking near-surface targets runs the tree queries the benchmark probes.
 
