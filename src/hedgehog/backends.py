@@ -39,14 +39,12 @@ class DirectBackend:
     def potential(self, kernel, layer, sources, normals, weighted_density, targets):
         """Evaluate sum_I K(x, y_I) sigma_I at targets, sigma = phi * w.
 
-        layer is "single", "double", or "combined"; combined is Laplace only
-        and takes weighted_density as a (sigma_single, sigma_double) pair.
+        layer is "single", "double", or "combined"; combined takes
+        weighted_density as a (sigma_single, sigma_double) pair.
         """
         sources = _as_contig(sources)
         targets = _as_contig(np.atleast_2d(targets))
         if layer == "combined":
-            if kernel.family is not K.Family.LAPLACE:
-                raise UsageError("combined layer sum is Laplace only")
             out = K.apply_combined(
                 kernel, targets, sources, _as_contig(normals),
                 _as_contig(weighted_density[0]), _as_contig(weighted_density[1]),

@@ -109,6 +109,10 @@ class ZoneLabels:
     def __len__(self):
         return len(self.inside)
 
+    def take(self, rows) -> "ZoneLabels":
+        """The labels of the targets rows, in that order."""
+        return ZoneLabels(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
 
 def mark_points(
     targets,

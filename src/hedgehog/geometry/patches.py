@@ -5,7 +5,7 @@ embedding gamma_r restricted to a dyadic subdomain D_i of the root square.
 PatchSets are immutable snapshots; refinement produces new sets.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np

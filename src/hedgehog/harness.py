@@ -15,13 +15,12 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .backends import default_backend
-from .chebyshev import cc_rule, extrapolate
+from .chebyshev import extrapolate
 from .errors import UsageError
 from .evaluation import EvalOptions, evaluate_one_sided, surface_node_labels
 from .geometry.embeddings import QuadMesh, builtin_mesh
 from .geometry.io import read_quad_mesh
-from .geometry.patches import PatchSet
-from .kernels import LAPLACE, PAIR_BUDGET, STOKES, KernelFamily, elasticity
+from .kernels import LAPLACE, STOKES, KernelFamily, elasticity
 from .quadrature import discretize, smooth_potential
 from .references import ReferenceSolution
 from .refinement import (
@@ -29,9 +28,7 @@ from .refinement import (
     RefinementReport,
     UpsamplingConfig,
     adaptive_upsample,
-    enforce_admissibility,
-    refine_for_boundary_condition,
-    refine_for_geometry,
+    coarse_set,
     uniform_upsample,
 )
 from .solver import BVProblem, assemble, assemble_from_sets, solve
@@ -47,6 +44,9 @@ EXPERIMENTS = (
 
 @dataclass
 class ExperimentConfig:
+    """Every experiment option, its type and its default; cli.py builds the
+    command line flags from these fields."""
+
     experiment: str = "greens-identity"
     geometry: str = "builtin:spheroid"
     kernel: str = "laplace"
@@ -57,13 +57,12 @@ class ExperimentConfig:
     a: float | None = None
     b: float = 0.03
     sqrt_scaling: bool = True
-    eps_target: float = 1e-6
-    eps_target_list: tuple = (1e-4, 1e-5, 1e-6)
+    eps_target_list: tuple[float, ...] = (1e-4, 1e-5, 1e-6)
     seed: int = 0
-    out: str | None = None
+    out: str | None = "results"  # None writes no files
     degree: int = 8
     per_face: int = 4
-    torus_quads: tuple = (8, 4)
+    torus_quads: tuple[int, int] = (8, 4)
     upsample_levels: int = 2
     target_subsample: int = 2000  # 0 evaluates at every node
     charges: int = 100
@@ -100,7 +99,6 @@ class ExperimentConfig:
             a=self.a,
             q=self.q,
             sqrt_scaling=self.sqrt_scaling,
-            eps_target=self.eps_target,
         )
 
     def admissibility(self) -> AdmissibilityConfig:
@@ -111,15 +109,6 @@ class ExperimentConfig:
             eps_boundary=self.eps_boundary,
             min_length=self.min_length,
         )
-
-
-def estimated_level_cost(config: ExperimentConfig, n_patches: int) -> float:
-    """Pairs of a level's check-point sum over the uniformly upsampled fine set."""
-    nodes = n_patches * config.q**2
-    targets = config.target_subsample or nodes
-    checks = min(targets, nodes) * (config.p + 1)
-    sources = nodes * 4**config.upsample_levels
-    return float(checks) * float(sources)
 
 
 def fit_convergence_order(lengths, errors) -> float:
@@ -133,11 +122,26 @@ def fit_convergence_order(lengths, errors) -> float:
     return float(slope)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+def _write_outputs(config, name, header, rows, eoc=float("nan"), report=None):
+    """Write <name>.csv into config.out and, when a report is given, the
+    summary with the convergence-order fit and the refinement report."""
+    if not config.out:
+        return
+    os.makedirs(config.out, exist_ok=True)
+    with open(os.path.join(config.out, f"{name}.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+    if report is None:
+        return
+    path = os.path.join(config.out, f"{config.experiment}_summary.txt")
+    with open(path, "w") as fh:
+        fh.write(f"experiment: {config.experiment}\n")
+        fh.write(f"geometry: {config.geometry}\nkernel: {config.kernel}\n")
+        fh.write(f"q={config.q} p={config.p} a={config.a} b={config.b}\n")
+        fh.write(f"estimated convergence order: {eoc:.3f}\n" if eoc == eoc else "")
+    with open(os.path.join(config.out, "refinement_report.txt"), "w") as fh:
+        fh.write(report.to_text())
 
 
 def _subsample(n_total, limit):
@@ -147,24 +151,22 @@ def _subsample(n_total, limit):
     return np.unique((np.arange(limit) * stride).astype(np.int64))
 
 
-def _cores() -> int:
-    return os.cpu_count() or 1
+def _evaluate_at_nodes(config, eval_nodes, kernel, density, nodes, fine_nodes, opts,
+                       backend, layer="double"):
+    """One-sided evaluation at (a subsample of) the surface nodes eval_nodes.
 
-
-def base_coarse_set(config: ExperimentConfig, f=None) -> tuple[PatchSet, RefinementReport]:
-    """Level-0 admissible coarse set for the convergence experiments."""
-    mesh = config.resolve_mesh()
-    report = RefinementReport()
-    adm = config.admissibility()
-    coarse = refine_for_geometry(
-        mesh, config.degree, adm.eps_geometry, report=report
+    Returns the subsampled rows, their values and the evaluation rate in
+    targets per second per core.
+    """
+    pick = _subsample(len(eval_nodes), config.target_subsample)
+    labels = surface_node_labels(eval_nodes).take(pick)
+    t0 = time.perf_counter()
+    values, _ = evaluate_one_sided(
+        eval_nodes.positions[pick], labels, kernel, density, nodes, fine_nodes, opts,
+        backend, layer=layer,
     )
-    if f is not None:
-        coarse = refine_for_boundary_condition(
-            coarse, f, adm.eps_boundary, q=config.q, report=report
-        )
-    coarse = enforce_admissibility(coarse, adm, report=report)
-    return coarse, report
+    rate = len(pick) / (time.perf_counter() - t0) / (os.cpu_count() or 1)
+    return pick, values, rate
 
 
 # ---------------------------------------------------------------------------
@@ -184,38 +186,22 @@ def run_greens_identity(config: ExperimentConfig, backend=None):
     ref = ReferenceSolution.on_sphere(
         kernel, m=config.charges, radius=config.charge_radius, seed=config.seed
     )
-    coarse0, report = base_coarse_set(config)
+    report = RefinementReport()
+    coarse0 = coarse_set(
+        config.resolve_mesh(), config.degree, config.admissibility(), report=report
+    )
     opts = config.eval_options()
     rows = []
     for level in range(config.levels):
         coarse = coarse0.uniform_refined(level)
-        cost = estimated_level_cost(config, len(coarse))
-        if cost > PAIR_BUDGET:
-            raise UsageError(
-                f"level {level} would sum {cost:.3g} pairs, over the budget of "
-                f"{PAIR_BUDGET:.3g} pairs"
-            )
         fine = uniform_upsample(coarse, config.upsample_levels)
         nodes = discretize(coarse, config.q)
         u_c = ref.field(nodes.positions)
         t_c = ref.conormal(nodes.positions, nodes.normals)
-        pick = _subsample(len(nodes), config.target_subsample)
-        targets = nodes.positions[pick]
-        labels = surface_node_labels(nodes)
-        labels = _take_labels(labels, pick)
-        t0 = time.perf_counter()
-        values, _ = evaluate_one_sided(
-            targets,
-            labels,
-            kernel,
-            (t_c, u_c),
-            nodes,
-            discretize(fine, config.q),
-            opts,
-            backend,
-            layer="combined",
+        pick, values, rate = _evaluate_at_nodes(
+            config, nodes, kernel, (t_c, u_c), nodes, discretize(fine, config.q), opts,
+            backend, layer="combined",
         )
-        dt = time.perf_counter() - t0
         scale = np.abs(u_c).max()
         resid = np.abs(values - u_c[pick]).max() / (scale if scale > 0 else 1.0)
         rows.append(
@@ -226,56 +212,27 @@ def run_greens_identity(config: ExperimentConfig, backend=None):
                 len(pick),
                 float(resid),
                 float(coarse.lengths.max()),
-                len(pick) / dt / _cores(),
+                rate,
             )
         )
-    lengths = [r[5] for r in rows]
-    errors = [r[4] for r in rows]
-    eoc = fit_convergence_order(lengths, errors)
-    if config.out:
-        os.makedirs(config.out, exist_ok=True)
-        _write_csv(
-            os.path.join(config.out, "greens-identity.csv"),
-            [
-                "level",
-                "patches",
-                "nodes",
-                "targets",
-                "linf_rel_error",
-                "max_patch_length",
-                "targets_per_sec_per_core",
-            ],
-            rows,
-        )
-        _write_summary(config, rows, eoc, report)
-    return rows, eoc
-
-
-def _take_labels(labels, pick):
-    from .evaluation import ZoneLabels
-
-    return ZoneLabels(
-        inside=labels.inside[pick],
-        zone=labels.zone[pick],
-        patch_ids=labels.patch_ids[pick],
-        params=labels.params[pick],
-        distance=labels.distance[pick],
-        winding=labels.winding[pick],
-        converged=labels.converged[pick],
+    eoc = fit_convergence_order([r[5] for r in rows], [r[4] for r in rows])
+    _write_outputs(
+        config,
+        "greens-identity",
+        [
+            "level",
+            "patches",
+            "nodes",
+            "targets",
+            "linf_rel_error",
+            "max_patch_length",
+            "targets_per_sec_per_core",
+        ],
+        rows,
+        eoc,
+        report,
     )
-
-
-def _write_summary(config, rows, eoc, report, extra=""):
-    path = os.path.join(config.out, f"{config.experiment}_summary.txt")
-    with open(path, "w") as fh:
-        fh.write(f"experiment: {config.experiment}\n")
-        fh.write(f"geometry: {config.geometry}\nkernel: {config.kernel}\n")
-        fh.write(f"q={config.q} p={config.p} a={config.a} b={config.b}\n")
-        fh.write(f"estimated convergence order: {eoc:.3f}\n" if eoc == eoc else "")
-        fh.write(extra)
-    rep_path = os.path.join(config.out, "refinement_report.txt")
-    with open(rep_path, "w") as fh:
-        fh.write(report.to_text() if report is not None else "")
+    return rows, eoc
 
 
 def _solution_error(config, system, density, ref, opts, backend):
@@ -286,24 +243,13 @@ def _solution_error(config, system, density, ref, opts, backend):
     and the evaluation rate in targets per second per core.
     """
     eval_nodes = discretize(system.coarse, max(4, config.q - 2))
-    pick = _subsample(len(eval_nodes), config.target_subsample)
-    targets = eval_nodes.positions[pick]
-    labels = _take_labels(surface_node_labels(eval_nodes), pick)
-    t0 = time.perf_counter()
-    values, _ = evaluate_one_sided(
-        targets,
-        labels,
-        system.problem.kernel,
-        density.values,
-        system.nodes,
-        system.fine_nodes,
-        opts,
-        backend,
+    pick, values, rate = _evaluate_at_nodes(
+        config, eval_nodes, system.problem.kernel, density.values, system.nodes,
+        system.fine_nodes, opts, backend,
     )
-    dt = time.perf_counter() - t0
-    exact = ref.field(targets)
+    exact = ref.field(eval_nodes.positions[pick])
     err = np.abs(values - exact).max() / np.abs(exact).max()
-    return float(err), len(pick) / dt / _cores()
+    return float(err), rate
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +265,10 @@ def run_solver_convergence(config: ExperimentConfig, backend=None):
         kernel, m=config.charges, radius=config.charge_radius, seed=config.seed
     )
     f = ref.boundary_condition()
-    coarse0, report = base_coarse_set(config)
-    opts = config.eval_options()
     adm = config.admissibility()
+    report = RefinementReport()
+    coarse0 = coarse_set(config.resolve_mesh(), config.degree, adm, report=report)
+    opts = config.eval_options()
     rows = []
     for level in range(config.levels):
         coarse = coarse0.uniform_refined(level)
@@ -351,23 +298,23 @@ def run_solver_convergence(config: ExperimentConfig, backend=None):
             )
         )
     eoc = fit_convergence_order([r[6] for r in rows], [r[5] for r in rows])
-    if config.out:
-        os.makedirs(config.out, exist_ok=True)
-        _write_csv(
-            os.path.join(config.out, "solve.csv"),
-            [
-                "level",
-                "patches",
-                "nodes",
-                "gmres_iterations",
-                "gmres_residual",
-                "linf_rel_error",
-                "max_patch_length",
-                "targets_per_sec_per_core",
-            ],
-            rows,
-        )
-        _write_summary(config, rows, eoc, report)
+    _write_outputs(
+        config,
+        "solve",
+        [
+            "level",
+            "patches",
+            "nodes",
+            "gmres_iterations",
+            "gmres_residual",
+            "linf_rel_error",
+            "max_patch_length",
+            "targets_per_sec_per_core",
+        ],
+        rows,
+        eoc,
+        report,
+    )
     return rows, eoc
 
 
@@ -404,30 +351,33 @@ def run_extrapolation_sweep(
                 spacing = ss * ray / p
                 err = extrapolation_error(ray, spacing, p, rho)
                 rows.append((p, float(rr), float(ss), float(np.log10(max(err, 1e-17)))))
-    if config.out:
-        os.makedirs(config.out, exist_ok=True)
-        _write_csv(
-            os.path.join(config.out, "extrapolation-sweep.csv"),
-            ["p", "R_over_rho", "rp_over_R", "log10_rel_error"],
-            rows,
-        )
+    _write_outputs(
+        config,
+        "extrapolation-sweep",
+        ["p", "R_over_rho", "rp_over_R", "log10_rel_error"],
+        rows,
+    )
     return rows
 
 
-def choose_b(eps_target: float, p: int = 6, lam: float = 1.0, safety: float = 1.0,
-             b_min: float = 0.02, b_max: float = 0.30) -> float:
+B_MIN, B_MAX = 0.02, 0.30  # the range of spacing factors choose_b searches
+LAM = 1.0  # singularity distance behind the surface, in patch lengths
+SAFETY = 1.0  # discount on the target for the gap between the sweep and real kernels
+
+
+def choose_b(eps_target: float, p: int = 6) -> float:
     """Largest spacing factor whose sweep error stays under the target.
 
     Reads the p-order stability map along rp/R = 1 with the singularity
-    distance taken as lam patch lengths; safety discounts the target to
+    distance taken as LAM patch lengths; SAFETY discounts the target to
     absorb the difference between the toy sweep and real kernels.
     """
-    grid = np.linspace(b_min, b_max, 200)
-    best = b_min
+    grid = np.linspace(B_MIN, B_MAX, 200)
+    best = B_MIN
     for b in grid:
-        ray = (b / lam) * 0.1
+        ray = (b / LAM) * 0.1
         err = extrapolation_error(ray, ray / p, p, rho=-0.1)
-        if err <= safety * eps_target:
+        if err <= SAFETY * eps_target:
             best = b
     return float(best)
 
@@ -440,8 +390,10 @@ def choose_b(eps_target: float, p: int = 6, lam: float = 1.0, safety: float = 1.
 def run_constant_density(config: ExperimentConfig, backend=None):
     """Interior double layer of a unit density on an admissible sphere."""
     backend = backend or default_backend()
-    coarse, report = base_coarse_set(config)
-    fine = adaptive_upsample(coarse, UpsamplingConfig(), config.admissibility(), report=report)
+    adm = config.admissibility()
+    report = RefinementReport()
+    coarse = coarse_set(config.resolve_mesh(), config.degree, adm, report=report)
+    fine = adaptive_upsample(coarse, UpsamplingConfig(), adm, report=report)
     nodes = discretize(coarse, config.q)
     fine_nodes = discretize(fine, config.q)
     opts = config.eval_options()
@@ -458,14 +410,13 @@ def run_constant_density(config: ExperimentConfig, backend=None):
         ("surface_max_error", surface_err, len(coarse), len(fine)),
         ("center_error", center_err, len(coarse), len(fine)),
     ]
-    if config.out:
-        os.makedirs(config.out, exist_ok=True)
-        _write_csv(
-            os.path.join(config.out, "constant-density.csv"),
-            ["check", "error", "coarse_patches", "fine_patches"],
-            rows,
-        )
-        _write_summary(config, rows, float("nan"), report)
+    _write_outputs(
+        config,
+        "constant-density",
+        ["check", "error", "coarse_patches", "fine_patches"],
+        rows,
+        report=report,
+    )
     return rows
 
 
@@ -490,7 +441,7 @@ def run_target_precision_sweep(config: ExperimentConfig, backend=None):
     report = RefinementReport()
     for eps in config.eps_target_list:
         b = choose_b(eps, p=config.p)
-        point = replace(config, b=b, a=None, sqrt_scaling=False, eps_target=eps)
+        point = replace(config, b=b, a=None, sqrt_scaling=False)
         opts = point.eval_options()
         problem = BVProblem(
             kernel=kernel,
@@ -521,22 +472,21 @@ def run_target_precision_sweep(config: ExperimentConfig, backend=None):
             flush=True,
         )
         rows.append(row)
-    if config.out:
-        os.makedirs(config.out, exist_ok=True)
-        _write_csv(
-            os.path.join(config.out, "target-precision-sweep.csv"),
-            [
-                "eps_target",
-                "b",
-                "achieved_error",
-                "coarse_patches",
-                "fine_patches",
-                "gmres_iterations",
-                "targets_per_sec_per_core",
-            ],
-            rows,
-        )
-        _write_summary(config, rows, float("nan"), report)
+    _write_outputs(
+        config,
+        "target-precision-sweep",
+        [
+            "eps_target",
+            "b",
+            "achieved_error",
+            "coarse_patches",
+            "fine_patches",
+            "gmres_iterations",
+            "targets_per_sec_per_core",
+        ],
+        rows,
+        report=report,
+    )
     return rows
 
 

@@ -97,7 +97,7 @@ def smooth_potential(
     coarse nodes and summed on the upsampled set goes through
     upsampled_potential instead.  density has shape (N, d) or (N,), or
     holds k densities as (N, d, k), which gives d * k result columns; layer
-    "combined" (Laplace) takes a (single, double) density pair and sums both
+    "combined" takes a (single, double) density pair and sums both
     layers in one sweep.  Targets must be disjoint from the nodes.
     """
     backend = backend or default_backend()
@@ -208,9 +208,9 @@ def upsampled_potential(
     are those of one sum over the fine set; for a block with local support,
     such as the identity, the GEMM flops drop by the number of coarse
     patches, and the dense fine copy of the block is never formed.  layer is
-    "single", "double" or "combined" (Laplace), which takes a (single,
-    double) pair of densities of one shape and sums both layers in one
-    backend call per patch, into the union of their nonzero columns.
+    "single", "double" or "combined", which takes a (single, double) pair of
+    densities of one shape and sums both layers in one backend call per
+    patch, into the union of their nonzero columns.
     density is (N,), (N, d), (N, d, k) or (N, d * k) and the result keeps
     its trailing shape.  Targets must be disjoint from the fine nodes.
     """

@@ -502,6 +502,25 @@ def enforce_admissibility(
     return current
 
 
+def coarse_set(
+    mesh: QuadMesh,
+    degree: int,
+    cfg: AdmissibilityConfig,
+    f: BoundaryCondition | None = None,
+    report: RefinementReport | None = None,
+) -> PatchSet:
+    """The admissible coarse set of a mesh: the geometry fit, then the
+    boundary-condition refinement when f is given, then admissibility.
+
+    Every stage holds to cfg's tolerances, max_depth and min_length.
+    """
+    limits = dict(max_depth=cfg.max_depth, min_length=cfg.min_length, report=report)
+    coarse = refine_for_geometry(mesh, degree, cfg.eps_geometry, **limits)
+    if f is not None:
+        coarse = refine_for_boundary_condition(coarse, f, cfg.eps_boundary, q=cfg.q, **limits)
+    return enforce_admissibility(coarse, cfg, report=report)
+
+
 # ---------------------------------------------------------------------------
 # Adaptive upsampling
 # ---------------------------------------------------------------------------

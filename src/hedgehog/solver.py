@@ -36,9 +36,7 @@ from .refinement import (
     RefinementReport,
     UpsamplingConfig,
     adaptive_upsample,
-    enforce_admissibility,
-    refine_for_boundary_condition,
-    refine_for_geometry,
+    coarse_set,
     uniform_upsample,
 )
 
@@ -116,24 +114,9 @@ def assemble(problem: BVProblem) -> AssembledSystem:
     """Run the refinement pipeline and sample the boundary condition."""
     report = RefinementReport()
     adm = problem.admissibility
-    coarse = refine_for_geometry(
-        problem.geometry,
-        problem.degree,
-        adm.eps_geometry,
-        max_depth=adm.max_depth,
-        min_length=adm.min_length,
-        report=report,
+    coarse = coarse_set(
+        problem.geometry, problem.degree, adm, problem.boundary_condition, report
     )
-    coarse = refine_for_boundary_condition(
-        coarse,
-        problem.boundary_condition,
-        adm.eps_boundary,
-        q=adm.q,
-        max_depth=adm.max_depth,
-        min_length=adm.min_length,
-        report=report,
-    )
-    coarse = enforce_admissibility(coarse, adm, report=report)
     if problem.uniform_levels is not None:
         fine = uniform_upsample(coarse, problem.uniform_levels)
     else:

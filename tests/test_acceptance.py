@@ -11,7 +11,7 @@ import pytest
 
 import hedgehog.geometry as geo
 from hedgehog import kernels as K
-from hedgehog.chebyshev import extrapolate, extrapolation_weights
+from hedgehog.chebyshev import extrapolate
 from hedgehog.evaluation import (
     EvalOptions,
     average_limits,

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from hedgehog import kernels as K
 from hedgehog.evaluation import (
     EvalOptions,
     Zone,
+    ZoneLabels,
     evaluate_one_sided,
     evaluate_two_sided,
     mark_points,
@@ -246,6 +249,23 @@ def test_mark_points_records_unconverged_closest_points(unit_sphere_patches, mon
     starved = mark_points(targets, nodes, 1e-6)
     assert np.count_nonzero(~starved.converged[searched]) > 0
     assert starved.converged[~searched].all()
+
+
+def test_zone_labels_take_keeps_every_field_in_row_order():
+    m = 5
+    labels = ZoneLabels(
+        inside=np.arange(m) % 2 == 0,
+        zone=np.arange(m) % 3,
+        patch_ids=np.arange(m) + 10,
+        params=np.arange(2 * m, dtype=float).reshape(m, 2),
+        distance=np.arange(m) / 7.0,
+        winding=np.arange(m) / 3.0,
+        converged=np.arange(m) != 3,
+    )
+    rows = np.array([3, 0, 3])
+    taken = labels.take(rows)
+    for f in fields(ZoneLabels):
+        assert np.array_equal(getattr(taken, f.name), getattr(labels, f.name)[rows]), f.name
 
 
 def test_mark_points_partition(sphere_system):

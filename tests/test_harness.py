@@ -1,11 +1,14 @@
 import csv
 import os
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from hedgehog import kernels as K
 from hedgehog.cli import build_parser, config_from_args, main
+from hedgehog.errors import UsageError
 from hedgehog.harness import (
     ExperimentConfig,
     choose_b,
@@ -64,6 +67,58 @@ def test_greens_identity_zero_charges_zero_residual(tmp_path):
     )
     rows, eoc = run_greens_identity(config)
     assert rows[0][4] == 0.0
+
+
+def _small_sphere(**overrides):
+    """Green's identity on the 6-quad sphere: 24 admissible patches at q = 6."""
+    settings = dict(
+        experiment="greens-identity",
+        geometry="builtin:sphere",
+        per_face=1,
+        degree=8,
+        levels=1,
+        q=6,
+        b=0.2,
+        a=0.2 / 6,
+        upsample_levels=1,
+        charges=5,
+        charge_radius=1.8,
+        target_subsample=40,
+        eps_geometry=1e-3,
+        out=None,
+    )
+    settings.update(overrides)
+    return ExperimentConfig(**settings)
+
+
+def test_greens_identity_geometry_stage_honours_min_length(tmp_path):
+    # at eps_geometry 1e-5 the fit splits the six quads; a length floor
+    # above every patch stops it at the quads and says so in the report
+    config = _small_sphere(eps_geometry=1e-5, min_length=10.0, out=str(tmp_path))
+    with pytest.warns(UserWarning, match="geometry refinement stopped by min_length"):
+        rows, _ = run_greens_identity(config)
+    assert rows[0][1] == 6
+    report = (tmp_path / "refinement_report.txt").read_text()
+    assert "geometry sweep 0: 6 patches" in report
+    assert "warning: geometry refinement stopped by min_length" in report
+
+
+def test_greens_identity_over_the_pair_budget_names_the_pair_count(monkeypatch):
+    config = _small_sphere()
+    checks = config.target_subsample * (config.p + 1)
+    fine_nodes = 24 * 4**config.upsample_levels * config.q**2
+    pairs = checks * fine_nodes
+    monkeypatch.setattr(K, "PAIR_BUDGET", pairs - 1)
+    with pytest.raises(UsageError, match=re.escape(f"{pairs:.3g} pairs exceeds the budget")):
+        run_greens_identity(config)
+
+
+@pytest.mark.parametrize("kernel", ["stokes", "elasticity"])
+def test_greens_identity_vector_kernels_converge(kernel):
+    config = _small_sphere(kernel=kernel, levels=2, q=8, target_subsample=100)
+    rows, _ = run_greens_identity(config)
+    assert [r[1] for r in rows] == [24, 96]
+    assert rows[1][4] < rows[0][4]
 
 
 def test_extrapolation_sweep_rows_and_monotonicity(tmp_path):
@@ -133,6 +188,13 @@ def test_cli_parser_round_trip():
     assert config.experiment == "greens-identity"
     assert config.q == 12 and config.seed == 3
     assert config.torus_quads == (4, 2)
+
+
+def test_cli_defaults_equal_experiment_config():
+    defaults = ExperimentConfig()
+    config = config_from_args(build_parser().parse_args([defaults.experiment]))
+    for f in fields(ExperimentConfig):
+        assert getattr(config, f.name) == getattr(defaults, f.name), f.name
 
 
 def test_cli_extrapolation_sweep_smoke(tmp_path, capsys):

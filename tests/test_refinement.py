@@ -4,7 +4,7 @@ import pytest
 import hedgehog.geometry as geo
 from hedgehog import kernels as K
 from hedgehog.geometry.embeddings import constant_boundary_condition
-from hedgehog.geometry.patches import PatchSet, Subdomain, fit_patch
+from hedgehog.geometry.patches import PatchSet
 from hedgehog.references import ReferenceSolution
 from hedgehog.refinement import (
     AdmissibilityConfig,

@@ -10,16 +10,14 @@ from hedgehog import kernels as K
 from hedgehog.backends import DirectBackend
 from hedgehog.chebyshev import extrapolation_weights
 from hedgehog.errors import UsageError
-from hedgehog.evaluation import EvalOptions, Zone
+from hedgehog.evaluation import EvalOptions
 from hedgehog.geometry.embeddings import constant_boundary_condition
-from hedgehog.geometry.patches import PatchSet, Subdomain, fit_patch
 from hedgehog.references import ReferenceSolution
-from hedgehog.refinement import AdmissibilityConfig, UpsamplingConfig, uniform_upsample
+from hedgehog.refinement import AdmissibilityConfig, UpsamplingConfig
 from hedgehog.solver import (
     EPS_GMRES,
     BVProblem,
     assemble,
-    assemble_from_sets,
     evaluate_solution,
     matvec,
     solve,
