@@ -18,32 +18,35 @@ from .embeddings import QuadMesh
 LENGTH_RULE_ORDER = 20
 
 
+def dyadic_points(depth: int, i: int, u):
+    """Points u of [-1, 1] carried onto the i-th of the 2^depth dyadic
+    intervals of [-1, 1], whose centre is -1 + (2i + 1) 2^-depth."""
+    h = 0.5**depth
+    return -1.0 + (2 * i + 1) * h + h * np.asarray(u)
+
+
 @dataclass(frozen=True)
 class Subdomain:
-    """Dyadic square D inside a root square E_r = [-1, 1]^2."""
+    """Dyadic square D inside a root square E_r = [-1, 1]^2.
 
-    center_s: float = 0.0
-    center_t: float = 0.0
-    halfwidth: float = 1.0
+    The integer key (depth, ix, iy) names the square: at depth k the root
+    is cut into 2^k x 2^k squares, and (ix, iy) counts them from the corner
+    (-1, -1).
+    """
+
+    depth: int = 0
+    ix: int = 0
+    iy: int = 0
+
+    @property
+    def halfwidth(self) -> float:
+        return 0.5**self.depth
 
     def to_root(self, s, t):
-        return self.center_s + self.halfwidth * np.asarray(s), \
-            self.center_t + self.halfwidth * np.asarray(t)
+        return dyadic_points(self.depth, self.ix, s), dyadic_points(self.depth, self.iy, t)
 
     def quadrant(self, s_upper: bool, t_upper: bool) -> "Subdomain":
-        h = 0.5 * self.halfwidth
-        return Subdomain(
-            self.center_s + (h if s_upper else -h),
-            self.center_t + (h if t_upper else -h),
-            h,
-        )
-
-    def relative_to(self, ancestor: "Subdomain"):
-        """(center offsets, scale) of self expressed in ancestor coordinates."""
-        h = self.halfwidth / ancestor.halfwidth
-        cs = (self.center_s - ancestor.center_s) / ancestor.halfwidth
-        ct = (self.center_t - ancestor.center_t) / ancestor.halfwidth
-        return cs, ct, h
+        return Subdomain(self.depth + 1, 2 * self.ix + s_upper, 2 * self.iy + t_upper)
 
 
 @dataclass
@@ -53,7 +56,6 @@ class SurfacePatch:
     coeffs: np.ndarray  # (n+1, n+1, 3), first axis along s
     root_id: int
     domain: Subdomain = field(default_factory=Subdomain)
-    depth: int = 0
     orientation: float = 1.0
     fit_error: float = np.nan
     _length: float | None = field(default=None, repr=False, compare=False)
@@ -61,6 +63,10 @@ class SurfacePatch:
     @property
     def degree(self) -> int:
         return self.coeffs.shape[0] - 1
+
+    @property
+    def depth(self) -> int:
+        return self.domain.depth
 
 
 def evaluate(patch: SurfacePatch, s, t) -> np.ndarray:
@@ -144,7 +150,6 @@ def quadrisect_all(patches) -> list[list[SurfacePatch]]:
                     coeffs=c[j],
                     root_id=p.root_id,
                     domain=p.domain.quadrant(s_up, t_up),
-                    depth=p.depth + 1,
                     orientation=p.orientation,
                     fit_error=p.fit_error,
                 )
@@ -153,18 +158,10 @@ def quadrisect_all(patches) -> list[list[SurfacePatch]]:
     return out
 
 
-def characteristic_length(patch: SurfacePatch, q: int = LENGTH_RULE_ORDER) -> float:
-    """Square root of the patch surface area (q x q Clenshaw-Curtis)."""
-    if patch._length is None or q != LENGTH_RULE_ORDER:
-        rule = cc_rule(q)
-        ss, tt = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-        g = metric_det(patch, ss.ravel(), tt.ravel()).reshape(q, q)
-        area = float(np.sum(np.sqrt(g) * np.outer(rule.weights, rule.weights)))
-        length = float(np.sqrt(area))
-        if q != LENGTH_RULE_ORDER:
-            return length
-        patch._length = length
-    return patch._length
+def characteristic_length(patch: SurfacePatch) -> float:
+    """Square root of the patch surface area: the one-patch case of
+    PatchSet.lengths, sharing its cache."""
+    return float(PatchSet([patch]).lengths[0])
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +198,6 @@ def fit_patch(
     root_id: int,
     domain: Subdomain,
     n: int,
-    depth: int = 0,
     orientation: float = 1.0,
 ) -> SurfacePatch:
     """Least-squares bidegree-(n, n) fit of gamma over a dyadic subdomain.
@@ -234,7 +230,6 @@ def fit_patch(
         coeffs=coeffs,
         root_id=root_id,
         domain=domain,
-        depth=depth,
         orientation=orientation,
         fit_error=float(err),
     )
@@ -249,13 +244,13 @@ class PatchSet:
     """Ordered, immutable collection of patches plus refinement lineage.
 
     For fine (upsampled) sets, ancestors[i] is the index of the coarse patch
-    that fine patch i descends from; coarse sets carry ancestors = None.
+    that fine patch i descends from, nondecreasing in i, so the fine patches
+    of each coarse patch form one contiguous run; coarse sets carry
+    ancestors = None.
     """
 
-    def __init__(self, patches, role="coarse", mesh: QuadMesh | None = None,
-                 ancestors=None):
+    def __init__(self, patches, mesh: QuadMesh | None = None, ancestors=None):
         self.patches = list(patches)
-        self.role = role
         self.mesh = mesh
         self.ancestors = None if ancestors is None else np.asarray(ancestors, dtype=np.int64)
         self._groups = None
@@ -288,7 +283,7 @@ class PatchSet:
     @property
     def lengths(self) -> np.ndarray:
         """Characteristic length L(P) per patch (cached, batch computed)."""
-        if self._lengths is None or len(self._lengths) != len(self.patches):
+        if self._lengths is None:
             rule = cc_rule(LENGTH_RULE_ORDER)
             w2 = np.outer(rule.weights, rule.weights).ravel()
             out = np.empty(len(self.patches))
@@ -336,21 +331,11 @@ class PatchSet:
             for child in split.get(i, [p]):
                 patches.append(child)
                 ancestors.append(anc)
-        return PatchSet(
-            patches,
-            role=self.role,
-            mesh=self.mesh,
-            ancestors=ancestors if has_anc else None,
-        )
+        return PatchSet(patches, mesh=self.mesh, ancestors=ancestors if has_anc else None)
 
     def as_fine(self) -> "PatchSet":
-        """Fine-role copy with identity lineage into this coarse set."""
-        return PatchSet(
-            list(self.patches),
-            role="fine",
-            mesh=self.mesh,
-            ancestors=np.arange(len(self.patches)),
-        )
+        """Copy with identity lineage into this coarse set."""
+        return PatchSet(self.patches, mesh=self.mesh, ancestors=np.arange(len(self.patches)))
 
     def quadrisected(self, indices) -> "PatchSet":
         """New set where each listed patch gives way to its quadrisect children."""
@@ -365,9 +350,3 @@ class PatchSet:
             out = out.quadrisected(range(len(out)))
         return out
 
-
-def surface_area(patchset: PatchSet, q: int = LENGTH_RULE_ORDER) -> float:
-    lengths = patchset.lengths
-    return float(np.sum(lengths**2)) if q == LENGTH_RULE_ORDER else float(
-        sum(characteristic_length(p, q) ** 2 for p in patchset)
-    )

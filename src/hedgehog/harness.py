@@ -267,7 +267,7 @@ def run_solver_convergence(config: ExperimentConfig, backend=None):
     f = ref.boundary_condition()
     adm = config.admissibility()
     report = RefinementReport()
-    coarse0 = coarse_set(config.resolve_mesh(), config.degree, adm, report=report)
+    coarse0 = coarse_set(config.resolve_mesh(), config.degree, adm, f, report)
     opts = config.eval_options()
     rows = []
     for level in range(config.levels):

@@ -14,7 +14,7 @@ from .backends import default_backend
 from .chebyshev import cc_rule, chebyshev_interpolation_matrix
 from .errors import DegenerateGeometryError, UsageError
 from .geometry import bezier
-from .geometry.patches import PatchSet
+from .geometry.patches import PatchSet, dyadic_points
 from .kernels import check_pairs, density_columns, nonzero_columns
 
 _MIN_SQRTG = 1e-300
@@ -119,15 +119,14 @@ def smooth_potential(
 @lru_cache(maxsize=None)
 def _interp_1d(q_coarse: int, q_fine: int, depth: int, offset: int) -> np.ndarray:
     """1D Chebyshev interpolation matrix onto a dyadic subinterval's nodes."""
-    h = 0.5**depth
-    center = -1.0 + (2 * offset + 1) * h
-    t = center + h * cc_rule(q_fine).nodes
-    return chebyshev_interpolation_matrix(q_coarse, t)
+    return chebyshev_interpolation_matrix(
+        q_coarse, dyadic_points(depth, offset, cc_rule(q_fine).nodes)
+    )
 
 
 def _upsampling(coarse_nodes: QuadratureNodeSet, fine_nodes: QuadratureNodeSet):
     """Per coarse patch j: (rows, U_j), U_j (len(rows), q_c^2) interpolating
-    its node values onto its own fine nodes fine_nodes[rows].
+    its node values onto its own fine nodes fine_nodes[rows], a slice.
 
     U_j stacks kron(A_s, A_t) of the cached 1D factors over the fine patches
     that descend from j.  Built once per (coarse, fine) pair of node sets and
@@ -137,32 +136,30 @@ def _upsampling(coarse_nodes: QuadratureNodeSet, fine_nodes: QuadratureNodeSet):
     cached = fine_nodes._upsampling
     if cached is not None and cached[0] is coarse_nodes:
         return cached[1]
-    fine_set = fine_nodes.patchset
-    if fine_set.ancestors is None:
+    ancestors = fine_nodes.patchset.ancestors
+    if ancestors is None:
         raise UsageError("fine patch set carries no lineage to a coarse set")
+    if np.any(np.diff(ancestors) < 0):
+        raise UsageError("fine patches are not grouped by coarse ancestor")
     qc, qf = coarse_nodes.q, fine_nodes.q
-    ancestors = fine_set.ancestors
-    order = np.argsort(ancestors, kind="stable")
-    bounds = np.searchsorted(ancestors[order], np.arange(len(coarse_nodes.patchset) + 1))
+    bounds = np.searchsorted(ancestors, np.arange(len(coarse_nodes.patchset) + 1))
     matrices, shared = [], {}
     for j, coarse in enumerate(coarse_nodes.patchset):
-        patches = order[bounds[j] : bounds[j + 1]]
+        lo, hi = int(bounds[j]), int(bounds[j + 1])
+        base = coarse.domain
         keys = []
-        for g in patches:
-            # fine patch g is the dyadic square (ix, iy) at depth of patch j
-            cs, ct, h = fine_set[int(g)].domain.relative_to(coarse.domain)
-            depth = int(round(-np.log2(h)))
-            ix = int(round(((cs + 1.0) / h - 1.0) / 2.0))
-            iy = int(round(((ct + 1.0) / h - 1.0) / 2.0))
-            keys.append((depth, ix, iy))
+        for fine in fine_nodes.patchset.patches[lo:hi]:
+            # the fine patch's dyadic square, keyed inside patch j's square
+            dom = fine.domain
+            k = dom.depth - base.depth
+            keys.append((k, dom.ix - (base.ix << k), dom.iy - (base.iy << k)))
         keys = tuple(keys)
         if keys not in shared:
             shared[keys] = np.concatenate(
                 [np.empty((0, qc * qc))]
                 + [np.kron(_interp_1d(qc, qf, k, ix), _interp_1d(qc, qf, k, iy)) for k, ix, iy in keys]
             )
-        rows = (patches[:, None] * (qf * qf) + np.arange(qf * qf)).ravel()
-        matrices.append((rows, shared[keys]))
+        matrices.append((slice(lo * qf * qf, hi * qf * qf), shared[keys]))
     fine_nodes._upsampling = (coarse_nodes, matrices)
     return matrices
 
@@ -225,14 +222,14 @@ def upsampled_potential(
     qq = nodes.q**2
     for j, (rows, up) in enumerate(matrices):
         local = [block[j * qq : (j + 1) * qq] for block in blocks]
-        if not len(rows) or not any(part.any() for part in local):
+        if not len(up) or not any(part.any() for part in local):
             continue
         cols = nonzero_columns(np.stack(local))
         weighted = []
         for part in local:
             fine = up @ part[:, :, cols].reshape(qq, -1)
             fine *= fine_nodes.weights[rows, None]
-            weighted.append(fine.reshape(len(rows), d, -1))
+            weighted.append(fine.reshape(len(up), d, -1))
         out[:, :, cols] += backend.potential(
             kernel, layer, fine_nodes.positions[rows], fine_nodes.normals[rows],
             tuple(weighted) if layer == "combined" else weighted[0], targets,

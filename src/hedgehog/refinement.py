@@ -119,15 +119,13 @@ def refine_for_geometry(
     stopped = []
     unresolved = []
     for root_id, emb in enumerate(mesh.embeddings):
-        queue = [(Subdomain(), 0)]
+        queue = [Subdomain()]
         while queue:
-            domain, depth = queue.pop()
-            patch = fit_patch(
-                emb, root_id, domain, degree, depth=depth, orientation=mesh.orientation
-            )
+            domain = queue.pop()
+            patch = fit_patch(emb, root_id, domain, degree, orientation=mesh.orientation)
             if patch.fit_error < eps_geometry:
                 patches.append(patch)
-            elif depth >= max_depth:
+            elif domain.depth >= max_depth:
                 unresolved.append(len(patches))
                 patches.append(patch)
             elif min_length > 0.0 and characteristic_length(patch) / 2.0 < min_length:
@@ -136,13 +134,13 @@ def refine_for_geometry(
             else:
                 for s_up in (False, True):
                     for t_up in (False, True):
-                        queue.append((domain.quadrant(s_up, t_up), depth + 1))
+                        queue.append(domain.quadrant(s_up, t_up))
     if unresolved:
         raise RefinementError(
             f"geometry fit did not converge at max depth {max_depth}",
             offenders=unresolved,
         )
-    out = PatchSet(patches, role="coarse", mesh=mesh)
+    out = PatchSet(patches, mesh=mesh)
     if stopped:
         msg = f"geometry refinement stopped by min_length on patches {stopped}"
         warnings.warn(msg)
@@ -214,14 +212,7 @@ def _split(patchset: PatchSet, indices) -> PatchSet:
         p = patchset[i]
         emb = patchset.mesh.embeddings[p.root_id]
         split[i] = [
-            fit_patch(
-                emb,
-                p.root_id,
-                p.domain.quadrant(s_up, t_up),
-                p.degree,
-                depth=p.depth + 1,
-                orientation=p.orientation,
-            )
+            fit_patch(emb, p.root_id, p.domain.quadrant(s_up, t_up), p.degree, p.orientation)
             for t_up in (False, True)
             for s_up in (False, True)
         ]

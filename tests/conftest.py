@@ -12,7 +12,7 @@ def unit_sphere_patches():
     patches = [
         fit_patch(emb, r, Subdomain(), 12) for r, emb in enumerate(mesh.embeddings)
     ]
-    return PatchSet(patches, role="coarse", mesh=mesh)
+    return PatchSet(patches, mesh=mesh)
 
 
 @pytest.fixture(scope="session")
@@ -43,4 +43,4 @@ def torus_patches():
     patches = [
         fit_patch(emb, r, Subdomain(), 16) for r, emb in enumerate(mesh.embeddings)
     ]
-    return PatchSet(patches, role="coarse", mesh=mesh)
+    return PatchSet(patches, mesh=mesh)

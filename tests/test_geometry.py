@@ -65,8 +65,9 @@ def test_quadrisect_children_reproduce_parent(random_cubic_patch):
     for child in children:
         dom = child.domain
         # pull parent params into the child frame where they overlap
-        sc = (st[:, 0] - dom.center_s) / dom.halfwidth
-        tc = (st[:, 1] - dom.center_t) / dom.halfwidth
+        cs, ct = dom.to_root(0.0, 0.0)
+        sc = (st[:, 0] - cs) / dom.halfwidth
+        tc = (st[:, 1] - ct) / dom.halfwidth
         mask = (np.abs(sc) <= 1) & (np.abs(tc) <= 1)
         vals = geo.evaluate(child, sc[mask], tc[mask])
         assert np.abs(vals - parent_vals[mask]).max() < 1e-12
@@ -145,11 +146,8 @@ def test_fit_constant_map_gives_equal_control_points():
 def test_sphere_face_fit_error_decreases_under_quadrisection():
     mesh = geo.sphere_mesh(1.0, per_face=1)
     errs = []
-    for depth, dom in enumerate(
-        [Subdomain(), Subdomain().quadrant(False, False),
-         Subdomain().quadrant(False, False).quadrant(False, False)]
-    ):
-        errs.append(fit_patch(mesh.embeddings[0], 0, dom, 8, depth=depth).fit_error)
+    for dom in [Subdomain(0, 0, 0), Subdomain(1, 0, 0), Subdomain(2, 0, 0)]:
+        errs.append(fit_patch(mesh.embeddings[0], 0, dom, 8).fit_error)
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-6  # a depth-2 sphere-face cell resolves at degree 8
     # geometric decay roughly like 4^{-c n} per level
@@ -172,6 +170,29 @@ def test_characteristic_length_sphere_sextant():
     assert characteristic_length(patch) == pytest.approx(
         np.sqrt(4.0 * np.pi / 6.0), abs=1e-6
     )
+
+
+def test_characteristic_length_does_not_depend_on_call_order(unit_sphere_patches):
+    """characteristic_length is the one-patch case of PatchSet.lengths: the
+    same bits whichever of the two fills the patch's cache first."""
+
+    def fresh(p):
+        return SurfacePatch(coeffs=p.coeffs, root_id=p.root_id, domain=p.domain)
+
+    for patch in unit_sphere_patches:
+        a, b = fresh(patch), fresh(patch)
+        one_first = characteristic_length(a)
+        set_first = PatchSet([b]).lengths[0]
+        assert PatchSet([a]).lengths[0] == one_first
+        assert characteristic_length(b) == set_first
+        assert one_first == set_first
+    # in a set, whichever runs first fills the cache that the other reads
+    ps = PatchSet([fresh(p) for p in unit_sphere_patches])
+    each = [characteristic_length(p) for p in ps]
+    assert ps.lengths.tolist() == each
+    ps = PatchSet([fresh(p) for p in unit_sphere_patches])
+    lengths = ps.lengths.tolist()
+    assert [characteristic_length(p) for p in ps] == lengths
 
 
 def test_degenerate_jacobian_raises():

@@ -16,6 +16,7 @@ from hedgehog.harness import (
     fit_convergence_order,
     run_extrapolation_sweep,
     run_greens_identity,
+    run_solver_convergence,
 )
 from hedgehog.references import ReferenceSolution
 
@@ -101,6 +102,17 @@ def test_greens_identity_geometry_stage_honours_min_length(tmp_path):
     report = (tmp_path / "refinement_report.txt").read_text()
     assert "geometry sweep 0: 6 patches" in report
     assert "warning: geometry refinement stopped by min_length" in report
+
+
+def test_solve_refines_for_the_boundary_condition(tmp_path):
+    # the six quads' 24 patches resolve the point-charge data to 1e-3 but
+    # not to 1e-4, where one of them splits
+    config = _small_sphere(experiment="solve", eps_boundary=1e-4, out=str(tmp_path))
+    rows, _ = run_solver_convergence(config)
+    assert rows[0][1] == 27
+    report = (tmp_path / "refinement_report.txt").read_text()
+    assert "boundary-condition sweep 0: 24 patches" in report
+    assert "boundary-condition sweep 1: 27 patches" in report
 
 
 def test_greens_identity_over_the_pair_budget_names_the_pair_count(monkeypatch):

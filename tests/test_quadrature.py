@@ -254,6 +254,46 @@ def test_upsample_requires_lineage():
         upsample_density(cn, np.ones(len(cn)), cn)
 
 
+def _keyed_plate_set():
+    """Plate patches on the dyadic squares (1, 1, 0) and (2, 0, 3) of one root."""
+    emb = geo.plate_embedding([-1, -1, 0], [2, 0, 0], [0, 2, 0])
+    doms = (Subdomain(1, 1, 0), Subdomain(2, 0, 3))
+    return PatchSet([fit_patch(emb, 0, d, 5) for d in doms], mesh=geo.QuadMesh([emb]))
+
+
+def test_upsample_below_coarse_patches_off_the_root_corner():
+    """Fine keys are read inside each coarse patch's own square: a bicubic
+    in root parameters is reproduced at every fine node."""
+    coarse = _keyed_plate_set()
+    fine = uniform_upsample(coarse, 1).quadrisected([0, 5])
+    q = 6
+    cn, fn = discretize(coarse, q), discretize(fine, q)
+
+    def root_params(nodes, ps):
+        return np.concatenate([
+            np.stack(p.domain.to_root(*nodes.params[i * q * q : (i + 1) * q * q].T), axis=1)
+            for i, p in enumerate(ps)
+        ])
+
+    cs = np.random.default_rng(7).normal(size=(4, 4))
+
+    def poly(params):
+        return np.polynomial.polynomial.polyval2d(params[:, 0], params[:, 1], cs)
+
+    exact = poly(root_params(fn, fine))
+    up = upsample_density(cn, poly(root_params(cn, coarse)), fn)
+    assert np.abs(up - exact).max() < 1e-12 * np.abs(exact).max()
+
+
+def test_upsample_requires_fine_patches_grouped_by_ancestor():
+    coarse = _keyed_plate_set()
+    fine = uniform_upsample(coarse, 1)
+    shuffled = PatchSet(fine.patches[::-1], mesh=fine.mesh, ancestors=fine.ancestors[::-1])
+    cn = discretize(coarse, 6)
+    with pytest.raises(UsageError, match="grouped by coarse ancestor"):
+        upsample_density(cn, np.ones(len(cn)), discretize(shuffled, 6))
+
+
 @pytest.mark.parametrize("m", [0, 6])
 @pytest.mark.parametrize("layer", ["single", "double", "combined"])
 def test_upsampled_potential_matches_sum_on_upsampled_density(unit_sphere_patches, layer, m):

@@ -60,13 +60,15 @@ def test_refine_for_geometry_monotone_in_tolerance():
         covering = [
             q
             for q in loose
-            if q.root_id == p.root_id
-            and abs(q.domain.center_s - p.domain.center_s)
-            <= q.domain.halfwidth - p.domain.halfwidth + 1e-12
-            and abs(q.domain.center_t - p.domain.center_t)
-            <= q.domain.halfwidth - p.domain.halfwidth + 1e-12
+            if q.root_id == p.root_id and _contains(q.domain, p.domain)
         ]
         assert len(covering) == 1 and covering[0].depth <= p.depth
+
+
+def _contains(outer, inner):
+    """Whether dyadic square inner lies in dyadic square outer."""
+    k = inner.depth - outer.depth
+    return k >= 0 and (inner.ix >> k, inner.iy >> k) == (outer.ix, outer.iy)
 
 
 def test_bc_refinement_constant_is_identity():
@@ -235,6 +237,35 @@ def test_uniform_upsample_counts_and_lineage(unit_sphere_patches):
     assert fine.ancestors is not None
     counts = np.bincount(fine.ancestors)
     assert np.all(counts == 16)
+
+
+def _float_centre(domain):
+    """The centre of a dyadic square by float halving from the root, as a
+    walk down the quadtree computes it."""
+    cs = ct = 0.0
+    h = 1.0
+    for level in reversed(range(domain.depth)):
+        h *= 0.5
+        cs += h if (domain.ix >> level) & 1 else -h
+        ct += h if (domain.iy >> level) & 1 else -h
+    return cs, ct
+
+
+def test_fine_keys_descend_from_their_ancestors():
+    coarse = refine_for_geometry(geo.spheroid_mesh(per_face=1), 6, 1e-4)
+    assert len(coarse) == 96 and {p.depth for p in coarse} == {2}
+    adm = AdmissibilityConfig(b=0.2, a=0.2 / 6, q=6)
+    checks = required_check_points(coarse, discretize(coarse, adm.q), adm)
+    # a sparse sample of the check points leaves fine patches at two depths
+    adaptive = adaptive_upsample(coarse, UpsamplingConfig(), adm, checks[::501])
+    assert {p.depth for p in adaptive} == {4, 5}
+    for fine in (uniform_upsample(coarse, 2), adaptive):
+        assert np.all(np.diff(fine.ancestors) >= 0)
+        for p, a in zip(fine, fine.ancestors):
+            assert p.root_id == coarse[a].root_id
+            assert _contains(coarse[a].domain, p.domain)
+            centre = p.domain.to_root(0.0, 0.0)
+            assert [float(c).hex() for c in centre] == [c.hex() for c in _float_centre(p.domain)]
 
 
 def test_refinement_report_text():

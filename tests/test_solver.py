@@ -249,7 +249,7 @@ def test_solution_reproduces_boundary_data():
     pick = np.arange(0, len(system.nodes), 7)
     vals, _ = evaluate_one_sided(
         system.nodes.positions[pick],
-        _take(labels, pick),
+        labels.take(pick),
         K.LAPLACE,
         density.values,
         system.nodes,
@@ -257,19 +257,6 @@ def test_solution_reproduces_boundary_data():
         system.problem.options,
     )
     assert np.abs(vals - system.rhs[pick]).max() < 1e-4
-
-
-def _take(labels, pick):
-    from hedgehog.evaluation import ZoneLabels
-
-    return ZoneLabels(
-        inside=labels.inside[pick],
-        zone=labels.zone[pick],
-        patch_ids=labels.patch_ids[pick],
-        params=labels.params[pick],
-        distance=labels.distance[pick],
-        winding=labels.winding[pick],
-    )
 
 
 def test_evaluate_solution_far_interior_point():
