@@ -7,14 +7,13 @@ from .embeddings import (
     BoundaryCondition,
     QuadMesh,
     builtin_mesh,
-    check_conforming,
     constant_boundary_condition,
     plate_embedding,
     sphere_mesh,
     spheroid_mesh,
     torus_mesh,
 )
-from .io import read_quad_mesh, write_quad_mesh
+from .io import read_quad_mesh
 from .patches import (
     PatchSet,
     Subdomain,
@@ -23,7 +22,6 @@ from .patches import (
     derivatives,
     evaluate,
     fit_patch,
-    metric_det,
     normal,
     quadrisect,
 )
@@ -38,7 +36,6 @@ __all__ = [
     "SurfacePatch",
     "bernstein_matrix",
     "builtin_mesh",
-    "check_conforming",
     "characteristic_length",
     "constant_boundary_condition",
     "derivatives",
@@ -46,7 +43,6 @@ __all__ = [
     "eval_points",
     "evaluate",
     "fit_patch",
-    "metric_det",
     "normal",
     "plate_embedding",
     "quadrisect",
@@ -56,5 +52,4 @@ __all__ = [
     "subdivide",
     "subdivision_matrix",
     "torus_mesh",
-    "write_quad_mesh",
 ]

@@ -255,69 +255,6 @@ def plate_embedding(origin, edge_s, edge_t) -> AnalyticEmbedding:
     return AnalyticEmbedding(position, jacobian)
 
 
-def check_conforming(mesh: QuadMesh, samples: int = 33, tol: float = 1e-9) -> bool:
-    """Verify that non-disjoint quads share whole edges or single vertices.
-
-    Samples each quad's boundary; two quads that touch must either match
-    along entire sampled edges (possibly reversed) or meet only at shared
-    corners, and no corner may fall on the interior of another quad's
-    edge (T junctions).  Quads wrapping a closed direction in two panels
-    legitimately share two opposite edges, so only vertex contacts beyond
-    shared edges are counted.
-    """
-    t = np.linspace(-1.0, 1.0, samples)
-    ones = np.ones_like(t)
-    edges = []
-    corners = []
-    for emb in mesh.embeddings:
-        quad_edges = [
-            emb.position(t, -ones),
-            emb.position(t, ones),
-            emb.position(-ones, t),
-            emb.position(ones, t),
-        ]
-        edges.append([np.asarray(e) for e in quad_edges])
-        corners.append(
-            np.asarray(
-                [
-                    emb.position(np.array([s]), np.array([u]))[0]
-                    for s in (-1, 1)
-                    for u in (-1, 1)
-                ]
-            )
-        )
-
-    def edge_match(e1, e2):
-        return np.abs(e1 - e2).max() < tol or np.abs(e1 - e2[::-1]).max() < tol
-
-    def corner_on_edge_interior(c, edge):
-        inner = edge[1:-1]
-        return np.linalg.norm(inner - c, axis=1).min() < max(
-            tol, 1e-6 * np.linalg.norm(edge[-1] - edge[0])
-        )
-
-    n = mesh.n_quads
-    for i in range(n):
-        for j in range(i + 1, n):
-            matched_j = [
-                any(edge_match(a, b) for a in edges[i]) for b in edges[j]
-            ]
-            matched_i = [
-                any(edge_match(b, a) for b in edges[j]) for a in edges[i]
-            ]
-            # a corner of one quad on the interior of the other's
-            # unmatched edge is a T junction
-            for c in corners[j]:
-                for a, used in zip(edges[i], matched_i):
-                    if not used and corner_on_edge_interior(c, a):
-                        return False
-            for c in corners[i]:
-                for b, used in zip(edges[j], matched_j):
-                    if not used and corner_on_edge_interior(c, b):
-                        return False
-    return True
-
-
 def builtin_mesh(name: str, **kwargs) -> QuadMesh:
     """Resolve builtin:{sphere, spheroid, torus} geometry names."""
     name = name.lower()

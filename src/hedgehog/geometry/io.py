@@ -9,21 +9,6 @@ import numpy as np
 from .embeddings import BezierEmbedding, QuadMesh
 
 
-def write_quad_mesh(path, mesh: QuadMesh):
-    degrees = {e.degree for e in mesh.embeddings}
-    if len(degrees) != 1:
-        raise ValueError("geometry files hold a single common degree")
-    n = degrees.pop()
-    with open(path, "w") as fh:
-        fh.write(f"degree {n}\n")
-        fh.write(f"quads {len(mesh.embeddings)}\n")
-        for r, emb in enumerate(mesh.embeddings):
-            for l in range(n + 1):
-                for m in range(n + 1):
-                    x, y, z = emb.coeffs[l, m]
-                    fh.write(f"{r} {l} {m} {x:.17g} {y:.17g} {z:.17g}\n")
-
-
 def read_quad_mesh(path) -> QuadMesh:
     with open(path) as fh:
         tokens = fh.read().split()

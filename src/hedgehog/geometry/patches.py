@@ -108,13 +108,6 @@ def normal(patch: SurfacePatch, s, t) -> np.ndarray:
     return patch.orientation * cr / norm
 
 
-def metric_det(patch: SurfacePatch, s, t):
-    """Determinant of the metric tensor, g = |dP/ds x dP/dt|^2."""
-    ps, pt = derivatives(patch, s, t)
-    cr = np.cross(ps, pt)
-    return np.einsum("...k,...k->...", cr, cr)
-
-
 # (s upper, t upper) of the quadrisection children, in child order
 _QUADRANTS = ((False, False), (True, False), (False, True), (True, True))
 
@@ -296,7 +289,8 @@ class PatchSet:
                     ps = bezier.eval_grid(sub, b1, b0).reshape(len(missing), -1, 3)
                     pt = bezier.eval_grid(sub, b0, b1).reshape(len(missing), -1, 3)
                     sqrtg = np.linalg.norm(np.cross(ps, pt), axis=2)
-                    areas = sqrtg @ w2
+                    # a per-row sum, so a patch's L does not depend on its batch
+                    areas = (sqrtg * w2).sum(axis=1)
                     for k, a in zip(missing, areas):
                         self.patches[idx[k]]._length = float(np.sqrt(a))
                 for k, i in enumerate(idx):

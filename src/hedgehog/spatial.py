@@ -4,19 +4,29 @@ The AABB tree is a median-split bounding volume hierarchy over item boxes.
 Each of its queries (query_points_bulk, query_box, nearest_triangle)
 answers a whole stack of points or boxes in one level-synchronous traversal
 and returns exactly the brute-force answer over the stored primitives.
+nearest_triangle gathers only the triangle boxes that meet the ball of its
+upper bound (widened by slack), not the ball's bounding cube.
 closest_point_global_bulk calls nearest_triangle and query_box once for
-all its points; refinement calls query_points_bulk and query_box.
+all its points, and keeps only the candidate patches whose control box
+meets the same kind of ball; refinement calls query_points_bulk and
+query_box.
 
 Closest points on Bezier patches come from closest_points, one batched
 projected-Newton solve over flat (point, patch) pairs per degree group.
 Newton starts at the best node of a coarse parameter grid, and every pair
 is value-checked against a dense grid scan that reseeds Newton where it
-stalled or converged into the wrong basin.  closest_point_on_patch is its
-one-patch case; marking, admissibility and upsampling all call the batched
-form.  pair_sqdist is the one point-triangle distance kernel (over flat
-pairs; point_triangle_sqdist forms all pairs of two lists); grid_triangles
-is the one triangulation of sampled patch grids.  Chunked passes keep their
-temporaries within CHUNK_BYTES.
+stalled or converged into the wrong basin.  Grid scans rank each patch's
+nodes with one GEMM per patch and recompute the winner's distance exactly.
+A pair's Newton run stops once the predicted decrease of its next step is
+within 64 eps of f: it takes that step, which resolves the params to
+rounding, and only pairs whose line search has not yet decreased f are
+halved again.  Every pair gets the bits it gets alone.
+closest_point_on_patch is its one-patch case; marking, admissibility and
+upsampling all call the batched form.  pair_sqdist is the one
+point-triangle distance kernel (over flat pairs; point_triangle_sqdist
+forms all pairs of two lists); grid_triangles is the one triangulation of
+sampled patch grids.  Chunked passes keep their temporaries within
+CHUNK_BYTES.
 """
 
 from dataclasses import dataclass
@@ -115,17 +125,19 @@ class AABBTree:
         items = self.order[offsets + within]
         return rep_rows, items
 
-    def _gather(self, los, his):
-        """(row, item) pairs of every item box meeting query box [los[row], his[row]]."""
+    def _gather(self, n, meets):
+        """(row, item) pairs of every item box that query row meets, rows range(n).
+
+        meets(rows, lo, hi) says which rows meet which boxes [lo, hi]; it
+        prunes the node boxes and then tests the item boxes.
+        """
         rows_out: list[np.ndarray] = []
         items_out: list[np.ndarray] = []
-        frontier_rows = np.arange(len(los))
-        frontier_nodes = np.zeros(len(los), dtype=np.int64)
+        frontier_rows = np.arange(n)
+        frontier_nodes = np.zeros(n, dtype=np.int64)
         while len(frontier_rows):
-            meet = np.all(
-                (his[frontier_rows] >= self._node_lo[frontier_nodes])
-                & (los[frontier_rows] <= self._node_hi[frontier_nodes]),
-                axis=1,
+            meet = meets(
+                frontier_rows, self._node_lo[frontier_nodes], self._node_hi[frontier_nodes]
             )
             frontier_rows = frontier_rows[meet]
             frontier_nodes = frontier_nodes[meet]
@@ -136,10 +148,7 @@ class AABBTree:
                 rep_rows, items = self._expand_leaves(
                     frontier_rows[leaf], frontier_nodes[leaf]
                 )
-                hit = np.all(
-                    (self.lo[items] <= his[rep_rows]) & (los[rep_rows] <= self.hi[items]),
-                    axis=1,
-                )
+                hit = meets(rep_rows, self.lo[items], self.hi[items])
                 rows_out.append(rep_rows[hit])
                 items_out.append(items[hit])
             inner_rows = frontier_rows[~leaf]
@@ -152,17 +161,24 @@ class AABBTree:
             return np.concatenate(rows_out), np.concatenate(items_out)
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
 
+    def _gather_boxes(self, los, his):
+        """(row, item) pairs of every item box meeting query box [los[row], his[row]]."""
+        return self._gather(
+            len(los),
+            lambda rows, lo, hi: np.all((his[rows] >= lo) & (los[rows] <= hi), axis=1),
+        )
+
     def query_points_bulk(self, points):
         """Containing-box ids for many points: (point rows, id rows) arrays."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        rows, items = self._gather(points, points)
+        rows, items = self._gather_boxes(points, points)
         return rows, self.ids[items]
 
     def query_box(self, los, his):
         """Intersecting-box ids for many query boxes [los, his]: (row, id) arrays."""
         los = np.atleast_2d(np.asarray(los, dtype=float))
         his = np.atleast_2d(np.asarray(his, dtype=float))
-        rows, items = self._gather(los, his)
+        rows, items = self._gather_boxes(los, his)
         return rows, self.ids[items]
 
     def nearest_triangle(self, points):
@@ -170,9 +186,10 @@ class AABBTree:
 
         Each point first descends, one level for all points at a time, into
         the nearer child box down to a leaf; its distance to that leaf's
-        triangles bounds the answer from above.  Every triangle whose box
-        lies within that bound (plus rounding slack) is then evaluated, and
-        the smallest squared distance wins, ties going to the lowest id.
+        triangles bounds the answer from above.  One gather then keeps the
+        triangles whose box meets the ball of that radius (plus rounding
+        slack); each is evaluated, and the smallest squared distance wins,
+        ties going to the lowest id.
         Distances run in chunks within CHUNK_BYTES.
         """
         if self.triangles is None:
@@ -184,18 +201,17 @@ class AABBTree:
         while len(inner):
             x = X[inner]
             child = np.stack([self._left[node[inner]], self._right[node[inner]]])
-            gap = np.maximum(self._node_lo[child] - x, 0.0) + np.maximum(
-                x - self._node_hi[child], 0.0
-            )
-            d2 = np.einsum("cmk,cmk->cm", gap, gap)
+            d2 = _box_sqdist(x, self._node_lo[child], self._node_hi[child])
             node[inner] = np.where(d2[1] < d2[0], child[1], child[0])
             inner = inner[self._left[node[inner]] >= 0]
         rows, items = self._expand_leaves(np.arange(m), node)
         d2 = self._triangle_sqdist(X, rows, items)
         # rows run point by point and every leaf holds at least one item
         bound = np.sqrt(np.minimum.reduceat(d2, np.searchsorted(rows, np.arange(m))))
-        reach = slack(bound, X)[:, None]
-        rows, items = self._gather(X - reach, X + reach)
+        reach2 = slack(bound, X) ** 2
+        rows, items = self._gather(
+            m, lambda rows, lo, hi: _box_sqdist(X[rows], lo, hi) <= reach2[rows]
+        )
         d2 = self._triangle_sqdist(X, rows, items)
         ids = self.ids[items]
         order = np.lexsort((ids, d2, rows))
@@ -208,6 +224,12 @@ class AABBTree:
         for part in chunks(len(rows), _PAIR_BYTES):
             d2[part] = pair_sqdist(X[rows[part]], self.triangles[items[part]])[0]
         return d2
+
+
+def _box_sqdist(x, lo, hi):
+    """Squared distances of points x (..., 3) to boxes [lo, hi] (..., 3), broadcast."""
+    gap = np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
+    return np.einsum("...k,...k->...", gap, gap)
 
 
 def point_triangle_sqdist(points, tris):
@@ -311,7 +333,9 @@ class ClosestPointResult:
 
 _SEED_GRID = 5  # Newton starts from the best node of this parameter grid
 _DENSE_GRID = 64  # the value check scans this grid for every pair
+_SCAN_ROWS = 16  # pairs ranked per GEMM, so the ranks stay in cache
 _NEWTON_STEPS = 50
+_FLAT = 64 * np.finfo(float).eps  # predicted decrease at the rounding of f, relative
 
 
 def closest_point_on_patch(
@@ -423,20 +447,51 @@ def _closest_points(coeffs, slot, X, eps_opt):
 def _grid_scan(coeffs, slot, X, k):
     """Best node of a k x k parameter grid per pair: (params (M, 2), f (M,)).
 
-    Pairs should arrive grouped by slot, so each chunk evaluates few grids.
+    slot must be sorted, so each patch's pairs form one run.  Each patch's
+    nodes g are ranked by |g - c|^2 - 2 (x - c).(g - c), one GEMM per run
+    in coordinates centred on that patch's grid (c its mean node), and the
+    winner's f is then computed exactly.  Grids are evaluated a chunk of
+    patches at a time.
     """
+    if np.any(slot[1:] < slot[:-1]):
+        raise UsageError("grid scan pairs must be sorted by slot")
     n = coeffs.shape[1] - 1
     grid = np.linspace(-1.0, 1.0, k)
     b = bezier.bernstein_matrix(n, grid)
+    used, starts = np.unique(slot, return_index=True)
+    ends = np.append(starts[1:], len(slot))
     best = np.empty(len(X), dtype=np.int64)
-    f = np.empty(len(X))
-    for part in chunks(len(X), 4 * k * k * 3 * 8):
-        used, which = np.unique(slot[part], return_inverse=True)
-        gp = bezier.eval_grid(coeffs[used], b, b).reshape(len(used), -1, 3)
-        d2 = ((gp[which] - X[part, None, :]) ** 2).sum(axis=2)
-        best[part] = np.argmin(d2, axis=1)
-        f[part] = 0.5 * np.take_along_axis(d2, best[part, None], axis=1)[:, 0]
+    node = np.empty((len(X), 3))
+    # per patch: its grid, its ranker and their temporaries
+    for part in chunks(len(used), 4 * k * k * 4 * 8):
+        g = _eval_grids(coeffs[used[part]], b).reshape(-1, 3, k * k)
+        c = g.mean(axis=2)
+        # rows [x - c, 1] times a patch's ranker give its ranks in one GEMM
+        ranker = np.empty((len(g), 4, k * k))
+        np.subtract(g, c[:, :, None], out=ranker[:, :3])
+        ranker[:, 3] = np.einsum("pkv,pkv->pv", ranker[:, :3], ranker[:, :3])
+        ranker[:, :3] *= -2.0
+        for j, lo, hi in zip(range(len(g)), starts[part], ends[part]):
+            # a spare last row keeps every product a GEMM of at least two
+            # rows, whose rows do not depend on each other
+            xc = np.ones((hi - lo + 1, 4))
+            xc[:-1, :3] = X[lo:hi] - c[j]
+            for r0 in range(0, hi - lo, _SCAN_ROWS):
+                r1 = min(r0 + _SCAN_ROWS, hi - lo)
+                rank = xc[r0 : max(r1, r0 + 2)] @ ranker[j]
+                best[lo + r0 : lo + r1] = np.argmin(rank[: r1 - r0], axis=1)
+            node[lo:hi] = g[j][:, best[lo:hi]].T
+    f = 0.5 * ((node - X) ** 2).sum(axis=1)
     return np.stack([grid[best // k], grid[best % k]], axis=1), f
+
+
+def _eval_grids(C, b):
+    """Patches C (P, n+1, n+1, 3) on the grid b x b: (P, 3, k, k), s along axis 2.
+
+    Each patch and coordinate is two GEMMs of fixed shape, so a patch's
+    bits do not depend on the other patches of the stack.
+    """
+    return b @ (C.transpose(0, 3, 1, 2) @ b.T)
 
 
 def _eval_pairs(C, bs, bt):
@@ -459,6 +514,15 @@ def _half_sqdist(C, s, t, X):
 
 
 def _projected_newton(coeffs, slot, cur, X, eps_opt):
+    """Projected Newton from params cur for pairs (coeffs[slot[k]], X[k]).
+
+    Returns (params, f, converged).  A pair stops once the predicted
+    decrease |g . step| of its projected Newton step is within 64 eps f,
+    after taking that step: f is flat to second order at the minimum, so
+    this pins the params where testing f alone would stop about 1e-8 short.
+    It also stops when its step stalls below eps_opt or the line search
+    finds no decrease in 25 halvings.
+    """
     n = coeffs.shape[1] - 1
     m = X.shape[0]
     cur = cur.copy()
@@ -472,18 +536,12 @@ def _projected_newton(coeffs, slot, cur, X, eps_opt):
         idx = np.flatnonzero(active)
         C = coeffs[slot[idx]]
         s, t = cur[idx, 0], cur[idx, 1]
-        b0s = bezier.bernstein_matrix(n, s)
-        b1s = bezier.bernstein_matrix(n, s, 1)
-        b2s = bezier.bernstein_matrix(n, s, 2)
-        b0t = bezier.bernstein_matrix(n, t)
-        b1t = bezier.bernstein_matrix(n, t, 1)
-        b2t = bezier.bernstein_matrix(n, t, 2)
-        pos = _eval_pairs(C, b0s, b0t)
-        ps = _eval_pairs(C, b1s, b0t)
-        pt = _eval_pairs(C, b0s, b1t)
-        pss = _eval_pairs(C, b2s, b0t)
-        pst = _eval_pairs(C, b1s, b1t)
-        ptt = _eval_pairs(C, b0s, b2t)
+        # [pair, coordinate, s-derivative, t-derivative], each pair on its own
+        bs = np.stack([bezier.bernstein_matrix(n, s, k) for k in range(3)], axis=1)
+        bt = np.stack([bezier.bernstein_matrix(n, t, k) for k in range(3)], axis=2)
+        jet = bs[:, None] @ (C.transpose(0, 3, 1, 2) @ bt[:, None])
+        pos, ps, pt = jet[:, :, 0, 0], jet[:, :, 1, 0], jet[:, :, 0, 1]
+        pss, pst, ptt = jet[:, :, 2, 0], jet[:, :, 1, 1], jet[:, :, 0, 2]
         diff = pos - X[idx]
         g1 = np.einsum("mk,mk->m", ps, diff)
         g2 = np.einsum("mk,mk->m", pt, diff)
@@ -509,31 +567,37 @@ def _projected_newton(coeffs, slot, cur, X, eps_opt):
         ds = np.where(act_s, 0.0, np.where(act_t, edge_ds, ds))
         dt = np.where(act_t, 0.0, np.where(act_s, edge_dt, dt))
 
-        # backtracking with projection onto the parameter box
-        fcur = f[idx]
-        alpha = np.ones(len(idx))
-        newp = np.empty((len(idx), 2))
-        fnew = np.empty(len(idx))
-        pending = np.ones(len(idx), dtype=bool)
-        for _bt in range(25):
-            trial_s = np.clip(cur[idx, 0] + alpha * ds, -1.0, 1.0)
-            trial_t = np.clip(cur[idx, 1] + alpha * dt, -1.0, 1.0)
-            ftrial = _half_sqdist(C, trial_s, trial_t, X[idx])
-            improve = pending & (ftrial <= fcur)
-            newp[improve, 0] = trial_s[improve]
-            newp[improve, 1] = trial_t[improve]
-            fnew[improve] = ftrial[improve]
-            pending &= ~improve
-            if not pending.any():
-                break
-            alpha[pending] *= 0.5
-        newp[pending] = cur[idx][pending]
-        fnew[pending] = fcur[pending]
+        # a pair whose projected full step predicts a decrease |g . step|
+        # within the rounding of f takes that step and stops
+        start = cur[idx]
+        step = np.stack([ds, dt], axis=1)
+        full = np.clip(start + step, -1.0, 1.0)
+        gain = g1 * (full[:, 0] - s) + g2 * (full[:, 1] - t)
+        flat = np.abs(gain) <= _FLAT * f[idx]
 
-        step = np.max(np.abs(newp - cur[idx]), axis=1)
-        # done when the projected step stalls at machine scale or no
-        # decrease was possible (already at a numerical minimum)
-        done = (step <= tol) | pending
+        # backtracking with projection onto the parameter box; only the
+        # pairs still pending are halved again
+        fcur = f[idx]
+        newp = start.copy()
+        fnew = fcur.copy()
+        trial = np.arange(len(idx))
+        alpha = 1.0
+        for _bt in range(25):
+            tp = np.clip(start[trial] + alpha * step[trial], -1.0, 1.0)
+            ftrial = _half_sqdist(C[trial], tp[:, 0], tp[:, 1], X[idx[trial]])
+            improve = flat[trial] | (ftrial <= fcur[trial])
+            newp[trial[improve]] = tp[improve]
+            fnew[trial[improve]] = ftrial[improve]
+            trial = trial[~improve]
+            if not len(trial):
+                break
+            alpha *= 0.5
+
+        # done when the step's predicted decrease is at rounding level, the
+        # projected step stalls at machine scale, or no decrease was
+        # possible (already at a numerical minimum)
+        done = flat | (np.max(np.abs(newp - start), axis=1) <= tol)
+        done[trial] = True
         cur[idx] = newp
         f[idx] = fnew
         converged[idx[done]] = True
@@ -595,10 +659,11 @@ def surface_index(patchset: PatchSet) -> SurfaceIndex:
 def closest_point_global_bulk(patchset: PatchSet, points):
     """Global closest points: (patch ids, params (M, 2), distances (M,), converged (M,)).
 
-    Candidate patch from the nearest proxy triangle, Newton-refined distance,
-    then a box gather of every patch that could be closer; ties broken by
-    the lowest patch id.  converged is the winning solve's flag.  Each tree
-    query runs once for all points.
+    Candidate patch from the nearest proxy triangle, Newton-refined
+    distance d, then a box gather of every patch whose control box meets
+    the ball of radius d (plus rounding slack) around the point, so could
+    be closer; ties broken by the lowest patch id.  converged is the
+    winning solve's flag.  Each tree query runs once for all points.
     """
     if len(patchset) == 0:
         raise UsageError("empty patch set")
@@ -610,8 +675,11 @@ def closest_point_global_bulk(patchset: PatchSet, points):
     cand0 = index.proxies.patch_ids[tri_ids]
     first = closest_points(patchset, cand0, X)
 
-    reach = first.distance[:, None]
-    rows, pids = index.tree_boxes.query_box(X - reach, X + reach)
+    reach = slack(first.distance, X)
+    rows, pids = index.tree_boxes.query_box(X - reach[:, None], X + reach[:, None])
+    lo, hi = patchset.control_boxes()
+    near = _box_sqdist(X[rows], lo[pids], hi[pids]) <= reach[rows] ** 2
+    rows, pids = rows[near], pids[near]
     other = pids != cand0[rows]
     rows = np.concatenate([np.arange(m), rows[other]])
     pids = np.concatenate([cand0, pids[other]])

@@ -18,7 +18,7 @@ from hedgehog.refinement import (
     uniform_upsample,
 )
 from hedgehog.quadrature import discretize
-from hedgehog.spatial import closest_point_on_patch
+from hedgehog.spatial import closest_points
 
 
 def _parallel_plates(separation):
@@ -226,9 +226,8 @@ def test_adaptive_upsample_distance_audit(unit_sphere_patches):
 
     tree = AABBTree(lo - margin, hi + margin, np.arange(len(fine)))
     rows, ids = tree.query_points_bulk(checks[sample])
-    for row, pid in zip(rows, ids):
-        res = closest_point_on_patch(fine[pid], checks[sample][row][None, :])
-        assert res.distance[0] >= lengths[pid] * (1.0 - 1e-10)
+    res = closest_points(fine, ids, checks[sample][rows])
+    assert np.all(res.distance >= lengths[ids] * (1.0 - 1e-10))
 
 
 def test_uniform_upsample_counts_and_lineage(unit_sphere_patches):
@@ -294,7 +293,7 @@ def _first_screened_sweep(coarse, cfg):
 def test_pruned_screen_matches_brute_force_oracle(unit_sphere_patches):
     """The bound-pruned screen keeps exactly the pairs a Newton solve on every alive pair finds close."""
     from hedgehog.refinement import _pairs_within_length, _proxies
-    from hedgehog.spatial import closest_points, point_triangle_sqdist
+    from hedgehog.spatial import point_triangle_sqdist
 
     cfg = AdmissibilityConfig(b=0.2, a=0.2 / 6, q=6)
     fine, checks, rows_all, ids_all = _first_screened_sweep(unit_sphere_patches, cfg)

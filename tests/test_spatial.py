@@ -21,6 +21,7 @@ from hedgehog.geometry.patches import (
     evaluate,
     fit_patch,
     normal,
+    quadrisect,
 )
 
 
@@ -272,6 +273,119 @@ def test_batched_closest_points_match_per_pair_solves(
         assert abs(res.distance[k] - one.distance[0]) <= eps_opt
         assert res.converged[k] == one.converged[0]
     assert res.converged.all()
+
+
+@pytest.fixture(scope="module")
+def targets_sphere():
+    """The `targets` benchmark's geometry: the 24-patch unit sphere at degree 10."""
+    mesh = geo.sphere_mesh(1.0, per_face=2)
+    return PatchSet(
+        [fit_patch(e, r, Subdomain(), 10) for r, e in enumerate(mesh.embeddings)], mesh=mesh
+    )
+
+
+def _off_surface(patchset, rng, m, d_lo, d_hi):
+    """m points at d / L(P) in (d_lo, d_hi) along the normal of random patch
+    points, half inside and half outside: (points, anchor patch ids)."""
+    pids = rng.integers(0, len(patchset), m)
+    st = rng.uniform(-0.95, 0.95, (m, 2))
+    d = rng.uniform(d_lo, d_hi, m) * patchset.lengths[pids] * np.where(np.arange(m) % 2, 1.0, -1.0)
+    points = patch_points(patchset, pids, st) + d[:, None] * patch_normals(patchset, pids, st)
+    return points, pids
+
+
+@pytest.fixture(scope="module")
+def sphere_points(targets_sphere):
+    """60 seeded points at d / L in (0.02, 1.2) inside and outside the sphere."""
+    return _off_surface(targets_sphere, np.random.default_rng(21), 60, 0.02, 1.2)[0]
+
+
+def _bernstein_long(n, s, derivative):
+    """Degree-n Bernstein rows (or their first s-derivative) in long double."""
+    from math import comb
+
+    u = (np.asarray(s, dtype=np.longdouble) + 1) / 2
+    out = np.zeros((len(u), n + 1), dtype=np.longdouble)
+    for k in range(n + 1):
+        if derivative == 0:
+            out[:, k] = comb(n, k) * u**k * (1 - u) ** (n - k)
+        else:
+            up = k * u ** max(k - 1, 0) * (1 - u) ** (n - k)
+            down = (n - k) * u**k * (1 - u) ** max(n - k - 1, 0)
+            out[:, k] = comb(n, k) * (up - down) / 2
+    return out
+
+
+def test_closest_points_resolve_the_gradient_to_rounding(targets_sphere, sphere_points):
+    """At every converged interior solution the gradient of |P - x|^2 / 2,
+    taken in long double, is within 1e-13 of |P - x| |P_s| in each direction."""
+    points = sphere_points
+    n_patches = len(targets_sphere)
+    pids = np.repeat(np.arange(n_patches), len(points))
+    x = np.tile(points, (n_patches, 1))
+    res = closest_points(targets_sphere, pids, x)
+    interior = res.converged & np.all(np.abs(res.params) < 1.0, axis=1)
+    assert np.count_nonzero(interior) >= len(points)
+    C = np.stack([targets_sphere[p].coeffs for p in pids[interior]]).astype(np.longdouble)
+    n = C.shape[1] - 1
+    s, t = res.params[interior, 0], res.params[interior, 1]
+
+    def along(ds, dt):
+        bs, bt = _bernstein_long(n, s, ds), _bernstein_long(n, t, dt)
+        return np.einsum("ml,mlkd,mk->md", bs, C, bt)
+
+    diff = along(0, 0) - x[interior].astype(np.longdouble)
+    dist = np.sqrt((diff**2).sum(axis=1))
+    for tangent in (along(1, 0), along(0, 1)):
+        grad = np.abs((tangent * diff).sum(axis=1))
+        rel = grad / (dist * np.sqrt((tangent**2).sum(axis=1)))
+        assert float(rel.max()) <= 1e-13
+
+
+def test_global_closest_points_are_the_all_patch_minimum(targets_sphere, sphere_points):
+    """closest_point_global_bulk equals the minimum over every patch of one
+    batched closest_points call: same patch ids, ties within rounding going
+    to the lowest id, and the same distance bits."""
+    points = sphere_points
+    m, n_patches = len(points), len(targets_sphere)
+    got_ids, _, got_dist, _ = closest_point_global_bulk(targets_sphere, points)
+    every = closest_points(
+        targets_sphere, np.repeat(np.arange(n_patches), m), np.tile(points, (n_patches, 1))
+    ).distance.reshape(n_patches, m)
+    best = every.min(axis=0)
+    tied = np.isclose(every, best, rtol=1e-12, atol=1e-15)
+    assert np.array_equal(got_ids, np.argmax(tied, axis=0))
+    assert np.array_equal(got_dist, best)
+
+
+def test_grid_scan_node_is_the_grid_minimum_to_rounding(targets_sphere):
+    """The GEMM-ranked scan picks a node whose exact f is within
+    64 eps (|x - c|^2 + |g - c|^2) of the brute-force grid minimum, for
+    points from 1e-3 L to 1.2 L off the patches and their children."""
+    from hedgehog import spatial
+    from hedgehog.geometry import bernstein_matrix
+
+    children = PatchSet([c for p in targets_sphere for c in quadrisect(p)])
+    eps = np.finfo(float).eps
+    k = 64
+    for patchset, seed in ((targets_sphere, 23), (children, 24)):
+        rng = np.random.default_rng(seed)
+        points, pids = _off_surface(patchset, rng, 200, 1e-3, 1.2)
+        order = np.argsort(pids, kind="stable")
+        points, pids = points[order], pids[order]
+        (n, (idx, coeffs)), = patchset.degree_groups().items()
+        slot = np.searchsorted(idx, pids)
+        params, f = spatial._grid_scan(coeffs, slot, points, k)
+        grids = spatial._eval_grids(coeffs, bernstein_matrix(n, np.linspace(-1.0, 1.0, k)))
+        grids = grids.reshape(len(idx), 3, k * k).transpose(0, 2, 1)
+        for x, sl, fx in zip(points, slot, f):
+            g = grids[sl]
+            every = 0.5 * ((g - x) ** 2).sum(axis=1)
+            c = g.mean(axis=0)
+            low = int(np.argmin(every))
+            spread = ((x - c) ** 2).sum() + ((g[low] - c) ** 2).sum()
+            assert fx <= every[low] + 64 * eps * spread
+        assert np.all(np.isin(params, np.linspace(-1.0, 1.0, k)))
 
 
 def test_closest_point_global_two_plates():
