@@ -42,8 +42,16 @@ def bernstein_matrix(n: int, s, derivative: int = 0) -> np.ndarray:
     raise ValueError("derivative order must be 0, 1 or 2")
 
 
+@lru_cache(maxsize=None)
+def _binomials(n: int) -> np.ndarray:
+    """Row n of Pascal's triangle as floats (cached, read-only)."""
+    row = np.array([comb(n, l) for l in range(n + 1)], dtype=float)
+    row.setflags(write=False)
+    return row
+
+
 def _bernstein_01(n: int, u: np.ndarray) -> np.ndarray:
-    binoms = np.array([comb(n, l) for l in range(n + 1)], dtype=float)
+    binoms = _binomials(n)
     pu = np.vander(u, n + 1, increasing=True)
     pv = np.vander(1.0 - u, n + 1, increasing=True)[:, ::-1]
     return binoms[None, :] * pu * pv

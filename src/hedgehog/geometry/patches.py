@@ -288,7 +288,14 @@ class PatchSet:
                     sub = coeffs[missing]
                     ps = bezier.eval_grid(sub, b1, b0).reshape(len(missing), -1, 3)
                     pt = bezier.eval_grid(sub, b0, b1).reshape(len(missing), -1, 3)
-                    sqrtg = np.linalg.norm(np.cross(ps, pt), axis=2)
+                    # |ps x pt| component by component: the bits of
+                    # norm(cross(ps, pt), axis=2), without its passes over
+                    # the short last axis
+                    (sx, sy, sz), (tx, ty, tz) = np.moveaxis(ps, 2, 0), np.moveaxis(pt, 2, 0)
+                    cx = sy * tz - sz * ty
+                    cy = sz * tx - sx * tz
+                    cz = sx * ty - sy * tx
+                    sqrtg = np.sqrt(cx * cx + cy * cy + cz * cz)
                     # a per-row sum, so a patch's L does not depend on its batch
                     areas = (sqrtg * w2).sum(axis=1)
                     for k, a in zip(missing, areas):

@@ -25,9 +25,11 @@ from .geometry.patches import (
 from .quadrature import discretize
 from .spatial import (
     AABBTree,
+    box_sqdist,
     chunks,
     closest_points,
     grid_triangles,
+    nearest_nodes,
     pair_groups,
     pair_sqdist,
     patch_points,
@@ -55,6 +57,12 @@ class UpsamplingConfig:
             raise UsageError("n_skip must be nonnegative")
 
 
+# the pair counts an upsampling sweep's screen records: the pairs gathered
+# and the alive ones among them, then how each alive pair was decided
+SCREEN_STAGES = ("gathered", "alive", "closed by vertex", "far by group box",
+                 "far by triangle box", "settled by triangle", "in Newton band")
+
+
 @dataclass
 class SweepRecord:
     stage: str
@@ -64,6 +72,7 @@ class SweepRecord:
     min_length: float
     offenders: list = field(default_factory=list)
     unconverged: int = 0  # closest-point solves of the sweep left unconverged
+    screen: dict = field(default_factory=dict)  # pairs per SCREEN_STAGES entry
 
 
 @dataclass
@@ -71,7 +80,7 @@ class RefinementReport:
     sweeps: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
-    def add(self, stage, sweep, patchset: PatchSet, offenders, unconverged=0):
+    def add(self, stage, sweep, patchset: PatchSet, offenders, unconverged=0, screen=None):
         lengths = patchset.lengths
         self.sweeps.append(
             SweepRecord(
@@ -82,6 +91,7 @@ class RefinementReport:
                 min_length=float(lengths.min()),
                 offenders=list(offenders),
                 unconverged=int(unconverged),
+                screen=dict(screen or {}),
             )
         )
 
@@ -96,6 +106,9 @@ class RefinementReport:
                 f"{len(rec.offenders)} offenders [{ids}{more}], "
                 f"{rec.unconverged} closest points unconverged"
             )
+            if rec.screen:
+                stages = ", ".join(f"{n} {stage}" for stage, n in rec.screen.items())
+                lines.append(f"  screened pairs: {stages}")
         for w in self.warnings:
             lines.append(f"warning: {w}")
         return "\n".join(lines) + "\n"
@@ -280,8 +293,15 @@ def _check_centers(patchset, index_list, nodes, cfg: AdmissibilityConfig):
 
 
 _DECISION_GRID = 7
+_CELLS = (_DECISION_GRID - 1) ** 2  # cells per proxy; triangles c and c + _CELLS split cell c
 _MARGIN = 1e-9  # relative margin by which a bound must clear its threshold
-_ROW_BYTES = 8 * 2 * (_DECISION_GRID - 1) ** 2 * 3 * 8  # one point against its triangles
+_ROW_BYTES = 8 * 2 * _CELLS * 3 * 8  # one point against its triangles
+
+
+# the triangles of each 2 x 2 block of cells, blocks row-major: (9, 8)
+_BLOCKS = (_DECISION_GRID - 1) // 2
+_BLOCK_CELLS = np.arange(_CELLS).reshape(_BLOCKS, 2, _BLOCKS, 2).swapaxes(1, 2).reshape(-1, 4)
+_GROUP_TRIANGLES = np.concatenate([_BLOCK_CELLS, _BLOCK_CELLS + _CELLS], axis=1)
 
 
 @dataclass
@@ -292,108 +312,148 @@ class _Proxies:
     triangles split its cells.  sag bounds how far the true patch can
     deviate from the triangles, estimated at cell midpoints and doubled for
     safety, so distances to the patch lie within +-sag of the triangle
-    distance.  cell is the longest cell diagonal.
+    distance.  cell is the longest cell diagonal.  Group box g is the box of
+    the triangle boxes _GROUP_TRIANGLES[g], one 2 x 2 block of cells.
     """
 
     vertices: np.ndarray  # (P, 49, 3)
     tris: np.ndarray  # (P, 72, 3, 3)
     lo: np.ndarray  # (P, 72, 3) triangle boxes
     hi: np.ndarray  # (P, 72, 3)
-    sag: np.ndarray  # (P,)
+    group_lo: np.ndarray  # (P, 9, 3) boxes of 2 x 2-cell groups
+    group_hi: np.ndarray  # (P, 9, 3)
     cell: np.ndarray  # (P,)
+    sag: np.ndarray | None = None  # (P,), set once the triangles are built
 
 
 def _proxies(patchset: PatchSet, ids) -> _Proxies:
     """Proxies of the patches ids, built per degree group in one pass."""
     k = _DECISION_GRID
-    cells = (k - 1) ** 2
     grid = np.linspace(-1.0, 1.0, k)
     mids = 0.5 * (grid[:-1] + grid[1:])
     pos = np.empty((len(ids), k, k, 3))
-    mid = np.empty((len(ids), cells, 3))
+    mid = np.empty((len(ids), _CELLS, 3))
     for n, coeffs, rows, slot in pair_groups(patchset, ids):
         sub = coeffs[slot]
         b = bezier.bernstein_matrix(n, grid)
         bm = bezier.bernstein_matrix(n, mids)
         pos[rows] = bezier.eval_grid(sub, b, b)
-        mid[rows] = bezier.eval_grid(sub, bm, bm).reshape(len(rows), cells, 3)
+        mid[rows] = bezier.eval_grid(sub, bm, bm).reshape(len(rows), _CELLS, 3)
     tris = grid_triangles(pos)
     lo, hi = tris.min(axis=2), tris.max(axis=2)
-    # the two triangles of a midpoint's own cell (c and c + cells) bound its
-    # triangle distance from above; only triangles whose box lies within
-    # that bound can hold the minimum
-    slot = np.repeat(np.arange(len(ids)), cells)
-    own = np.tile(np.arange(cells), len(ids))
-    pts = mid.reshape(-1, 3)
-    d2 = np.minimum(
-        pair_sqdist(pts, tris[slot, own])[0],
-        pair_sqdist(pts, tris[slot, own + cells])[0],
-    )
-    allow = slack(np.sqrt(d2), pts).reshape(len(ids), cells, 1, 1)
-    others = np.ones((cells, tris.shape[1]), dtype=bool)
-    others[np.arange(cells), np.arange(cells)] = False
-    others[np.arange(cells), np.arange(cells) + cells] = False
-    for part in chunks(len(ids), cells * _ROW_BYTES):
-        m, a = mid[part, :, None, :], allow[part]
-        inside = np.all((lo[part, None] - m <= a) & (m - hi[part, None] <= a), axis=3)
-        p, c, t = np.nonzero(inside & others)
-        row = (part.start + p) * cells + c
-        np.minimum.at(d2, row, pair_sqdist(pts[row], tris[part.start + p, t])[0])
     diag = (pos[:, 1:, 1:] - pos[:, :-1, :-1]).reshape(len(ids), -1, 3)
-    return _Proxies(
+    prox = _Proxies(
         vertices=pos.reshape(len(ids), -1, 3),
         tris=tris,
         lo=lo,
         hi=hi,
-        sag=2.0 * np.sqrt(d2.reshape(len(ids), cells).max(axis=1)) + 1e-14,
+        group_lo=lo[:, _GROUP_TRIANGLES].min(axis=2),
+        group_hi=hi[:, _GROUP_TRIANGLES].max(axis=2),
         cell=np.sqrt(np.max(np.einsum("ptk,ptk->pt", diag, diag), axis=1)),
     )
+    # the two triangles of a midpoint's own cell bound its triangle
+    # distance from above
+    slot = np.repeat(np.arange(len(ids)), _CELLS)
+    own = np.tile(np.arange(_CELLS), len(ids))
+    pts = mid.reshape(-1, 3)
+    bound = np.minimum(
+        pair_sqdist(pts, tris[slot, own])[0],
+        pair_sqdist(pts, tris[slot, own + _CELLS])[0],
+    ).reshape(len(ids), _CELLS)
+    # sag needs only each patch's largest exact midpoint distance.  An exact
+    # distance never exceeds its bound, so midpoints are resolved in
+    # descending bound, one per patch per round, until no unresolved bound
+    # exceeds the largest distance resolved: that is then the maximum over
+    # all midpoints, the same bits as resolving every one
+    order = np.argsort(-bound, axis=1, kind="stable")
+    worst = np.full(len(ids), -1.0)
+    todo = np.arange(len(ids))
+    for rank in range(_CELLS):
+        c = order[todo, rank]
+        go = bound[todo, c] > worst[todo]
+        todo, c = todo[go], c[go]
+        if not len(todo):
+            break
+        exact, _ = _nearest_triangle(prox, todo, mid[todo, c], np.sqrt(bound[todo, c]))
+        worst[todo] = np.maximum(worst[todo], exact)
+    prox.sag = 2.0 * np.sqrt(worst) + 1e-14
+    return prox
 
 
 def _vertex_distance(prox, slot, x):
     """Nearest proxy-vertex distance per pair.
 
     Vertices lie on their triangles, so this bounds the proxy-triangle
-    distance from above.
+    distance from above.  Each patch's vertices are ranked for its pairs by
+    one GEMM (spatial.nearest_nodes), and the winner's distance is then
+    computed exactly; it lies within rounding of the nearest vertex's.
     """
-    d2 = np.empty(len(x))
-    for part in chunks(len(x), _ROW_BYTES):
-        diff = prox.vertices[slot[part]] - x[part, None, :]
-        d2[part] = np.einsum("pvk,pvk->pv", diff, diff).min(axis=1)
-    return np.sqrt(d2)
+    order = np.argsort(slot, kind="stable")
+    used, starts = np.unique(slot[order], return_index=True)
+    best = np.empty(len(x), dtype=np.int64)
+    best[order] = nearest_nodes(
+        prox.vertices[used].transpose(0, 2, 1),
+        np.append(starts, len(order)),
+        x[order],
+    )
+    diff = prox.vertices[slot, best] - x
+    return np.sqrt(np.einsum("pk,pk->p", diff, diff))
 
 
-def _box_distance(prox, slot, x):
-    """Nearest triangle-box distance per pair, a lower bound on the triangle distance."""
-    d2 = np.empty(len(x))
+def _triangles_within(prox, slot, x, within):
+    """(pair, triangle) rows whose triangle box passes within, and which
+    pairs had a group box pass it.
+
+    within(d2, pair) takes squared box distances of pairs and must hold
+    for a distance whenever it holds for a larger one.  A group box
+    contains its triangles' boxes, so its distance is at most theirs, and
+    only the triangles of groups that pass are tested.  Rows run pair by
+    pair in any triangle order.
+    """
+    width = _GROUP_TRIANGLES.shape[1]
+    pairs, tris = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    grouped = np.zeros(len(x), dtype=bool)
     for part in chunks(len(x), _ROW_BYTES):
-        s, xp = slot[part], x[part, None, :]
-        gap = np.maximum(prox.lo[s] - xp, 0.0) + np.maximum(xp - prox.hi[s], 0.0)
-        d2[part] = np.einsum("ptk,ptk->pt", gap, gap).min(axis=1)
-    return np.sqrt(d2)
+        s = slot[part]
+        near = within(
+            box_sqdist(x[part, None, :], prox.group_lo[s], prox.group_hi[s]),
+            np.arange(part.start, part.stop)[:, None],
+        )
+        grouped[part] = near.any(axis=1)
+        pair, group = np.nonzero(near)
+        pair, tri = np.repeat(pair + part.start, width), _GROUP_TRIANGLES[group].ravel()
+        s = slot[pair]
+        keep = within(box_sqdist(x[pair], prox.lo[s, tri], prox.hi[s, tri]), pair)
+        pairs.append(pair[keep])
+        tris.append(tri[keep])
+    return np.concatenate(pairs), np.concatenate(tris), grouped
 
 
 def _nearest_triangle(prox, slot, x, bound):
     """Minimum proxy-triangle squared distance and its closest point, per pair.
 
-    bound is an upper bound on each pair's triangle distance.  Only the
+    Pair k is point x[k] against the triangles of patch slot[k], and
+    bound[k] is an upper bound on its triangle distance.  Only the
     triangles whose box lies within it (plus a rounding slack) are
     evaluated; the one attaining the minimum always is, so the result
     equals the minimum over all triangles bit for bit, ties going to the
     lowest triangle index.
     """
+    reach2 = slack(bound, x) ** 2
+    pair, tri, _ = _triangles_within(prox, slot, x, lambda b2, p: b2 <= reach2[p])
     d2 = np.empty(len(x))
     closest = np.empty((len(x), 3))
-    allow = slack(bound, x)
+    # rows run pair by pair and every pair has one
+    starts = np.searchsorted(pair, np.arange(len(x) + 1))
     for part in chunks(len(x), _ROW_BYTES):
-        s, xp, a = slot[part], x[part, None, :], allow[part, None, None]
-        inside = np.all((prox.lo[s] - xp <= a) & (xp - prox.hi[s] <= a), axis=2)
-        pair, tri = np.nonzero(inside)
-        rows_d2, rows_closest = pair_sqdist(x[part][pair], prox.tris[s[pair], tri])
-        # rows run pair by pair, triangles ascending, and every pair has one
-        d2[part] = np.minimum.reduceat(rows_d2, np.searchsorted(pair, np.arange(len(xp))))
-        hits = np.flatnonzero(rows_d2 == d2[part][pair])
-        closest[part] = rows_closest[hits[np.unique(pair[hits], return_index=True)[1]]]
+        rows = slice(starts[part.start], starts[part.stop])
+        p, t = pair[rows], tri[rows]
+        rows_d2, rows_closest = pair_sqdist(x[p], prox.tris[slot[p], t])
+        d2[part] = np.minimum.reduceat(rows_d2, starts[part.start : part.stop] - rows.start)
+        # of the rows at the minimum, the lowest triangle's wins
+        hits = np.flatnonzero(rows_d2 == d2[p])
+        hits = hits[np.lexsort((t[hits], p[hits]))]
+        closest[part] = rows_closest[hits[np.unique(p[hits], return_index=True)[1]]]
     return d2, closest
 
 
@@ -410,7 +470,8 @@ def _admissibility_offenders(
     """
     rows, pids = tree.query_box(centers - radius[:, None], centers + radius[:, None])
     x, d = centers[rows], radius[rows]
-    # box lower bound: cannot beat the node at distance d
+    # box lower bound: cannot beat the node at distance d.  Kept as
+    # norm(x - clip(x)) rather than box_sqdist: its bits decide the `<`
     lo, hi = patchset.control_boxes()
     keep = np.linalg.norm(x - np.clip(x, lo[pids], hi[pids]), axis=1) < d
     rows, pids, x, d = rows[keep], pids[keep], x[keep], d[keep]
@@ -537,24 +598,37 @@ def required_check_points(
     )
 
 
-def _pairs_within_length(fine, rows_all, ids_all, check_points, eps_opt):
+def _pairs_within_length(fine, rows_all, ids_all, check_points, eps_opt, counts=None):
     """(check rows, patch ids) of the pairs with dist(check, patch) < L(patch).
 
     Also returns the number of closest-point solves left unconverged.
     Pairs whose control box lies within L are alive.  With d_T the
     proxy-triangle distance, an alive pair is close when d_T + sag < L and
-    far when d_T - sag >= L; first the nearest proxy vertex (above d_T) and
-    the nearest triangle box (below d_T) try to decide it, each only when it
-    clears the threshold by a relative margin.  Pairs left get the exact
-    d_T, and pairs inside the +-sag band run one batched Newton solve.
+    far when d_T - sag >= L; first the nearest proxy vertex (above d_T),
+    then the nearest group box and the nearest triangle box (below d_T) try
+    to decide it, each only when it clears the threshold by a relative
+    margin.  Pairs left get the exact d_T, and pairs inside the +-sag band
+    run one batched Newton solve.
+
+    Every early decision is implied by the exact one, because
+    d_T <= vertex distance and group-box distance <= triangle-box distance
+    <= d_T, so the close set is the one the exact rule gives.  counts, when
+    given, receives the number of pairs at each of SCREEN_STAGES: gathered,
+    alive, then those closed by a vertex, ruled far by a group box or a
+    triangle box, settled by d_T, and left in the Newton band; the last
+    five partition the alive pairs.
     """
     lengths = fine.lengths
     box_lo, box_hi = fine.control_boxes()
     pts = check_points[rows_all]
+    # kept as norm(x - clip(x)) rather than box_sqdist: its bits decide
+    # which pairs are alive
     clamped = np.clip(pts, box_lo[ids_all], box_hi[ids_all])
     box_dist = np.linalg.norm(pts - clamped, axis=1)
     alive = box_dist < lengths[ids_all]
     rows, pids = rows_all[alive], ids_all[alive]
+    stages = {} if counts is None else counts
+    stages.update(dict.fromkeys(SCREEN_STAGES, 0), gathered=len(rows_all), alive=len(rows))
     if not len(rows):
         return rows, pids, 0
     ids, slot = np.unique(pids, return_inverse=True)
@@ -562,15 +636,29 @@ def _pairs_within_length(fine, rows_all, ids_all, check_points, eps_opt):
     x, limit, sag = check_points[rows], lengths[pids], prox.sag[slot]
     vert = _vertex_distance(prox, slot, x)
     close = vert + sag < limit * (1.0 - _MARGIN)
-    rest = np.flatnonzero(~close)
-    far = _box_distance(prox, slot[rest], x[rest]) - sag[rest] >= limit[rest] * (1.0 + _MARGIN)
-    todo = rest[~far]
+    stages["closed by vertex"] = int(np.count_nonzero(close))
+    todo = np.flatnonzero(~close)
+    # far when every group box, or every triangle box in the groups left,
+    # clears the threshold; their distances are at most d_T, so d_T would
+    # clear it too.  Pairs with a triangle box inside go on to d_T
+    limit_far = limit * (1.0 + _MARGIN)
+    pair, _, grouped = _triangles_within(
+        prox, slot[todo], x[todo],
+        lambda b2, p: np.sqrt(b2) - sag[todo[p]] < limit_far[todo[p]],
+    )
+    boxed = np.zeros(len(todo), dtype=bool)
+    boxed[pair] = True
+    stages["far by group box"] = int(np.count_nonzero(~grouped))
+    stages["far by triangle box"] = int(np.count_nonzero(grouped & ~boxed))
+    todo = todo[boxed]
     d2, _ = _nearest_triangle(prox, slot[todo], x[todo], vert[todo])
     tdist = np.sqrt(d2)
     close[todo] = tdist + sag[todo] < limit[todo]
     band = todo[~close[todo] & (tdist - sag[todo] < limit[todo])]
     res = closest_points(fine, pids[band], x[band], eps_opt)
     close[band] = res.distance < limit[band]
+    stages["settled by triangle"] = len(todo) - len(band)
+    stages["in Newton band"] = len(band)
     return rows[close], pids[close], int(np.count_nonzero(~res.converged))
 
 
@@ -614,15 +702,16 @@ def adaptive_upsample(
         near_rows = np.flatnonzero(near)
         rows_local, ids_all = tree.query_points_bulk(check_points[near_rows])
         rows_all = near_rows[rows_local]
+        screen = {}
         close_rows, close_ids, unconverged = _pairs_within_length(
-            fine, rows_all, ids_all, check_points, adm.eps_opt
+            fine, rows_all, ids_all, check_points, adm.eps_opt, screen
         )
         still_near = np.zeros(len(check_points), dtype=np.bool_)
         still_near[close_rows] = True
         near &= still_near
         to_split = np.unique(close_ids)
         if report is not None:
-            report.add("upsampling", sweep, fine, to_split.tolist(), unconverged)
+            report.add("upsampling", sweep, fine, to_split.tolist(), unconverged, screen)
         if not len(to_split):
             break
         if np.any(depths[to_split] >= cfg.max_depth):

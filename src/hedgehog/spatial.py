@@ -15,8 +15,10 @@ Closest points on Bezier patches come from closest_points, one batched
 projected-Newton solve over flat (point, patch) pairs per degree group.
 Newton starts at the best node of a coarse parameter grid, and every pair
 is value-checked against a dense grid scan that reseeds Newton where it
-stalled or converged into the wrong basin.  Grid scans rank each patch's
-nodes with one GEMM per patch and recompute the winner's distance exactly.
+stalled or converged into the wrong basin.  nearest_nodes ranks each
+patch's nodes for its points with GEMMs; the grid scans here and the proxy
+vertex screen of refinement both use it and recompute the winner's
+distance exactly.
 A pair's Newton run stops once the predicted decrease of its next step is
 within 64 eps of f: it takes that step, which resolves the params to
 rounding, and only pairs whose line search has not yet decreased f are
@@ -24,9 +26,9 @@ halved again.  Every pair gets the bits it gets alone.
 closest_point_on_patch is its one-patch case; marking, admissibility and
 upsampling all call the batched form.  pair_sqdist is the one
 point-triangle distance kernel (over flat pairs; point_triangle_sqdist
-forms all pairs of two lists); grid_triangles is the one triangulation of
-sampled patch grids.  Chunked passes keep their temporaries within
-CHUNK_BYTES.
+forms all pairs of two lists), box_sqdist the one point-box distance
+kernel, and grid_triangles the one triangulation of sampled patch grids.
+Chunked passes keep their temporaries within CHUNK_BYTES.
 """
 
 from dataclasses import dataclass
@@ -163,10 +165,14 @@ class AABBTree:
 
     def _gather_boxes(self, los, his):
         """(row, item) pairs of every item box meeting query box [los[row], his[row]]."""
-        return self._gather(
-            len(los),
-            lambda rows, lo, hi: np.all((his[rows] >= lo) & (los[rows] <= hi), axis=1),
-        )
+
+        def meets(rows, lo, hi):
+            # per axis, then across the three: a reduction over the short
+            # last axis would cost most of the test
+            m = (his[rows] >= lo) & (los[rows] <= hi)
+            return m[:, 0] & m[:, 1] & m[:, 2]
+
+        return self._gather(len(los), meets)
 
     def query_points_bulk(self, points):
         """Containing-box ids for many points: (point rows, id rows) arrays."""
@@ -201,7 +207,7 @@ class AABBTree:
         while len(inner):
             x = X[inner]
             child = np.stack([self._left[node[inner]], self._right[node[inner]]])
-            d2 = _box_sqdist(x, self._node_lo[child], self._node_hi[child])
+            d2 = box_sqdist(x, self._node_lo[child], self._node_hi[child])
             node[inner] = np.where(d2[1] < d2[0], child[1], child[0])
             inner = inner[self._left[node[inner]] >= 0]
         rows, items = self._expand_leaves(np.arange(m), node)
@@ -210,7 +216,7 @@ class AABBTree:
         bound = np.sqrt(np.minimum.reduceat(d2, np.searchsorted(rows, np.arange(m))))
         reach2 = slack(bound, X) ** 2
         rows, items = self._gather(
-            m, lambda rows, lo, hi: _box_sqdist(X[rows], lo, hi) <= reach2[rows]
+            m, lambda rows, lo, hi: box_sqdist(X[rows], lo, hi) <= reach2[rows]
         )
         d2 = self._triangle_sqdist(X, rows, items)
         ids = self.ids[items]
@@ -226,7 +232,7 @@ class AABBTree:
         return d2
 
 
-def _box_sqdist(x, lo, hi):
+def box_sqdist(x, lo, hi):
     """Squared distances of points x (..., 3) to boxes [lo, hi] (..., 3), broadcast."""
     gap = np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
     return np.einsum("...k,...k->...", gap, gap)
@@ -250,7 +256,8 @@ def pair_sqdist(p, tri):
     """Squared distance and closest point of each (point, triangle) row.
 
     p (K, 3), tri (K, 3, 3) -> (K,) and (K, 3); each row depends on its own
-    inputs only.  Ericson's Voronoi-region projection.
+    inputs only.  Ericson's Voronoi-region projection: each row's region
+    is chosen once, and its closest point is formed only in that region.
     """
     a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
     ab = b - a
@@ -265,39 +272,51 @@ def pair_sqdist(p, tri):
     d5 = np.einsum("tk,tk->t", ab, cp)
     d6 = np.einsum("tk,tk->t", ac, cp)
 
-    closest = np.empty((len(tri), 3))
-    done = np.zeros(len(tri), dtype=bool)
-
-    def set_closest(mask, pts):
-        mask &= ~done
-        np.copyto(closest, pts, where=mask[:, None])
-        done[mask] = True
-
-    set_closest((d1 <= 0) & (d2 <= 0), a)
-    set_closest((d3 >= 0) & (d4 <= d3), b)
-    set_closest((d6 >= 0) & (d5 <= d6), c)
-
     vc = d1 * d4 - d3 * d2
-    mask = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    v = np.where(np.abs(d1 - d3) > 0, d1 / np.where(d1 - d3 == 0, 1.0, d1 - d3), 0.0)
-    set_closest(mask, a + v[:, None] * ab)
-
     vb = d5 * d2 - d1 * d6
-    mask = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    w = np.where(np.abs(d2 - d6) > 0, d2 / np.where(d2 - d6 == 0, 1.0, d2 - d6), 0.0)
-    set_closest(mask, a + w[:, None] * ac)
-
     va = d3 * d6 - d5 * d4
-    mask = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
-    denom = (d4 - d3) + (d5 - d6)
-    w = np.where(denom != 0, (d4 - d3) / np.where(denom == 0, 1.0, denom), 0.0)
-    set_closest(mask, b + w[:, None] * (c - b))
+    # each row's Voronoi region is the first that holds: vertices a, b, c,
+    # edges ab, ac, bc, then the face.  d1 > d3 keeps a repeated vertex
+    # a = b (d1 = d3 = 0) out of edge ab, which would pin it to a; edge ac
+    # then takes it
+    region = np.select(
+        [
+            (d1 <= 0) & (d2 <= 0),
+            (d3 >= 0) & (d4 <= d3),
+            (d6 >= 0) & (d5 <= d6),
+            (vc <= 0) & (d1 >= 0) & (d3 <= 0) & (d1 > d3),
+            (vb <= 0) & (d2 >= 0) & (d6 <= 0),
+            (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),
+        ],
+        np.arange(6, dtype=np.int8),
+        np.int8(6),
+    )
+    closest = np.empty((len(tri), 3))
+    for r, corner in enumerate((a, b, c)):
+        k = np.flatnonzero(region == r)
+        closest[k] = corner[k]
 
-    denom = va + vb + vc
+    k = np.flatnonzero(region == 3)
+    v = d1[k] / (d1[k] - d3[k])  # d1 > d3 in this region
+    closest[k] = a[k] + v[:, None] * ab[k]
+
+    k = np.flatnonzero(region == 4)
+    e, f = d2[k], d6[k]
+    w = np.where(np.abs(e - f) > 0, e / np.where(e - f == 0, 1.0, e - f), 0.0)
+    closest[k] = a[k] + w[:, None] * ac[k]
+
+    k = np.flatnonzero(region == 5)
+    e, f = d4[k] - d3[k], d5[k] - d6[k]
+    denom = e + f
+    w = np.where(denom != 0, e / np.where(denom == 0, 1.0, denom), 0.0)
+    closest[k] = b[k] + w[:, None] * (c[k] - b[k])
+
+    k = np.flatnonzero(region == 6)
+    denom = va[k] + vb[k] + vc[k]
     denom = np.where(denom == 0, 1.0, denom)
-    v = vb / denom
-    w = vc / denom
-    set_closest(~done, a + v[:, None] * ab + w[:, None] * ac)
+    v = vb[k] / denom
+    w = vc[k] / denom
+    closest[k] = a[k] + v[:, None] * ab[k] + w[:, None] * ac[k]
 
     d = closest - p
     return np.einsum("tk,tk->t", d, d), closest
@@ -333,7 +352,7 @@ class ClosestPointResult:
 
 _SEED_GRID = 5  # Newton starts from the best node of this parameter grid
 _DENSE_GRID = 64  # the value check scans this grid for every pair
-_SCAN_ROWS = 16  # pairs ranked per GEMM, so the ranks stay in cache
+_RANK_ENTRIES = 16 * _DENSE_GRID**2  # ranks per GEMM, so they stay in cache
 _NEWTON_STEPS = 50
 _FLAT = 64 * np.finfo(float).eps  # predicted decrease at the rounding of f, relative
 
@@ -448,10 +467,8 @@ def _grid_scan(coeffs, slot, X, k):
     """Best node of a k x k parameter grid per pair: (params (M, 2), f (M,)).
 
     slot must be sorted, so each patch's pairs form one run.  Each patch's
-    nodes g are ranked by |g - c|^2 - 2 (x - c).(g - c), one GEMM per run
-    in coordinates centred on that patch's grid (c its mean node), and the
-    winner's f is then computed exactly.  Grids are evaluated a chunk of
-    patches at a time.
+    nodes are ranked by nearest_nodes, and the winner's f is then computed
+    exactly.  Grids are evaluated a chunk of patches at a time.
     """
     if np.any(slot[1:] < slot[:-1]):
         raise UsageError("grid scan pairs must be sorted by slot")
@@ -459,30 +476,50 @@ def _grid_scan(coeffs, slot, X, k):
     grid = np.linspace(-1.0, 1.0, k)
     b = bezier.bernstein_matrix(n, grid)
     used, starts = np.unique(slot, return_index=True)
-    ends = np.append(starts[1:], len(slot))
+    bounds = np.append(starts, len(slot))
     best = np.empty(len(X), dtype=np.int64)
     node = np.empty((len(X), 3))
     # per patch: its grid, its ranker and their temporaries
     for part in chunks(len(used), 4 * k * k * 4 * 8):
         g = _eval_grids(coeffs[used[part]], b).reshape(-1, 3, k * k)
-        c = g.mean(axis=2)
-        # rows [x - c, 1] times a patch's ranker give its ranks in one GEMM
-        ranker = np.empty((len(g), 4, k * k))
-        np.subtract(g, c[:, :, None], out=ranker[:, :3])
-        ranker[:, 3] = np.einsum("pkv,pkv->pv", ranker[:, :3], ranker[:, :3])
-        ranker[:, :3] *= -2.0
-        for j, lo, hi in zip(range(len(g)), starts[part], ends[part]):
-            # a spare last row keeps every product a GEMM of at least two
-            # rows, whose rows do not depend on each other
-            xc = np.ones((hi - lo + 1, 4))
-            xc[:-1, :3] = X[lo:hi] - c[j]
-            for r0 in range(0, hi - lo, _SCAN_ROWS):
-                r1 = min(r0 + _SCAN_ROWS, hi - lo)
-                rank = xc[r0 : max(r1, r0 + 2)] @ ranker[j]
-                best[lo + r0 : lo + r1] = np.argmin(rank[: r1 - r0], axis=1)
-            node[lo:hi] = g[j][:, best[lo:hi]].T
+        runs = bounds[part.start : part.stop + 1]
+        lo, hi = runs[0], runs[-1]
+        best[lo:hi] = nearest_nodes(g, runs - lo, X[lo:hi])
+        node[lo:hi] = g[np.repeat(np.arange(len(g)), np.diff(runs)), :, best[lo:hi]]
     f = 0.5 * ((node - X) ** 2).sum(axis=1)
     return np.stack([grid[best // k], grid[best % k]], axis=1), f
+
+
+def nearest_nodes(g, bounds, X) -> np.ndarray:
+    """Index of the node nearest each point, among its own patch's nodes.
+
+    g (P, 3, V) holds the nodes of P patches, and points
+    X[bounds[j]:bounds[j + 1]] belong to patch j.  Nodes are ranked by
+    |g - c|^2 - 2 (x - c).(g - c), in coordinates centred on the patch (c
+    its mean node), one GEMM per block of points whose ranks fill at most
+    _RANK_ENTRIES.  The ranks are exact up to rounding, so the winner's
+    distance is within rounding of the nearest node's; callers recompute it
+    exactly from the winner.
+    """
+    best = np.empty(len(X), dtype=np.int64)
+    c = g.mean(axis=2)
+    # rows [x - c, 1] times a patch's ranker give its ranks in one GEMM
+    ranker = np.empty((len(g), 4, g.shape[2]))
+    np.subtract(g, c[:, :, None], out=ranker[:, :3])
+    ranker[:, 3] = np.einsum("pkv,pkv->pv", ranker[:, :3], ranker[:, :3])
+    ranker[:, :3] *= -2.0
+    # a one-point block borrows the row after it (a spare row at the end),
+    # so every product is a GEMM of at least two rows, whose rows do not
+    # depend on each other
+    xc = np.ones((len(X) + 1, 4))
+    xc[:-1, :3] = X - np.repeat(c, np.diff(bounds), axis=0)
+    step = max(1, _RANK_ENTRIES // g.shape[2])
+    for j, lo, hi in zip(range(len(g)), bounds[:-1], bounds[1:]):
+        for r0 in range(lo, hi, step):
+            r1 = min(r0 + step, hi)
+            rank = xc[r0 : max(r1, r0 + 2)] @ ranker[j]
+            best[r0:r1] = np.argmin(rank[: r1 - r0], axis=1)
+    return best
 
 
 def _eval_grids(C, b):
@@ -678,7 +715,7 @@ def closest_point_global_bulk(patchset: PatchSet, points):
     reach = slack(first.distance, X)
     rows, pids = index.tree_boxes.query_box(X - reach[:, None], X + reach[:, None])
     lo, hi = patchset.control_boxes()
-    near = _box_sqdist(X[rows], lo[pids], hi[pids]) <= reach[rows] ** 2
+    near = box_sqdist(X[rows], lo[pids], hi[pids]) <= reach[rows] ** 2
     rows, pids = rows[near], pids[near]
     other = pids != cand0[rows]
     rows = np.concatenate([np.arange(m), rows[other]])

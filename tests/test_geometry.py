@@ -304,6 +304,45 @@ def test_lengths_do_not_depend_on_the_batch():
         assert whole.tolist() == alone
 
 
+def test_lengths_keep_the_bits_of_the_cross_product_norm(unit_sphere_patches, random_cubic_patch):
+    """PatchSet.lengths forms |ps x pt| component by component; it keeps the
+    bits of np.linalg.norm(np.cross(ps, pt), axis=2)."""
+    from dataclasses import replace
+
+    from hedgehog.chebyshev import cc_rule
+    from hedgehog.geometry.bezier import bernstein_matrix, eval_grid
+    from hedgehog.geometry.patches import LENGTH_RULE_ORDER
+
+    patches = list(unit_sphere_patches.as_fine().uniform_refined(1)) + [random_cubic_patch]
+    got = PatchSet([replace(p, _length=None) for p in patches]).lengths
+    rule = cc_rule(LENGTH_RULE_ORDER)
+    w2 = np.outer(rule.weights, rule.weights).ravel()
+    for p, length in zip(patches, got):
+        b0 = bernstein_matrix(p.degree, rule.nodes)
+        b1 = bernstein_matrix(p.degree, rule.nodes, 1)
+        ps = eval_grid(p.coeffs[None], b1, b0).reshape(1, -1, 3)
+        pt = eval_grid(p.coeffs[None], b0, b1).reshape(1, -1, 3)
+        sqrtg = np.linalg.norm(np.cross(ps, pt), axis=2)
+        assert length == np.sqrt((sqrtg * w2).sum(axis=1))[0]
+
+
+def test_bernstein_binomials_are_cached_read_only():
+    """The binomial row is built once per degree, and the basis keeps the
+    bits of the comb-per-call form."""
+    from math import comb
+
+    from hedgehog.geometry.bezier import _binomials, bernstein_matrix
+
+    row = _binomials(7)
+    assert row is _binomials(7) and not row.flags.writeable
+    s = np.linspace(-1.0, 1.0, 33)
+    u = 0.5 * (s + 1.0)
+    binoms = np.array([comb(7, l) for l in range(8)], dtype=float)
+    pu = np.vander(u, 8, increasing=True)
+    pv = np.vander(1.0 - u, 8, increasing=True)[:, ::-1]
+    assert np.array_equal(bernstein_matrix(7, s), binoms[None, :] * pu * pv)
+
+
 def test_degenerate_jacobian_raises():
     coeffs = np.zeros((3, 3, 3))  # collapsed patch
     patch = SurfacePatch(coeffs=coeffs, root_id=0)

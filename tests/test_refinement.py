@@ -358,3 +358,67 @@ def test_unconverged_closest_points_are_recorded(unit_sphere_patches, monkeypatc
     counts = [rec.unconverged for rec in starved.sweeps]
     assert sum(counts) > 0
     assert f"{max(counts)} closest points unconverged" in starved.to_text()
+
+
+def test_sag_does_not_depend_on_the_batch(unit_sphere_patches, flat_square_patch, random_cubic_patch):
+    """Each patch's sag has the same bits for shuffled and partial id lists."""
+    from hedgehog.refinement import _proxies
+
+    patches = unit_sphere_patches.as_fine().uniform_refined(1).patches[:40]
+    ps = PatchSet(patches + [flat_square_patch, random_cubic_patch])
+    whole = _proxies(ps, np.arange(len(ps))).sag
+    rng = np.random.default_rng(4)
+    shuffled = rng.permutation(len(ps))
+    assert np.array_equal(_proxies(ps, shuffled).sag, whole[shuffled])
+    for ids in (rng.choice(len(ps), 7, replace=False), np.array([len(ps) - 1]), np.array([3])):
+        assert np.array_equal(_proxies(ps, ids).sag, whole[ids])
+
+
+def test_vertex_distance_on_unsorted_slots(unit_sphere_patches):
+    """The GEMM-ranked vertex distance is the brute-force vertex minimum to
+    rounding and never undercuts the exact proxy-triangle distance."""
+    from hedgehog.refinement import _proxies, _vertex_distance
+    from hedgehog.spatial import point_triangle_sqdist
+
+    ps = unit_sphere_patches.as_fine().uniform_refined(1)
+    ids = np.arange(0, len(ps), 3)
+    prox = _proxies(ps, ids)
+    rng = np.random.default_rng(8)
+    slot = rng.integers(0, len(ids), 600)  # unsorted, with repeats
+    lengths = ps.lengths[ids[slot]]
+    centre = prox.vertices[slot].mean(axis=1)
+    x = centre * (1.0 + rng.uniform(-1.5, 1.5, (600, 1)) * lengths[:, None])
+    dist = _vertex_distance(prox, slot, x)
+    brute = np.sqrt(((prox.vertices[slot] - x[:, None, :]) ** 2).sum(axis=2).min(axis=1))
+    assert np.all(np.abs(dist - brute) <= 1e-12 * brute)
+    for k in range(len(x)):
+        d2, _ = point_triangle_sqdist(x[k], prox.tris[slot[k]])
+        assert dist[k] >= np.sqrt(d2.min())
+
+
+def test_screen_counts_partition_the_gathered_pairs(unit_sphere_patches):
+    """Every gathered pair is dead or decided at exactly one stage, the
+    counts reach the sweep records and the report text prints them."""
+    from hedgehog.refinement import SCREEN_STAGES, _pairs_within_length
+
+    cfg = AdmissibilityConfig(b=0.2, a=0.2 / 6, q=6)
+    fine, checks, rows_all, ids_all = _first_screened_sweep(unit_sphere_patches, cfg)
+    counts = {}
+    rows, _, _ = _pairs_within_length(fine, rows_all, ids_all, checks, cfg.eps_opt, counts)
+    assert tuple(counts) == SCREEN_STAGES
+    assert counts["gathered"] == len(rows_all)
+    decided = sum(counts[stage] for stage in SCREEN_STAGES[2:])
+    assert decided == counts["alive"] <= counts["gathered"]
+    assert counts["closed by vertex"] <= len(rows)
+    # each box level rules some pair far on this sphere
+    assert counts["far by group box"] > 0 and counts["far by triangle box"] > 0
+
+    report = RefinementReport()
+    adaptive_upsample(unit_sphere_patches, UpsamplingConfig(), cfg, report=report)
+    screened = [rec for rec in report.sweeps if rec.screen]
+    assert screened
+    for rec in screened:
+        assert sum(rec.screen[stage] for stage in SCREEN_STAGES[2:]) == rec.screen["alive"]
+    first = screened[0].screen
+    line = "screened pairs: " + ", ".join(f"{n} {stage}" for stage, n in first.items())
+    assert line in report.to_text()

@@ -9,6 +9,7 @@ from hedgehog.spatial import (
     closest_point_on_patch,
     closest_points,
     grid_triangles,
+    pair_sqdist,
     patch_normals,
     patch_points,
     point_triangle_sqdist,
@@ -210,6 +211,127 @@ def test_points_triangles_min_matches_scalar():
             assert gap == pytest.approx(d2[j, k], rel=1e-12, abs=1e-14)
     one, _ = point_triangle_sqdist(pts[7], tris)
     assert np.array_equal(one[0], d2[7])
+
+
+def _pair_sqdist_reference(p, tri):
+    """pair_sqdist in its earlier form: every candidate closest point formed
+    for every row, then copied in by seven masked passes, first region wins."""
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    ab, ac = b - a, c - a
+    ap, bp, cp = p - a, p - b, p - c
+    d1, d2 = np.einsum("tk,tk->t", ab, ap), np.einsum("tk,tk->t", ac, ap)
+    d3, d4 = np.einsum("tk,tk->t", ab, bp), np.einsum("tk,tk->t", ac, bp)
+    d5, d6 = np.einsum("tk,tk->t", ab, cp), np.einsum("tk,tk->t", ac, cp)
+    closest = np.empty((len(tri), 3))
+    done = np.zeros(len(tri), dtype=bool)
+
+    def set_closest(mask, pts):
+        mask &= ~done
+        np.copyto(closest, pts, where=mask[:, None])
+        done[mask] = True
+
+    set_closest((d1 <= 0) & (d2 <= 0), a)
+    set_closest((d3 >= 0) & (d4 <= d3), b)
+    set_closest((d6 >= 0) & (d5 <= d6), c)
+    vc = d1 * d4 - d3 * d2
+    v = np.where(np.abs(d1 - d3) > 0, d1 / np.where(d1 - d3 == 0, 1.0, d1 - d3), 0.0)
+    set_closest((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + v[:, None] * ab)
+    vb = d5 * d2 - d1 * d6
+    w = np.where(np.abs(d2 - d6) > 0, d2 / np.where(d2 - d6 == 0, 1.0, d2 - d6), 0.0)
+    set_closest((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + w[:, None] * ac)
+    va = d3 * d6 - d5 * d4
+    denom = (d4 - d3) + (d5 - d6)
+    w = np.where(denom != 0, (d4 - d3) / np.where(denom == 0, 1.0, denom), 0.0)
+    set_closest((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0), b + w[:, None] * (c - b))
+    denom = va + vb + vc
+    denom = np.where(denom == 0, 1.0, denom)
+    set_closest(~done, a + (vb / denom)[:, None] * ab + (vc / denom)[:, None] * ac)
+    d = closest - p
+    return np.einsum("tk,tk->t", d, d), closest
+
+
+def _sampled_sqdist(points, tri, n=60):
+    """Min squared distance of each point to a dense barycentric sample of tri."""
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    keep = i + j <= n
+    u, v = i[keep] / n, j[keep] / n
+    samples = np.outer(1.0 - u - v, tri[0]) + np.outer(u, tri[1]) + np.outer(v, tri[2])
+    return ((points[:, None, :] - samples[None]) ** 2).sum(axis=2).min(axis=1)
+
+
+def test_pair_sqdist_every_voronoi_region_matches_the_reference():
+    """Rows in each of the seven regions of a moved unit right triangle get
+    the reference's bits and the closest point of their region."""
+    rng = np.random.default_rng(11)
+    tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    def foot(u, v):
+        return [
+            (0.0, 0.0), (1.0, 0.0), (0.0, 1.0),  # vertices a, b, c
+            (u, 0.0), (0.0, v),  # edges ab, ac
+            ((1.0 + u - v) / 2.0, (1.0 - u + v) / 2.0),  # edge bc
+            (u, v),  # face
+        ]
+
+    seeds = [(-1.0, -1.0), (2.0, -0.5), (-0.5, 2.0), (0.5, -1.0), (-1.0, 0.5), (1.0, 1.0), (0.2, 0.2)]
+    pts, tris, expect = [], [], []
+    for region, (u0, v0) in enumerate(seeds):
+        for _ in range(40):
+            u, v = np.array([u0, v0]) + 0.05 * rng.normal(size=2)
+            rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            shift = rng.normal(size=3)
+            pts.append(np.array([u, v, rng.normal()]) @ rot.T + shift)
+            tris.append(tri @ rot.T + shift)
+            expect.append(np.array([*foot(u, v)[region], 0.0]) @ rot.T + shift)
+    pts, tris, expect = np.array(pts), np.array(tris), np.array(expect)
+    d2, closest = pair_sqdist(pts, tris)
+    ref_d2, ref_closest = _pair_sqdist_reference(pts, tris)
+    assert np.array_equal(d2, ref_d2) and np.array_equal(closest, ref_closest)
+    assert np.allclose(closest, expect, rtol=0.0, atol=1e-12)
+    # vertex rows copy the vertex itself
+    for r in range(3):
+        rows = slice(40 * r, 40 * (r + 1))
+        assert np.array_equal(closest[rows], tris[rows, r])
+
+    # random rows, most of them in the vertex and edge regions
+    p = rng.uniform(-1.5, 1.5, (20000, 3))
+    t = rng.uniform(-1.0, 1.0, (20000, 3, 3))
+    for got, ref in zip(pair_sqdist(p, t), _pair_sqdist_reference(p, t)):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize(
+    "tri",
+    [
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.5, 0.0, 0.0]],  # collinear
+        [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]],  # collinear, c between
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]],  # a = b
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],  # a = c
+        [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]],  # b = c
+        [[0.3, 0.2, 0.1], [0.3, 0.2, 0.1], [0.3, 0.2, 0.1]],  # one point
+    ],
+)
+def test_pair_sqdist_degenerate_triangles(tri):
+    """Zero-area triangles: never farther than a dense sample of the
+    triangle, with the reference's bits except where it was wrong."""
+    tri = np.array(tri)
+    pts = np.random.default_rng(5).uniform(-2.0, 3.0, (300, 3))
+    tris = np.repeat(tri[None], len(pts), axis=0)
+    d2, closest = pair_sqdist(pts, tris)
+    sampled = _sampled_sqdist(pts, tri)
+    assert np.all(d2 <= sampled * (1.0 + 1e-12) + 1e-14)
+    assert np.allclose(((closest - pts) ** 2).sum(axis=1), d2, rtol=1e-12, atol=1e-14)
+    ref_d2, ref_closest = _pair_sqdist_reference(pts, tris)
+    if np.array_equal(tri[0], tri[1]) and not np.array_equal(tri[0], tri[2]):
+        # the earlier form put every a = b row (d1 = d3 = 0) that vertex a
+        # does not take into edge ab, and pinned it to a
+        pinned = np.all(ref_closest == tri[0], axis=1)
+        assert np.any(ref_d2[pinned] > sampled[pinned] + 0.1)
+        assert np.all(d2[pinned] <= ref_d2[pinned])
+        assert np.array_equal(d2[~pinned], ref_d2[~pinned])
+        assert np.array_equal(closest[~pinned], ref_closest[~pinned])
+    else:
+        assert np.array_equal(d2, ref_d2) and np.array_equal(closest, ref_closest)
 
 
 def test_closest_point_flat_patch(flat_square_patch):
