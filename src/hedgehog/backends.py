@@ -11,7 +11,8 @@ multiplied by the quadrature weights), so backends never see the surface
 discretization, only points, normals and charge vectors.  A weighted density
 is one (N, d) vector field or a block of k of them, (N, d, k), or the same
 N * d * k values as (N, d * k); the potential keeps the trailing shape,
-(M, d) or (M, d, k) or (M, d * k).  DirectBackend sums a block in one pass
+(M, d) or (M, d, k) or (M, d * k), and is written into out when the caller
+passes an array of that shape.  DirectBackend sums a block in one pass
 over the pairs, in tiles of bounded memory (one GEMM per output component
 and tile, see kernels.py), and refuses a sum over more than
 kernels.PAIR_BUDGET pairs; PluginBackend hands its callable one (N, d)
@@ -32,15 +33,25 @@ def _as_contig(a):
 
 
 class DirectBackend:
-    """Reference direct-summation backend."""
+    """Reference direct-summation backend.
+
+    Its sums take their tile temporaries from one kernels.Workspace (per
+    thread) that lives as long as the backend, so that the many sums of an
+    operator build or an evaluation reuse the same memory.
+    """
 
     strategy = "direct"
 
-    def potential(self, kernel, layer, sources, normals, weighted_density, targets):
+    def __init__(self):
+        self.workspace = K.Workspace()
+
+    def potential(self, kernel, layer, sources, normals, weighted_density, targets, out=None):
         """Evaluate sum_I K(x, y_I) sigma_I at targets, sigma = phi * w.
 
         layer is "single", "double", or "combined"; combined takes
-        weighted_density as a (sigma_single, sigma_double) pair.
+        weighted_density as a (sigma_single, sigma_double) pair.  out, a
+        C-contiguous float array of the result's shape, receives the result
+        when given.
         """
         sources = _as_contig(sources)
         targets = _as_contig(np.atleast_2d(targets))
@@ -48,12 +59,16 @@ class DirectBackend:
             out = K.apply_combined(
                 kernel, targets, sources, _as_contig(normals),
                 _as_contig(weighted_density[0]), _as_contig(weighted_density[1]),
+                out, self.workspace,
             )
         elif layer == "single":
-            out = K.apply_single_layer(kernel, targets, sources, _as_contig(weighted_density))
+            out = K.apply_single_layer(
+                kernel, targets, sources, _as_contig(weighted_density), out, self.workspace
+            )
         elif layer == "double":
             out = K.apply_double_layer(
-                kernel, targets, sources, _as_contig(normals), _as_contig(weighted_density)
+                kernel, targets, sources, _as_contig(normals), _as_contig(weighted_density),
+                out, self.workspace,
             )
         else:
             raise UsageError(f"unknown layer {layer!r}")
@@ -82,7 +97,7 @@ class PluginBackend(DirectBackend):
     def __init__(self, fn):
         self._fn = fn
 
-    def potential(self, kernel, layer, sources, normals, weighted_density, targets):
+    def potential(self, kernel, layer, sources, normals, weighted_density, targets, out=None):
         m = np.atleast_2d(targets).shape[0]
         n = np.atleast_2d(sources).shape[0]
         parts = weighted_density if layer == "combined" else (weighted_density,)
@@ -90,13 +105,16 @@ class PluginBackend(DirectBackend):
         columns = []
         for c in range(blocks[0].shape[2]):
             column = tuple(block[:, :, c] for block in blocks)
-            out = self._fn(
+            value = self._fn(
                 kernel, layer, sources, normals,
                 column if layer == "combined" else column[0], targets,
             )
-            columns.append(np.asarray(out, dtype=float).reshape(m, kernel.d))
-        out = np.stack(columns, axis=-1).reshape((m,) + shapes[0])
-        self._check_finite(out)
+            columns.append(np.asarray(value, dtype=float).reshape(m, kernel.d))
+        result = np.stack(columns, axis=-1).reshape((m,) + shapes[0])
+        self._check_finite(result)
+        if out is None:
+            return result
+        out[...] = result
         return out
 
 

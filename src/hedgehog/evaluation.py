@@ -6,7 +6,8 @@ quadrature on the upsampled patch set, then extrapolated back to the target
 with the first-kind barycentric formula.  Far targets get plain smooth
 quadrature on the coarse nodes; intermediate targets and the check points of
 near and on-surface targets are summed on the upsampled set through
-quadrature.upsampled_potential, the same sum the operator build makes.
+quadrature.upsampled_potential, the sum of the same per-patch blocks that
+the operator build extrapolates one at a time (average_limits).
 """
 
 from dataclasses import dataclass, fields
@@ -18,13 +19,14 @@ from .backends import default_backend
 from .chebyshev import extrapolation_weights
 from .errors import UsageError
 from .geometry.patches import PatchSet
-from .kernels import LAPLACE, KernelFamily
+from .kernels import LAPLACE, KernelFamily, density_columns
 from .quadrature import (
     QuadratureNodeSet,
     smooth_potential,
+    upsampled_blocks,
     upsampled_potential,
 )
-from .spatial import closest_point_global_bulk, patch_normals, patch_points
+from .spatial import chunks, closest_point_global_bulk, patch_normals, patch_points
 
 
 @dataclass
@@ -186,17 +188,18 @@ def _surface_frames(patchset: PatchSet, pids, params):
     return patch_points(patchset, pids, params), patch_normals(patchset, pids, params)
 
 
-def _extrapolate_rows(values, t_x, p):
-    """Extrapolate stacked check values: values (M*(p+1), d), t_x (M,).
+def _extrapolate_rows(values, weights):
+    """Extrapolate stacked check values: values (M (p + 1), ...) with the
+    weights (M, p + 1) of extrapolation_weights gives (M, c), c the values
+    per check point.
 
-    The contraction runs in long double; the cardinal weights are large and
-    alternating, and the cancellation noise would otherwise cap the scheme
-    near 1e-11.
+    The contraction runs in long double, the weights' type; the cardinal
+    weights are large and alternating, and the cancellation noise would
+    otherwise cap the scheme near 1e-11.  einsum casts the values as it
+    goes, so no long-double copy of them is formed.
     """
-    d = values.shape[1]
-    vals = values.reshape(-1, p + 1, d).astype(np.longdouble)
-    w = extrapolation_weights(p, np.asarray(t_x, dtype=float))
-    return np.einsum("ms,msd->md", w, vals).astype(float)
+    m, s = weights.shape
+    return np.einsum("ms,msd->md", weights, values.reshape(m, s, -1)).astype(float)
 
 
 def evaluate_one_sided(
@@ -250,7 +253,8 @@ def evaluate_one_sided(
         if len(near):
             ray, step = opts.spacings(lengths)
             t_x = (np.linalg.norm(targets[near] - anchors, axis=1) - ray) / step
-            values[near] = _extrapolate_rows(sums[len(mid) :], t_x, opts.p)
+            weights = extrapolation_weights(opts.p, t_x)
+            values[near] = _extrapolate_rows(sums[len(mid) :], weights)
     return values, mask
 
 
@@ -276,7 +280,10 @@ def evaluate_two_sided(
         nodes.positions, nodes.normals, lengths, kernel, nodes, density,
         fine_nodes, opts, backend,
     )
-    pv += (0.5 if interior else -0.5) * density
+    half = 0.5 if interior else -0.5
+    # in row chunks: the block of the operator build is as large as pv
+    for rows in chunks(len(pv), 8 * pv.shape[1]):
+        pv[rows] += half * density[rows]
     return pv
 
 
@@ -285,20 +292,31 @@ def average_limits(
 ):
     """Average of interior and exterior extrapolated limits (the PV).
 
-    density is given at the coarse nodes, (N, c) for d values of each of k
-    densities, and summed at the check points through
-    quadrature.upsampled_potential, one coarse patch at a time.
+    density is given at the coarse nodes, as (N,), (N, d), (N, d, k) or
+    (N, d * k); the result is (M, d * k).  The check-point sums arrive from
+    quadrature.upsampled_blocks one coarse patch at a time, and each
+    patch's block is extrapolated to the anchors as it arrives and added
+    into the result's columns that are nonzero on that patch.  So the
+    check values of all densities are never held at once, only the result
+    and one patch's block.  Columns nonzero on one patch only, as those of
+    the identity in the operator build, get the bits of extrapolating the
+    full sums; other columns differ from that in rounding only.
     """
-    m = len(anchors)
+    m, p, d = len(anchors), opts.p, kernel.d
     both = np.concatenate(
         [
             opts.points(anchors, normals, lengths, -1.0),
             opts.points(anchors, normals, lengths, +1.0),
         ]
     )
-    cvals = upsampled_potential(kernel, "double", nodes, density, fine_nodes, both, backend)
-    cvals = cvals.reshape(len(both), -1)
     t_x = -opts.b / opts.a * np.ones(m)  # on-surface targets: |x - y*| = 0
-    interior = _extrapolate_rows(cvals[: m * (opts.p + 1)], t_x, opts.p)
-    exterior = _extrapolate_rows(cvals[m * (opts.p + 1) :], t_x, opts.p)
-    return 0.5 * (interior + exterior)
+    weights = extrapolation_weights(p, t_x)
+    out = np.zeros((m, d, density_columns(density, len(nodes), d)[0].shape[2]))
+    half = m * (p + 1)
+    for cols, block in upsampled_blocks(
+        kernel, "double", nodes, density, fine_nodes, both, backend
+    ):
+        interior = _extrapolate_rows(block[:half], weights)
+        exterior = _extrapolate_rows(block[half:], weights)
+        out[:, :, cols] += (0.5 * (interior + exterior)).reshape(m, d, -1)
+    return out.reshape(m, -1)

@@ -103,6 +103,20 @@ def subdivide(coeffs: np.ndarray, s_upper: bool, t_upper: bool) -> np.ndarray:
     return np.ascontiguousarray(out).reshape(lead + (n + 1, n + 1, 3))
 
 
+@lru_cache(maxsize=1024)
+def _contraction_path(subscripts: str, *shapes) -> tuple:
+    """The path np.einsum(..., optimize=True) picks for operands of these
+    shapes, planned once per shape instead of on every call."""
+    return tuple(np.einsum_path(subscripts, *(np.empty(s) for s in shapes), optimize=True)[0])
+
+
+def _contract(subscripts: str, *operands) -> np.ndarray:
+    """np.einsum(subscripts, *operands, optimize=True), on a cached path."""
+    operands = [np.asarray(op) for op in operands]
+    path = _contraction_path(subscripts, *(op.shape for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
 def eval_grid(coeffs, bs: np.ndarray, bt: np.ndarray) -> np.ndarray:
     """Tensor evaluation on a grid: (P?, a, b, 3) from basis rows bs, bt.
 
@@ -111,10 +125,10 @@ def eval_grid(coeffs, bs: np.ndarray, bt: np.ndarray) -> np.ndarray:
     """
     coeffs = np.asarray(coeffs)
     if coeffs.ndim == 3:
-        return np.einsum("ai,ijd,bj->abd", bs, coeffs, bt, optimize=True)
-    return np.einsum("ai,pijd,bj->pabd", bs, coeffs, bt, optimize=True)
+        return _contract("ai,ijd,bj->abd", bs, coeffs, bt)
+    return _contract("ai,pijd,bj->pabd", bs, coeffs, bt)
 
 
 def eval_points(coeffs, bs: np.ndarray, bt: np.ndarray) -> np.ndarray:
     """Pointwise evaluation: basis rows are paired, result (M, 3)."""
-    return np.einsum("mi,ijd,mj->md", bs, coeffs, bt, optimize=True)
+    return _contract("mi,ijd,mj->md", bs, coeffs, bt)

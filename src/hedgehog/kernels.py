@@ -11,11 +11,13 @@ kernels).
 
 The direct sums (apply_single_layer, apply_double_layer, apply_combined and
 the point-source fields) run over tiles of (target, source) pairs whose
-temporaries stay within spatial.CHUNK_BYTES, and each refuses more than
-PAIR_BUDGET pairs with a UsageError.
+temporaries stay within spatial.CHUNK_BYTES and can come from a workspace
+that outlives one sum, and each refuses more than PAIR_BUDGET pairs with a
+UsageError.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -155,7 +157,14 @@ def double_layer_kernel(kernel: KernelFamily, x, y, n_y) -> np.ndarray:
 # u = (1 - 2 nu) c / |r|^3, take three more matrices u r_a against
 # [n_0 V, n_1 V, n_2 V], or against V with n per target for the conormal.
 # A block of k densities costs one pass over the pairs.  A sum of more than
-# PAIR_BUDGET pairs is refused before it starts.
+# PAIR_BUDGET pairs is refused before it starts.  The tiles' (m, n) and
+# (m, k) temporaries are views of a Workspace that grows to the largest
+# tile.  A caller that sums again and again, as backends.DirectBackend does,
+# passes its own, kept between sums, so that the tiles of successive sums
+# reuse the same memory instead of mapping and page-faulting new arrays;
+# other sums free theirs when they end.  Each tile adds into the rows of the
+# (M, d, k) result in place, which a caller may pass as out to have it
+# reused too.
 # ---------------------------------------------------------------------------
 
 PAIR_BUDGET = 1e9  # pairs one operation may sum: about 25 s at 4e7 pairs/s
@@ -179,25 +188,49 @@ def density_columns(density, n, d):
     return density.reshape(n, d, int(np.prod(shape)) // d), shape
 
 
+class Workspace(threading.local):
+    """Tile temporaries of direct sums, kept between the sums given it.
+
+    take(name, shape) returns a C-contiguous float view of slot name, which
+    grows to the largest array asked of it; each thread sees its own slots.
+    Arrays that one tile reads at the same time take distinct names, and a
+    taker writes its whole view before reading it, so nothing stale is read.
+    Successive tiles and sums thus reuse one set of arrays instead of
+    mapping and page-faulting fresh memory for each tile.
+    """
+
+    def __init__(self):
+        self.slots = {}
+
+    def take(self, name, shape) -> np.ndarray:
+        size = math.prod(shape)
+        slot = self.slots.get(name)
+        if slot is None or slot.size < size:
+            slot = self.slots[name] = np.empty(size)
+        return slot[:size].reshape(shape)
+
+
 class _Pairs:
     """Geometry of one tile: targets x = targets[rows] against sources
-    y = sources[cols].
+    y = sources[cols], with the workspace ws its temporaries come from.
 
     r = y - x.  |r|^2 and the projections r . v are GEMMs in coordinates
     centred on the targets' mean, so their rounding scales with the
     distances from the tile, not with the coordinates' magnitude.
     """
 
-    def __init__(self, targets, sources, rows, cols):
+    def __init__(self, targets, sources, rows, cols, ws):
         x, y = targets[rows], sources[cols]
-        self.rows, self.cols, self.x, self.y = rows, cols, x, y
+        self.rows, self.cols, self.x, self.y, self.ws = rows, cols, x, y, ws
         centre = x.mean(axis=0)
         self.xc, self.yc = x - centre, y - centre
         xx = np.einsum("ik,ik->i", self.xc, self.xc)
         yy = np.einsum("ik,ik->i", self.yc, self.yc)
-        rho2 = np.column_stack([-2.0 * self.xc, xx, np.ones(len(x))]) @ np.column_stack(
-            [self.yc, np.ones(len(y)), yy]
-        ).T
+        rho2 = np.matmul(
+            np.column_stack([-2.0 * self.xc, xx, np.ones(len(x))]),
+            np.column_stack([self.yc, np.ones(len(y)), yy]).T,
+            out=ws.take("inv", (len(x), len(y))),
+        )
         # a coincident pair leaves |r|^2 at the rounding level of |x|^2 + |y|^2
         if rho2.min() <= _COINCIDENT * (xx.max() + yy.max()) and np.any(
             rho2 <= _COINCIDENT * (xx[:, None] + yy[None, :])
@@ -206,15 +239,33 @@ class _Pairs:
         self.inv = np.sqrt(rho2, out=rho2)
         np.divide(1.0, self.inv, out=self.inv)
 
+    def take(self, name, k=None) -> np.ndarray:
+        """A workspace array of the tile's shape (m, n), or (m, k)."""
+        return self.ws.take(name, (len(self.x), len(self.y) if k is None else k))
+
     def dot_sources(self, v):
         """r . v for one vector per source, v = vectors[cols] (n, 3)."""
         yv = np.einsum("nk,nk->n", self.yc, v)
-        return np.column_stack([-self.xc, np.ones(len(self.xc))]) @ np.column_stack([v, yv]).T
+        return np.matmul(
+            np.column_stack([-self.xc, np.ones(len(self.xc))]),
+            np.column_stack([v, yv]).T,
+            out=self.take("dot"),
+        )
 
     def dot_targets(self, v):
         """r . v for one vector per target, v = vectors[rows] (m, 3)."""
         xv = np.einsum("mk,mk->m", self.xc, v)
-        return np.column_stack([v, -xv]) @ np.column_stack([self.yc, np.ones(len(self.yc))]).T
+        return np.matmul(
+            np.column_stack([v, -xv]),
+            np.column_stack([self.yc, np.ones(len(self.yc))]).T,
+            out=self.take("dot"),
+        )
+
+    def product(self, scale, weight, values):
+        """scale (weight @ values), (m, k), in the workspace."""
+        out = np.matmul(weight, values, out=self.take("term", values.shape[1]))
+        out *= scale
+        return out
 
     def weighted_r(self, weight, values, factors):
         """Products (weight r_a) @ (f V) for a < 3, f in factors, V in values.
@@ -223,15 +274,24 @@ class _Pairs:
         Returns get(a, g, f) -> the (m, k_g) product of M_a = weight r_a
         with factors[f] times values[g]: one GEMM per a over every block.
         """
-        rhs = np.hstack([v if f is None else f[:, None] * v for v in values for f in factors])
         starts = np.cumsum([0] + [len(factors) * v.shape[1] for v in values])
+        rhs = self.ws.take("rhs", (len(self.y), int(starts[-1])))
+        at = 0
+        for v in values:
+            for f in factors:
+                block = rhs[:, at : at + v.shape[1]]
+                if f is None:
+                    block[...] = v
+                else:
+                    np.multiply(f[:, None], v, out=block)
+                at += v.shape[1]
         x, y = self.x.T.copy(), self.y.T.copy()
-        buf = np.empty_like(weight)
+        buf = self.take("r")
         products = []
         for a in range(3):
             np.subtract(y[a], x[a, :, None], out=buf)
             buf *= weight
-            products.append(buf @ rhs)
+            products.append(np.matmul(buf, rhs, out=self.take(("products", a), rhs.shape[1])))
 
         def get(a, g, f):
             k = values[g].shape[1]
@@ -254,13 +314,16 @@ def _tiles(m, n):
     return [(r, c) for r in spatial.chunks(m, 8 * _ROW_ARRAYS * width) for c in cols]
 
 
-def _direct_sum(kernel, targets, sources, densities, add):
+def _direct_sum(kernel, targets, sources, densities, add, out=None, workspace=None):
     """Sum over the sources, one tile of pairs at a time.
 
     densities hold d * k values per source each, all of one shape.
     add(pairs, sigs, acc) adds a tile's sum into acc (d, m, k), the rows of
     the tile's targets, with each density given as its _components on the
-    tile's sources.
+    tile's sources.  The sum is written into out when it is given, a
+    C-contiguous array of the result's shape, and into a new array if not.
+    The tiles' temporaries come from workspace, or from one that lives only
+    as long as this sum.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
@@ -268,12 +331,21 @@ def _direct_sum(kernel, targets, sources, densities, add):
     check_pairs(m * n)
     blocks, shapes = zip(*(density_columns(s, n, d) for s in densities))
     sigs = [_components(b) for b in blocks]
-    out = np.zeros((d, m, blocks[0].shape[2]))
+    shape = (m,) + shapes[0]
+    if out is None:
+        out = np.zeros(shape)
+    elif out.shape != shape or out.dtype != float or not out.flags.c_contiguous:
+        raise UsageError(f"out must be a C-contiguous float array of shape {shape}")
+    else:
+        out.fill(0.0)
+    acc = out.reshape(m, d, blocks[0].shape[2])
+    workspace = Workspace() if workspace is None else workspace
     if n:
         for rows, cols in _tiles(m, n):
             tile = [(parts, [v[cols] for v in values]) for parts, values in sigs]
-            add(_Pairs(targets, sources, rows, cols), tile, out[:, rows])
-    return out.transpose(1, 0, 2).reshape((m,) + shapes[0])
+            g = _Pairs(targets, sources, rows, cols, workspace)
+            add(g, tile, acc[rows].transpose(1, 0, 2))
+    return out
 
 
 def nonzero_columns(a):
@@ -325,14 +397,24 @@ def _pair_term(g, weight, sig, acc):
     get = g.weighted_r(weight, values, (None, *g.yc.T))
     for i in range(3):
         for j, (cols, grp) in enumerate(parts):
-            acc[i][:, cols] += get(i, grp, 1 + j) - g.xc[:, j, None] * get(i, grp, 0)
+            term = g.take("term", values[grp].shape[1])
+            np.multiply(g.xc[:, j, None], get(i, grp, 0), out=term)
+            np.subtract(get(i, grp, 1 + j), term, out=term)
+            acc[i][:, cols] += term
+
+
+def _add_by_group(parts, grp, term, acc):
+    """acc_i += term for the components i whose values are group grp."""
+    for i, (cols, g) in enumerate(parts):
+        if g == grp:
+            acc[i][:, cols] += term
 
 
 def _single(kernel, g, sig, acc):
     """acc += the single layer of sig over the pairs g."""
     parts, values = sig
     if kernel.family is Family.LAPLACE:
-        acc[0][:, parts[0][0]] += INV_4PI * (g.inv @ values[0])
+        acc[0][:, parts[0][0]] += g.product(INV_4PI, g.inv, values[0])
         return
     # K_ij = c (diag delta_ij / |r| + r_i r_j / |r|^3)
     if kernel.family is Family.STOKES:
@@ -342,13 +424,12 @@ def _single(kernel, g, sig, acc):
         nu = kernel.poisson_ratio
         c = 1.0 / (16.0 * np.pi * kernel.viscosity * (1.0 - nu))
         diag = 3.0 - 4.0 * nu
-    inv3 = g.inv * c
+    inv3 = np.multiply(g.inv, c, out=g.take("weight"))
     inv3 *= g.inv
     inv3 *= g.inv
     _pair_term(g, inv3, sig, acc)
-    on_diagonal = [(c * diag) * (g.inv @ v) for v in values]
-    for i, (cols, grp) in enumerate(parts):
-        acc[i][:, cols] += on_diagonal[grp]
+    for grp, v in enumerate(values):
+        _add_by_group(parts, grp, g.product(c * diag, g.inv, v), acc)
 
 
 def _double(kernel, g, sig, acc, normals, on_targets=False):
@@ -360,17 +441,16 @@ def _double(kernel, g, sig, acc, normals, on_targets=False):
     """
     parts, values = sig
     dot = g.dot_targets if on_targets else g.dot_sources
+    inv3 = np.multiply(g.inv, g.inv, out=g.take("weight"))
     if kernel.family is Family.LAPLACE:
-        inv3 = g.inv * g.inv
         inv3 *= g.inv
         inv3 *= dot(normals)
-        acc[0][:, parts[0][0]] += INV_4PI * (inv3 @ values[0])
+        acc[0][:, parts[0][0]] += g.product(INV_4PI, inv3, values[0])
         return
     # pair term: 3 c (r . n) r_i r_j / |r|^5, with c = 1 / (4 pi) for Stokes
     nu = kernel.poisson_ratio
     c = INV_4PI if kernel.family is Family.STOKES else 1.0 / (8.0 * np.pi * (1.0 - nu))
-    inv3 = g.inv * g.inv
-    pair = inv3 * inv3
+    pair = np.multiply(inv3, inv3, out=g.take("pair"))
     pair *= g.inv
     pair *= dot((3.0 * c) * normals)
     _pair_term(g, pair, sig, acc)
@@ -384,42 +464,55 @@ def _double(kernel, g, sig, acc, normals, on_targets=False):
     if on_targets:
         get = g.weighted_r(inv3, values, (None,))
 
-        def s(a, b, grp):
-            return normals[:, b, None] * get(a, grp, 0)
+        def s(a, b, grp, name):
+            out = g.take(name, values[grp].shape[1])
+            return np.multiply(normals[:, b, None], get(a, grp, 0), out=out)
 
     else:
         get = g.weighted_r(inv3, values, tuple(normals.T))
 
-        def s(a, b, grp):
+        def s(a, b, grp, name):
             return get(a, grp, b)
 
     for i in range(3):
         for j, (cols, grp) in enumerate(parts):
             if j != i:
-                skew = s(i, j, grp) - s(j, i, grp)
-                acc[i][:, cols] += skew if on_targets else -skew
-    trace = [s(0, 0, grp) + s(1, 1, grp) + s(2, 2, grp) for grp in range(len(values))]
-    for i, (cols, grp) in enumerate(parts):
-        acc[i][:, cols] += trace[grp]
+                skew = g.take("term", values[grp].shape[1])
+                np.subtract(s(i, j, grp, "s"), s(j, i, grp, "t"), out=skew)
+                if on_targets:
+                    acc[i][:, cols] += skew
+                else:
+                    acc[i][:, cols] -= skew
+    for grp in range(len(values)):
+        trace = g.take("term", values[grp].shape[1])
+        np.add(s(0, 0, grp, "s"), s(1, 1, grp, "t"), out=trace)
+        trace += s(2, 2, grp, "s")
+        _add_by_group(parts, grp, trace, acc)
 
 
-def apply_single_layer(kernel: KernelFamily, targets, sources, density) -> np.ndarray:
+def apply_single_layer(
+    kernel: KernelFamily, targets, sources, density, out=None, workspace=None
+) -> np.ndarray:
     def add(g, sigs, acc):
         _single(kernel, g, sigs[0], acc)
 
-    return _direct_sum(kernel, targets, sources, [density], add)
+    return _direct_sum(kernel, targets, sources, [density], add, out, workspace)
 
 
-def apply_double_layer(kernel: KernelFamily, targets, sources, normals, density):
+def apply_double_layer(
+    kernel: KernelFamily, targets, sources, normals, density, out=None, workspace=None
+):
     normals = np.asarray(normals, dtype=float)
 
     def add(g, sigs, acc):
         _double(kernel, g, sigs[0], acc, normals[g.cols])
 
-    return _direct_sum(kernel, targets, sources, [density], add)
+    return _direct_sum(kernel, targets, sources, [density], add, out, workspace)
 
 
-def apply_combined(kernel: KernelFamily, targets, sources, normals, single, double):
+def apply_combined(
+    kernel: KernelFamily, targets, sources, normals, single, double, out=None, workspace=None
+):
     """Single layer of one density plus double layer of another, on one
     geometry pass: the two densities share every tile's |r|."""
     normals = np.asarray(normals, dtype=float)
@@ -428,7 +521,7 @@ def apply_combined(kernel: KernelFamily, targets, sources, normals, single, doub
         _single(kernel, g, sigs[0], acc)
         _double(kernel, g, sigs[1], acc, normals[g.cols])
 
-    return _direct_sum(kernel, targets, sources, [single, double], add)
+    return _direct_sum(kernel, targets, sources, [single, double], add, out, workspace)
 
 
 def point_source_field(kernel: KernelFamily, charges, strengths, points) -> np.ndarray:

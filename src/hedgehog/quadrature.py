@@ -5,6 +5,7 @@ w_hat = sqrt(g) * w_a * w_b, indexed globally patch-major: node (a, b) of
 patch i has global index i * q^2 + a * q + b.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -185,6 +186,53 @@ def upsample_density(
     return out.reshape(-1) if flat else out
 
 
+def upsampled_blocks(
+    kernel,
+    layer: str,
+    nodes: QuadratureNodeSet,
+    density,
+    fine_nodes: QuadratureNodeSet,
+    targets,
+    backend=None,
+):
+    """The terms of upsampled_potential, one coarse patch at a time.
+
+    Yields (cols, block) for each coarse patch j on which the density is
+    nonzero: block (M, d, len(cols)) is K(X, F_j) (W U_j phi_j) in the
+    density columns cols that are nonzero on patch j, from one backend call
+    over patch j's fine nodes.  The blocks are written into one buffer, so
+    each is valid only until the next is produced.
+    """
+    backend = backend or default_backend()
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    check_pairs(len(targets) * len(fine_nodes))
+    matrices = _upsampling(nodes, fine_nodes)
+    d = kernel.d
+    parts = density if layer == "combined" else (density,)
+    blocks = [density_columns(part, len(nodes), d)[0] for part in parts]
+    qq = nodes.q**2
+    buffer = np.empty(0)
+    for j, (rows, up) in enumerate(matrices):
+        local = [block[j * qq : (j + 1) * qq] for block in blocks]
+        if not len(up) or not any(part.any() for part in local):
+            continue
+        cols = nonzero_columns(np.stack(local))
+        weighted = []
+        for part in local:
+            fine = up @ part[:, :, cols].reshape(qq, -1)
+            fine *= fine_nodes.weights[rows, None]
+            weighted.append(fine.reshape(len(up), d, -1))
+        shape = (len(targets),) + weighted[0].shape[1:]
+        size = math.prod(shape)
+        if buffer.size < size:
+            buffer = np.empty(size)
+        yield cols, backend.potential(
+            kernel, layer, fine_nodes.positions[rows], fine_nodes.normals[rows],
+            tuple(weighted) if layer == "combined" else weighted[0], targets,
+            out=buffer[:size].reshape(shape),
+        )
+
+
 def upsampled_potential(
     kernel,
     layer: str,
@@ -197,9 +245,10 @@ def upsampled_potential(
     """Smooth quadrature on the fine set of a density given at the coarse nodes.
 
     The one sum over an upsampled set: the operator build and off-surface
-    evaluation both go through it.  Sums sum_j K(X, F_j) (W U_j phi_j) over
-    the coarse patches j, where F_j are the fine nodes of patch j, U_j the
-    cached interpolation onto them and W their weights: each patch's density
+    evaluation both go through it, the build through its terms
+    upsampled_blocks.  Sums sum_j K(X, F_j) (W U_j phi_j) over the coarse
+    patches j, where F_j are the fine nodes of patch j, U_j the cached
+    interpolation onto them and W their weights: each patch's density
     block is upsampled by one GEMM onto its own fine nodes only, and summed
     only into the density columns that are nonzero on that patch.  The pairs
     are those of one sum over the fine set; for a block with local support,
@@ -211,29 +260,14 @@ def upsampled_potential(
     density is (N,), (N, d), (N, d, k) or (N, d * k) and the result keeps
     its trailing shape.  Targets must be disjoint from the fine nodes.
     """
-    backend = backend or default_backend()
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    check_pairs(len(targets) * len(fine_nodes))
-    matrices = _upsampling(nodes, fine_nodes)
-    d = kernel.d
     parts = density if layer == "combined" else (density,)
-    blocks, shapes = zip(*(density_columns(part, len(nodes), d) for part in parts))
-    out = np.zeros((len(targets), d, blocks[0].shape[2]))
-    qq = nodes.q**2
-    for j, (rows, up) in enumerate(matrices):
-        local = [block[j * qq : (j + 1) * qq] for block in blocks]
-        if not len(up) or not any(part.any() for part in local):
-            continue
-        cols = nonzero_columns(np.stack(local))
-        weighted = []
-        for part in local:
-            fine = up @ part[:, :, cols].reshape(qq, -1)
-            fine *= fine_nodes.weights[rows, None]
-            weighted.append(fine.reshape(len(up), d, -1))
-        out[:, :, cols] += backend.potential(
-            kernel, layer, fine_nodes.positions[rows], fine_nodes.normals[rows],
-            tuple(weighted) if layer == "combined" else weighted[0], targets,
-        )
+    blocks, shapes = zip(*(density_columns(part, len(nodes), kernel.d) for part in parts))
+    out = np.zeros((len(targets), kernel.d, blocks[0].shape[2]))
+    for cols, block in upsampled_blocks(
+        kernel, layer, nodes, density, fine_nodes, targets, backend
+    ):
+        out[:, :, cols] += block
     return out.reshape((len(targets),) + shapes[0])
 
 

@@ -10,7 +10,10 @@ forms it once, as the matvec of the identity block, and runs GMRES on the
 dense matrix.  The check-point sums run one coarse patch at a time, each
 patch's fine nodes into the identity columns of that patch's own nodes, so
 the build sums the pairs of one pass over the fine set and never forms the
-dense fine copy of the identity.
+dense fine copy of the identity.  Each patch's check values are
+extrapolated to the surface as they arrive (evaluation.average_limits),
+so the build holds the identity, the operator, one patch's check block
+and the tiles' workspace, which spatial.CHUNK_BYTES bounds.
 """
 
 import time
@@ -199,9 +202,12 @@ def solve(problem_or_system, backend=None):
     """Solve A phi = f with restart-free GMRES at the 1e-12 tolerance.
 
     Accepts a BVProblem (assembled here) or a prebuilt AssembledSystem.
-    A is formed once, as the matvec of the N d x N d identity, and GMRES
-    runs on the dense matrix.  A build over kernels.PAIR_BUDGET check-point
-    pairs raises UsageError before anything is formed.  Returns
+    A is formed once, as the matvec of the N d x N d identity, one coarse
+    patch's columns at a time: that patch's fine nodes are summed at every
+    check point and the block is extrapolated into A before the next patch
+    is summed.  GMRES runs on the dense matrix.  A build over
+    kernels.PAIR_BUDGET check-point pairs raises UsageError before anything
+    is formed.  Returns
     (DensityField, SolveReport); non-convergence keeps the best iterate and
     reports converged=False.
     """

@@ -343,6 +343,33 @@ def test_bernstein_binomials_are_cached_read_only():
     assert np.array_equal(bernstein_matrix(7, s), binoms[None, :] * pu * pv)
 
 
+def test_bezier_contractions_take_the_optimized_path_planned_once():
+    """eval_grid and eval_points contract on the path optimize=True picks,
+    planned once per operand shape, and keep the bits of optimize=True."""
+    from hedgehog.geometry.bezier import _contraction_path, bernstein_matrix, eval_grid, eval_points
+
+    rng = np.random.default_rng(4)
+    coeffs = rng.normal(size=(5, 8, 8, 3))
+    grid = bernstein_matrix(7, np.linspace(-1.0, 1.0, 6))
+    deriv = bernstein_matrix(7, np.linspace(-1.0, 1.0, 9), 1)
+    at = rng.uniform(-1.0, 1.0, (2, 40))
+    bs, bt = bernstein_matrix(7, at[0]), bernstein_matrix(7, at[1])
+    cases = [
+        (eval_grid, "ai,pijd,bj->pabd", (grid, coeffs, deriv)),
+        (eval_grid, "ai,ijd,bj->abd", (deriv, coeffs[0], grid)),
+        (eval_points, "mi,ijd,mj->md", (bs, coeffs[1], bt)),
+    ]
+    for evaluate, subscripts, (left, c, right) in cases:
+        shapes = (left.shape, c.shape, right.shape)
+        path = np.einsum_path(subscripts, left, c, right, optimize=True)[0]
+        assert list(_contraction_path(subscripts, *shapes)) == path
+        misses = _contraction_path.cache_info().misses
+        got = evaluate(c, left, right)
+        assert _contraction_path.cache_info().misses == misses
+        want = np.einsum(subscripts, left, c, right, optimize=True)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_degenerate_jacobian_raises():
     coeffs = np.zeros((3, 3, 3))  # collapsed patch
     patch = SurfacePatch(coeffs=coeffs, root_id=0)

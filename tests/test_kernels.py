@@ -1,11 +1,13 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from hedgehog import kernels as K
 from hedgehog import spatial
-from hedgehog.backends import DirectBackend
+from hedgehog.backends import DirectBackend, PluginBackend
 from hedgehog.errors import CoincidentPointsError, UsageError
 from hedgehog.chebyshev import cc_rule
 
@@ -290,6 +292,92 @@ def test_direct_sum_memory_stays_within_the_chunk_budget(monkeypatch):
         tracemalloc.stop()
     # the (3, M, N) offsets of one unchunked pass alone would take 72 MB
     assert peak <= 4 * spatial.CHUNK_BYTES + out.nbytes
+
+
+def _layer_sum(kern, layer, rng, m, n, k):
+    """One direct sum of the given layer over random points and k densities,
+    as a function of the workspace it takes."""
+    targets = rng.normal(size=(m, 3))
+    sources = 3.0 + rng.normal(size=(n, 3))
+    normals = rng.normal(size=(n, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    first, second = rng.normal(size=(2, n, kern.d, k))
+    if layer == "single":
+        return lambda ws: K.apply_single_layer(kern, targets, sources, first, workspace=ws)
+    if layer == "double":
+        return lambda ws: K.apply_double_layer(
+            kern, targets, sources, normals, first, workspace=ws
+        )
+    return lambda ws: K.apply_combined(
+        kern, targets, sources, normals, first, second, workspace=ws
+    )
+
+
+@pytest.mark.parametrize("layer", ["single", "double", "combined"])
+@pytest.mark.parametrize("kern", [K.LAPLACE, K.STOKES, K.elasticity(0.3)])
+def test_tile_workspace_carries_nothing_between_sums(kern, layer, monkeypatch):
+    """A sum has the same bits on a fresh workspace as after a smaller sum,
+    which makes the workspace grow under it, and after a larger sum, which
+    leaves it larger: with every slot poisoned in between, no value of an
+    earlier sum is read.  The workspace stays within the tiling's bound."""
+    monkeypatch.setattr(spatial, "CHUNK_BYTES", 1 << 18)  # tiles of at most 2,730 pairs
+    rng = np.random.default_rng(12)
+    smaller, middle, larger = (
+        _layer_sum(kern, layer, rng, m, n, k)
+        for m, n, k in ((9, 13, 1), (70, 80, 2), (130, 160, 4))
+    )
+    fresh = middle(K.Workspace())
+    assert middle(None).tobytes() == fresh.tobytes()
+    for before in (smaller, larger):
+        ws = K.Workspace()
+        before(ws)
+        for slot in ws.slots.values():
+            slot.fill(np.nan)
+        assert middle(ws).tobytes() == fresh.tobytes()
+        assert 0 < sum(slot.nbytes for slot in ws.slots.values()) <= spatial.CHUNK_BYTES
+
+
+def test_backend_workspace_is_per_thread(monkeypatch):
+    """Threads that sum through one backend at once each get their own tile
+    temporaries: every result has the bits of the same sum run alone."""
+    monkeypatch.setattr(spatial, "CHUNK_BYTES", 1 << 16)  # many tiles per sum
+    backend = DirectBackend()
+    rng = np.random.default_rng(14)
+    problems = []
+    for m, n in ((60, 90), (75, 70), (90, 50)):
+        targets = rng.normal(size=(m, 3))
+        sources, normals = rng.normal(size=(2, n, 3))
+        problems.append((sources + 3.0, normals, rng.normal(size=(n, 3, 2)), targets))
+
+    def run(i):
+        return backend.potential(K.STOKES, "double", *problems[i])
+
+    want = [run(i).tobytes() for i in range(len(problems))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            jobs = [(i, pool.submit(run, i)) for _ in range(4) for i in range(len(problems))]
+            got = [(i, job.result(timeout=60)) for i, job in jobs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(out.tobytes() == want[i] for i, out in got)
+
+
+def test_potential_writes_into_out():
+    """out receives the bits of a new result, whatever it held before."""
+    rng = np.random.default_rng(13)
+    targets, sources, normals = rng.normal(size=(3, 20, 3))
+    sources += 3.0
+    density = rng.normal(size=(20, 3, 2))
+    direct = DirectBackend()
+    for backend in (direct, PluginBackend(direct.potential)):
+        want = backend.potential(K.STOKES, "double", sources, normals, density, targets)
+        out = np.full(want.shape, np.nan)
+        got = backend.potential(K.STOKES, "double", sources, normals, density, targets, out)
+        assert got is out and got.tobytes() == want.tobytes()
+    with pytest.raises(UsageError, match="C-contiguous float array of shape"):
+        direct.potential(K.STOKES, "double", sources, normals, density, targets, np.empty((20, 6)))
 
 
 def test_direct_sum_over_the_pair_budget_is_refused(monkeypatch):

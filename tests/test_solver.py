@@ -7,11 +7,13 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 import hedgehog.geometry as geo
 from hedgehog import kernels as K
+from hedgehog import spatial
 from hedgehog.backends import DirectBackend
 from hedgehog.chebyshev import extrapolation_weights
 from hedgehog.errors import UsageError
-from hedgehog.evaluation import EvalOptions
+from hedgehog.evaluation import EvalOptions, average_limits
 from hedgehog.geometry.embeddings import constant_boundary_condition
+from hedgehog.quadrature import upsampled_potential
 from hedgehog.references import ReferenceSolution
 from hedgehog.refinement import AdmissibilityConfig, UpsamplingConfig
 from hedgehog.solver import (
@@ -48,8 +50,8 @@ def assembled_sphere():
     return assemble(_sphere_problem())
 
 
-def _small_system(kernel=K.LAPLACE, side="interior"):
-    """Six-patch sphere at q = 4 with one uniform upsampling level."""
+def _small_system(kernel=K.LAPLACE, side="interior", q=4, levels=1):
+    """Six-patch sphere, by default at q = 4 with one uniform upsampling level."""
     if side == "interior":
         ref = ReferenceSolution.on_sphere(kernel, m=10, radius=1.6, seed=8)
     else:
@@ -62,10 +64,10 @@ def _small_system(kernel=K.LAPLACE, side="interior"):
         side=side,
         degree=10,
         admissibility=AdmissibilityConfig(
-            eps_geometry=1e-2, eps_boundary=1e-1, b=b, a=b / 6, q=4
+            eps_geometry=1e-2, eps_boundary=1e-1, b=b, a=b / 6, q=q
         ),
-        options=EvalOptions(p=6, b=b, q=4),
-        uniform_levels=1,
+        options=EvalOptions(p=6, b=b, q=q),
+        uniform_levels=levels,
     )
     return assemble(problem)
 
@@ -74,11 +76,14 @@ class CountingBackend(DirectBackend):
     """Direct summation that records the pair count of every call."""
 
     def __init__(self):
+        super().__init__()
         self.pairs = []
 
-    def potential(self, kernel, layer, sources, normals, weighted_density, targets):
+    def potential(self, kernel, layer, sources, normals, weighted_density, targets, out=None):
         self.pairs.append(len(np.atleast_2d(targets)) * len(sources))
-        return super().potential(kernel, layer, sources, normals, weighted_density, targets)
+        return super().potential(
+            kernel, layer, sources, normals, weighted_density, targets, out
+        )
 
 
 @pytest.mark.parametrize(
@@ -103,6 +108,82 @@ def test_matvec_block_matches_columns(kernel, side):
         columns = np.stack([matvec(system, block[:, :, c]) for c in range(5)], axis=-1)
         assert out.shape == (n, d, 5)
         assert np.abs(out - columns).max() <= floor * np.abs(columns).max()
+
+
+def _sum_then_extrapolate(system, density):
+    """The reference for average_limits at the coarse nodes: every
+    check-point sum first, then the extrapolation of both sides at once."""
+    nodes, opts, kernel = system.nodes, system.problem.options, system.problem.kernel
+    m, p = len(nodes), opts.p
+    lengths = nodes.patchset.lengths[nodes.patch_ids]
+    both = np.concatenate(
+        [opts.points(nodes.positions, nodes.normals, lengths, sign) for sign in (-1.0, 1.0)]
+    )
+    sums = upsampled_potential(kernel, "double", nodes, density, system.fine_nodes, both)
+    sums = sums.reshape(2, m, p + 1, -1).astype(np.longdouble)
+    weights = extrapolation_weights(p, -opts.b / opts.a * np.ones(m))
+    sides = [np.einsum("ms,msd->md", weights, side).astype(float) for side in sums]
+    return 0.5 * (sides[0] + sides[1])
+
+
+@pytest.mark.parametrize("kernel", [K.LAPLACE, K.STOKES])
+def test_average_limits_extrapolates_each_patch_as_the_full_sum(kernel):
+    """Extrapolating each coarse patch's check sums as they arrive gives the
+    bits of the full sum for identity columns, each nonzero on one patch, and
+    agrees with it to the rounding floor of test_matvec_block_matches_columns
+    for a dense block."""
+    system = _small_system(kernel)
+    nodes, opts = system.nodes, system.problem.options
+    n, d = len(nodes), kernel.d
+    rng = np.random.default_rng(10)
+    identity = np.eye(n * d)[:, rng.choice(n * d, 7, replace=False)]
+    dense = rng.normal(size=(n * d, 5))
+    lengths = nodes.patchset.lengths[nodes.patch_ids]
+
+    def limits(density):
+        return average_limits(
+            nodes.positions, nodes.normals, lengths, kernel, nodes, density,
+            system.fine_nodes, opts,
+        )
+
+    want = _sum_then_extrapolate(system, identity.reshape(n, -1))
+    got = limits(identity.reshape(n, -1))
+    assert got.shape == want.shape == (n, d * 7)
+    assert got.tobytes() == want.tobytes()
+
+    weights = extrapolation_weights(opts.p, np.array([-opts.b / opts.a]))
+    floor = 10.0 * np.finfo(float).eps * np.abs(weights).sum()
+    want = _sum_then_extrapolate(system, dense.reshape(n, -1))
+    got = limits(dense.reshape(n, -1))
+    assert np.abs(got - want).max() <= floor * np.abs(want).max()
+    # one density, in any of the shapes the sum takes, gives (N, d) limits
+    shapes = [(n, d), (n, d, 1)] + [(n,)] * (d == 1)
+    single = [limits(dense[:, 0].reshape(shape)) for shape in shapes]
+    for one in single:
+        assert one.shape == (n, d) and one.tobytes() == single[0].tobytes()
+    assert np.abs(single[0] - got[:, ::5]).max() <= floor * np.abs(want).max()
+
+
+def test_operator_build_memory_is_bounded_by_one_patch(monkeypatch):
+    """The traced peak of the operator build of the six-patch Stokes system
+    (q = 5, two uniform levels) stays within two operators, two check
+    blocks of one coarse patch and four tiles' budgets: the check values of
+    all patches, 14 times the operator here, are never held at once."""
+    monkeypatch.setattr(spatial, "CHUNK_BYTES", 1 << 20)
+    system = _small_system(K.STOKES, q=5, levels=2)
+    p, d, n = system.problem.options.p, 3, system.n_unknowns
+    per_patch = system.problem.admissibility.q ** 2 * d
+    operator = 8 * n * n
+    check_block = 8 * 2 * (p + 1) * len(system.nodes) * d * per_patch
+    assert check_block * len(system.coarse) >= 14 * operator
+    tracemalloc.start()
+    try:
+        _, report = solve(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak <= 2 * operator + 2 * check_block + 4 * spatial.CHUNK_BYTES
 
 
 @pytest.mark.parametrize(
