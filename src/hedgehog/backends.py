@@ -77,7 +77,9 @@ class DirectBackend:
 
     @staticmethod
     def _check_finite(out):
-        if not np.all(np.isfinite(out)):
+        # min and max propagate NaN and carry any infinity, so the result is
+        # finite when both are; no boolean array of the result's size is formed
+        if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
             raise CoincidentPointsError(
                 "non-finite potential: a target coincides with a quadrature node"
             )

@@ -76,6 +76,29 @@ def test_coincident_points_raise():
             K.apply_double_layer(kern, sources[[2, 5]] + 1e-14, sources, normals, density)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_backends_refuse_a_non_finite_result(bad):
+    """One NaN or infinity anywhere in a result raises; an empty result passes."""
+    rng = np.random.default_rng(11)
+    targets, sources, normals = rng.normal(size=(3, 6, 3))
+    sources += 3.0
+    density = rng.normal(size=(6, 3))
+    direct = DirectBackend()
+    for at in (0, 7, 17):
+        def poisoned(*args):
+            value = direct.potential(*args)
+            value.reshape(-1)[at] = bad
+            return value
+
+        with pytest.raises(CoincidentPointsError):
+            PluginBackend(poisoned).potential(K.STOKES, "double", sources, normals, density, targets)
+    empty = direct.potential(K.STOKES, "double", sources, normals, density, np.empty((0, 3)))
+    assert empty.shape == (0, 3)
+    density[2, 1] = bad
+    with pytest.raises(CoincidentPointsError), np.errstate(invalid="ignore"):
+        direct.potential(K.STOKES, "double", sources, normals, density, targets)
+
+
 def test_value_dimensions():
     assert K.LAPLACE.d == 1
     assert K.STOKES.d == 3

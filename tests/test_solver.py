@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dlartg
 from scipy.sparse.linalg import LinearOperator, gmres
 
 import hedgehog.geometry as geo
 from hedgehog import kernels as K
+from hedgehog import solver
 from hedgehog import spatial
 from hedgehog.backends import DirectBackend
 from hedgehog.chebyshev import extrapolation_weights
@@ -316,6 +318,109 @@ def test_gmres_residual_history_monotone(assembled_sphere):
     _, report = solve(system)
     hist = np.array(report.residual_history)
     assert np.all(np.diff(hist) <= 1e-14)
+
+
+def _scipy_gmres(op, b):
+    """The reference: scipy's GMRES with the solver's settings."""
+    history = []
+    x, info = gmres(
+        op, b, rtol=EPS_GMRES, atol=0.0, restart=solver.MAX_GMRES_ITERATIONS, maxiter=1,
+        callback=history.append, callback_type="pr_norm",
+    )
+    return x, info, history
+
+
+def _assert_same_run(got, want):
+    """Same step count, histories to 1e-12 and solutions to 1e-10 relative."""
+    (x, history), (x_ref, _, history_ref) = got, want
+    assert len(history) == len(history_ref)
+    np.testing.assert_allclose(history, history_ref, rtol=1e-12, atol=0.0)
+    assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
+
+
+def _dense_system(n, conditioning, rng):
+    if conditioning == "well":
+        return 3.0 * np.eye(n) + rng.normal(size=(n, n)) / np.sqrt(n)
+    # singular values spread over eight decades
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    w, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return (u * np.logspace(0, -8, n)) @ w.T
+
+
+@pytest.mark.parametrize("conditioning", ["well", "bad"])
+@pytest.mark.parametrize("n", [1, 5, 60, 450])
+def test_gmres_matches_scipy_on_dense_systems(n, conditioning):
+    rng = np.random.default_rng(n)
+    op, b = _dense_system(n, conditioning, rng), rng.normal(size=n)
+    got, want = solver._gmres(op, b), _scipy_gmres(op, b)
+    _assert_same_run(got, want)
+    converged = np.linalg.norm(b - op @ got[0]) <= EPS_GMRES * np.linalg.norm(b)
+    assert converged == (want[1] == 0)
+
+
+@pytest.mark.parametrize("case", ["identity", "rank-three Krylov space"])
+def test_gmres_matches_scipy_at_early_breakdown(case):
+    n = 40
+    rng = np.random.default_rng(7)
+    if case == "identity":
+        op = np.eye(n)
+    else:
+        # three distinct eigenvalues: the Krylov space stops growing at three
+        op = np.diag(np.repeat([1.0, -2.0, 5.0], [10, 10, 20]))
+    b = rng.normal(size=n)
+    got, want = solver._gmres(op, b), _scipy_gmres(op, b)
+    _assert_same_run(got, want)
+    assert len(got[1]) == (1 if case == "identity" else 3)
+
+
+def test_gmres_of_a_zero_right_hand_side_takes_no_steps():
+    op = np.random.default_rng(2).normal(size=(6, 6))
+    x, history = solver._gmres(op, np.zeros(6))
+    x_ref, info, history_ref = _scipy_gmres(op, np.zeros(6))
+    assert history == history_ref == [] and info == 0
+    assert np.array_equal(x, np.zeros(6)) and np.array_equal(x_ref, np.zeros(6))
+
+
+def test_gmres_matches_scipy_when_cut_off_by_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_GMRES_ITERATIONS", 7)
+    rng = np.random.default_rng(5)
+    op, b = _dense_system(60, "well", rng), rng.normal(size=60)
+    got, want = solver._gmres(op, b), _scipy_gmres(op, b)
+    _assert_same_run(got, want)
+    assert len(got[1]) == 7 and want[1] != 0
+
+
+@pytest.mark.parametrize("cap", [None, 3])
+def test_solve_report_matches_scipy_on_the_formed_operator(cap, monkeypatch):
+    """solve's report, converged flag included, against scipy on the same operator."""
+    if cap is not None:
+        monkeypatch.setattr(solver, "MAX_GMRES_ITERATIONS", cap)
+    system = _small_system()
+    n = system.n_unknowns
+    op = matvec(system, np.eye(n).reshape(-1, 1, n)).reshape(n, n)
+    b = system.rhs.reshape(-1)
+    density, report = solve(system)
+    x_ref, info, history_ref = _scipy_gmres(op, b)
+    _assert_same_run((density.values.reshape(-1), report.residual_history), (x_ref, info, history_ref))
+    assert report.iterations == len(history_ref)
+    assert report.converged == (info == 0 or history_ref[-1] <= EPS_GMRES)
+    assert report.converged == (cap is None)
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (0.0, 0.0), (0.0, 2.5), (0.0, -2.5), (-3.0, 0.0),
+        (3.0, -4.0), (-3.0, 4.0), (-0.5, -7.0),
+        (1e300, -3e300), (-2e-300, 5e-300), (7e299, 1e-300), (1e-300, -4e300),
+    ],
+)
+def test_rotation_matches_lapack_lartg(f, g):
+    want = dlartg(f, g)
+    got = solver._rotation(np.float64(f), np.float64(g))
+    np.testing.assert_allclose(got, want, rtol=2 * np.finfo(float).eps, atol=0.0)
+    c, _, r = got
+    assert c >= 0 and (f == 0 or np.sign(r) == np.sign(f))
 
 
 def test_solution_reproduces_boundary_data():
