@@ -15,7 +15,6 @@ from enum import IntEnum
 
 import numpy as np
 
-from .backends import default_backend
 from .chebyshev import extrapolation_weights
 from .errors import UsageError
 from .geometry.patches import PatchSet
@@ -45,7 +44,6 @@ class CheckLine:
     a: float | None = None  # defaults to b / 6
     q: int = 20
     sqrt_scaling: bool = False
-    eps_opt: float = 1e-14
 
     def __post_init__(self):
         if self.a is None:
@@ -120,7 +118,6 @@ def mark_points(
     targets,
     coarse_nodes: QuadratureNodeSet,
     eps_target: float,
-    backend=None,
 ) -> ZoneLabels:
     """Classify targets into far/intermediate/near and inside/outside.
 
@@ -133,9 +130,8 @@ def mark_points(
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     m = len(targets)
-    backend = backend or default_backend()
     winding = smooth_potential(
-        LAPLACE, "double", coarse_nodes, np.ones(len(coarse_nodes)), targets, backend
+        LAPLACE, "double", coarse_nodes, np.ones(len(coarse_nodes)), targets
     )[:, 0]
     inside = np.zeros(m, dtype=bool)
     zone = np.full(m, Zone.FAR, dtype=np.int64)
@@ -210,7 +206,6 @@ def evaluate_one_sided(
     coarse_nodes: QuadratureNodeSet,
     fine_nodes: QuadratureNodeSet,
     opts: EvalOptions,
-    backend=None,
     layer: str = "double",
     domain_side: str = "interior",
 ):
@@ -227,16 +222,13 @@ def evaluate_one_sided(
     Returns (values (M, d), evaluated_mask (M,)).
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    backend = backend or default_backend()
     values = np.zeros((len(targets), kernel.d))
     in_domain = labels.inside if domain_side == "interior" else ~labels.inside
     mask = in_domain.copy()
 
     far = np.flatnonzero((labels.zone == Zone.FAR) & in_domain)
     if len(far):
-        values[far] = smooth_potential(
-            kernel, layer, coarse_nodes, density, targets[far], backend
-        )
+        values[far] = smooth_potential(kernel, layer, coarse_nodes, density, targets[far])
     mid = np.flatnonzero((labels.zone == Zone.INTERMEDIATE) & in_domain)
     near = np.flatnonzero((labels.zone == Zone.NEAR) & in_domain)
     if len(mid) or len(near):
@@ -247,7 +239,7 @@ def evaluate_one_sided(
         sign = -1.0 if domain_side == "interior" else 1.0
         pts = np.concatenate([targets[mid], opts.points(anchors, normals, lengths, sign)])
         sums = upsampled_potential(
-            kernel, layer, coarse_nodes, density, fine_nodes, pts, backend
+            kernel, layer, coarse_nodes, density, fine_nodes, pts
         ).reshape(len(pts), -1)
         values[mid] = sums[: len(mid)]
         if len(near):
@@ -264,7 +256,6 @@ def evaluate_two_sided(
     density,
     fine_nodes: QuadratureNodeSet,
     opts: EvalOptions,
-    backend=None,
     interior: bool = True,
 ):
     """Interior-limit operator values (1/2 I + D)[phi] at the surface nodes.
@@ -278,7 +269,7 @@ def evaluate_two_sided(
     lengths = nodes.patchset.lengths[nodes.patch_ids]
     pv = average_limits(
         nodes.positions, nodes.normals, lengths, kernel, nodes, density,
-        fine_nodes, opts, backend,
+        fine_nodes, opts,
     )
     half = 0.5 if interior else -0.5
     # in row chunks: the block of the operator build is as large as pv
@@ -287,9 +278,7 @@ def evaluate_two_sided(
     return pv
 
 
-def average_limits(
-    anchors, normals, lengths, kernel, nodes, density, fine_nodes, opts, backend=None
-):
+def average_limits(anchors, normals, lengths, kernel, nodes, density, fine_nodes, opts):
     """Average of interior and exterior extrapolated limits (the PV).
 
     density is given at the coarse nodes, as (N,), (N, d), (N, d, k) or
@@ -314,7 +303,7 @@ def average_limits(
     out = np.zeros((m, d, density_columns(density, len(nodes), d)[0].shape[2]))
     half = m * (p + 1)
     for cols, block in upsampled_blocks(
-        kernel, "double", nodes, density, fine_nodes, both, backend
+        kernel, "double", nodes, density, fine_nodes, both
     ):
         interior = _extrapolate_rows(block[:half], weights)
         exterior = _extrapolate_rows(block[half:], weights)

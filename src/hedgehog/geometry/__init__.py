@@ -23,7 +23,7 @@ from .patches import (
     evaluate,
     fit_patch,
     normal,
-    quadrisect,
+    quadrisect_all,
 )
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
     "fit_patch",
     "normal",
     "plate_embedding",
-    "quadrisect",
+    "quadrisect_all",
     "read_quad_mesh",
     "sphere_mesh",
     "spheroid_mesh",

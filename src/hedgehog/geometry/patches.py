@@ -112,21 +112,13 @@ def normal(patch: SurfacePatch, s, t) -> np.ndarray:
 _QUADRANTS = ((False, False), (True, False), (False, True), (True, True))
 
 
-def quadrisect(patch: SurfacePatch) -> list[SurfacePatch]:
-    """Exact Bezier subdivision into the four dyadic children.
-
-    Children are ordered [(-,-), (+,-), (-,+), (+,+)] in (s, t); the union
-    of their images equals the parent image exactly.  The one-patch case of
-    quadrisect_all.
-    """
-    return quadrisect_all([patch])[0]
-
-
 def quadrisect_all(patches) -> list[list[SurfacePatch]]:
-    """The quadrisect children of every patch, in input order.
+    """Exact Bezier subdivision of every patch into its four dyadic children.
 
-    One subdivision product per degree and quadrant over the stacked
-    control points.
+    The children of each patch, in input order, are ordered [(-,-), (+,-),
+    (-,+), (+,+)] in (s, t); the union of their images equals the parent
+    image exactly.  One subdivision product per degree and quadrant over
+    the stacked control points.
     """
     patches = list(patches)
     out = [None] * len(patches)
@@ -339,7 +331,7 @@ class PatchSet:
         return PatchSet(self.patches, mesh=self.mesh, ancestors=np.arange(len(self.patches)))
 
     def quadrisected(self, indices) -> "PatchSet":
-        """New set where each listed patch gives way to its quadrisect children."""
+        """New set where each listed patch gives way to its quadrisect_all children."""
         indices = [int(i) for i in indices]
         children = quadrisect_all(self.patches[i] for i in indices)
         return self.replace_with_children(dict(zip(indices, children)))

@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .backends import default_backend
 from .chebyshev import extrapolate
 from .errors import UsageError
 from .evaluation import EvalOptions, evaluate_one_sided, surface_node_labels
@@ -152,7 +151,7 @@ def _subsample(n_total, limit):
 
 
 def _evaluate_at_nodes(config, eval_nodes, kernel, density, nodes, fine_nodes, opts,
-                       backend, layer="double"):
+                       layer="double"):
     """One-sided evaluation at (a subsample of) the surface nodes eval_nodes.
 
     Returns the subsampled rows, their values and the evaluation rate in
@@ -163,7 +162,7 @@ def _evaluate_at_nodes(config, eval_nodes, kernel, density, nodes, fine_nodes, o
     t0 = time.perf_counter()
     values, _ = evaluate_one_sided(
         eval_nodes.positions[pick], labels, kernel, density, nodes, fine_nodes, opts,
-        backend, layer=layer,
+        layer=layer,
     )
     rate = len(pick) / (time.perf_counter() - t0) / (os.cpu_count() or 1)
     return pick, values, rate
@@ -174,14 +173,13 @@ def _evaluate_at_nodes(config, eval_nodes, kernel, density, nodes, fine_nodes, o
 # ---------------------------------------------------------------------------
 
 
-def run_greens_identity(config: ExperimentConfig, backend=None):
+def run_greens_identity(config: ExperimentConfig):
     """Residual of the reconstruction identity under uniform quadrisection.
 
     Per level, evaluates S[t_c] + D[u_c] - u_c with the extrapolated
     one-sided scheme at (a subsample of) the surface nodes and reports the
     relative max-norm residual.
     """
-    backend = backend or default_backend()
     kernel = config.resolve_kernel()
     ref = ReferenceSolution.on_sphere(
         kernel, m=config.charges, radius=config.charge_radius, seed=config.seed
@@ -200,7 +198,7 @@ def run_greens_identity(config: ExperimentConfig, backend=None):
         t_c = ref.conormal(nodes.positions, nodes.normals)
         pick, values, rate = _evaluate_at_nodes(
             config, nodes, kernel, (t_c, u_c), nodes, discretize(fine, config.q), opts,
-            backend, layer="combined",
+            layer="combined",
         )
         scale = np.abs(u_c).max()
         resid = np.abs(values - u_c[pick]).max() / (scale if scale > 0 else 1.0)
@@ -235,7 +233,7 @@ def run_greens_identity(config: ExperimentConfig, backend=None):
     return rows, eoc
 
 
-def _solution_error(config, system, density, ref, opts, backend):
+def _solution_error(config, system, density, ref, opts):
     """Error of a solved density against the reference field.
 
     Evaluates the solution at (a subsample of) an independent, slightly
@@ -245,7 +243,7 @@ def _solution_error(config, system, density, ref, opts, backend):
     eval_nodes = discretize(system.coarse, max(4, config.q - 2))
     pick, values, rate = _evaluate_at_nodes(
         config, eval_nodes, system.problem.kernel, density.values, system.nodes,
-        system.fine_nodes, opts, backend,
+        system.fine_nodes, opts,
     )
     exact = ref.field(eval_nodes.positions[pick])
     err = np.abs(values - exact).max() / np.abs(exact).max()
@@ -257,9 +255,8 @@ def _solution_error(config, system, density, ref, opts, backend):
 # ---------------------------------------------------------------------------
 
 
-def run_solver_convergence(config: ExperimentConfig, backend=None):
+def run_solver_convergence(config: ExperimentConfig):
     """GMRES solve per level, error on an independent coarser node set."""
-    backend = backend or default_backend()
     kernel = config.resolve_kernel()
     ref = ReferenceSolution.on_sphere(
         kernel, m=config.charges, radius=config.charge_radius, seed=config.seed
@@ -283,8 +280,8 @@ def run_solver_convergence(config: ExperimentConfig, backend=None):
             uniform_levels=config.upsample_levels,
         )
         system = assemble_from_sets(problem, coarse, fine)
-        density, solve_report = solve(system, backend)
-        err, rate = _solution_error(config, system, density, ref, opts, backend)
+        density, solve_report = solve(system)
+        err, rate = _solution_error(config, system, density, ref, opts)
         rows.append(
             (
                 level,
@@ -387,9 +384,8 @@ def choose_b(eps_target: float, p: int = 6) -> float:
 # ---------------------------------------------------------------------------
 
 
-def run_constant_density(config: ExperimentConfig, backend=None):
+def run_constant_density(config: ExperimentConfig):
     """Interior double layer of a unit density on an admissible sphere."""
-    backend = backend or default_backend()
     adm = config.admissibility()
     report = RefinementReport()
     coarse = coarse_set(config.resolve_mesh(), config.degree, adm, report=report)
@@ -400,11 +396,11 @@ def run_constant_density(config: ExperimentConfig, backend=None):
     ones = np.ones(len(nodes))
     labels = surface_node_labels(nodes)
     values, _ = evaluate_one_sided(
-        nodes.positions, labels, LAPLACE, ones, nodes, fine_nodes, opts, backend
+        nodes.positions, labels, LAPLACE, ones, nodes, fine_nodes, opts
     )
     surface_err = float(np.abs(values - 1.0).max())
     center = np.average(nodes.positions, axis=0, weights=nodes.weights)
-    center_val = smooth_potential(LAPLACE, "double", nodes, ones, center[None, :], backend)
+    center_val = smooth_potential(LAPLACE, "double", nodes, ones, center[None, :])
     center_err = float(abs(center_val[0, 0] - 1.0))
     rows = [
         ("surface_max_error", surface_err, len(coarse), len(fine)),
@@ -425,14 +421,13 @@ def run_constant_density(config: ExperimentConfig, backend=None):
 # ---------------------------------------------------------------------------
 
 
-def run_target_precision_sweep(config: ExperimentConfig, backend=None):
+def run_target_precision_sweep(config: ExperimentConfig):
     """Full pipeline per requested accuracy; achieved error vs request.
 
     The spacing factor b comes from the extrapolation stability map; the
     geometry and boundary tolerances stay fixed across the sweep so the
     coarse set is identical and only the upsampled set grows.
     """
-    backend = backend or default_backend()
     kernel = config.resolve_kernel()
     mesh = config.resolve_mesh()
     ref = ReferenceSolution.single_charge(kernel, (0.0, 0.0, 0.0))
@@ -449,13 +444,12 @@ def run_target_precision_sweep(config: ExperimentConfig, backend=None):
             boundary_condition=f,
             degree=config.degree,
             admissibility=point.admissibility(),
-            upsampling=UpsamplingConfig(),
             options=opts,
         )
         system = assemble(problem)
         report = system.refinement_report
-        density, solve_report = solve(system, backend)
-        achieved, rate = _solution_error(config, system, density, ref, opts, backend)
+        density, solve_report = solve(system)
+        achieved, rate = _solution_error(config, system, density, ref, opts)
         row = (
             eps,
             float(b),
@@ -490,16 +484,16 @@ def run_target_precision_sweep(config: ExperimentConfig, backend=None):
     return rows
 
 
-def run_experiment(config: ExperimentConfig, backend=None):
+def run_experiment(config: ExperimentConfig):
     name = config.experiment
     if name == "greens-identity":
-        return run_greens_identity(config, backend)
+        return run_greens_identity(config)
     if name == "solve":
-        return run_solver_convergence(config, backend)
+        return run_solver_convergence(config)
     if name == "extrapolation-sweep":
         return run_extrapolation_sweep(config)
     if name == "constant-density":
-        return run_constant_density(config, backend)
+        return run_constant_density(config)
     if name == "target-precision-sweep":
-        return run_target_precision_sweep(config, backend)
+        return run_target_precision_sweep(config)
     raise UsageError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")

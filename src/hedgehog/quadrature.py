@@ -89,7 +89,6 @@ def smooth_potential(
     nodes: QuadratureNodeSet,
     density,
     targets,
-    backend=None,
 ):
     """Direct quadrature of the layer potential at off-surface targets.
 
@@ -101,7 +100,6 @@ def smooth_potential(
     "combined" takes a (single, double) density pair and sums both
     layers in one sweep.  Targets must be disjoint from the nodes.
     """
-    backend = backend or default_backend()
     if layer == "combined":
         wd = (
             np.asarray(density[0], float).reshape(len(nodes), -1) * nodes.weights[:, None],
@@ -109,7 +107,9 @@ def smooth_potential(
         )
     else:
         wd = np.asarray(density, float).reshape(len(nodes), -1) * nodes.weights[:, None]
-    return backend.potential(kernel, layer, nodes.positions, nodes.normals, wd, targets)
+    return default_backend().potential(
+        kernel, layer, nodes.positions, nodes.normals, wd, targets
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,6 @@ def upsampled_blocks(
     density,
     fine_nodes: QuadratureNodeSet,
     targets,
-    backend=None,
 ):
     """The terms of upsampled_potential, one coarse patch at a time.
 
@@ -203,7 +202,6 @@ def upsampled_blocks(
     over patch j's fine nodes.  The blocks are written into one buffer, so
     each is valid only until the next is produced.
     """
-    backend = backend or default_backend()
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     check_pairs(len(targets) * len(fine_nodes))
     matrices = _upsampling(nodes, fine_nodes)
@@ -226,7 +224,7 @@ def upsampled_blocks(
         size = math.prod(shape)
         if buffer.size < size:
             buffer = np.empty(size)
-        yield cols, backend.potential(
+        yield cols, default_backend().potential(
             kernel, layer, fine_nodes.positions[rows], fine_nodes.normals[rows],
             tuple(weighted) if layer == "combined" else weighted[0], targets,
             out=buffer[:size].reshape(shape),
@@ -240,7 +238,6 @@ def upsampled_potential(
     density,
     fine_nodes: QuadratureNodeSet,
     targets,
-    backend=None,
 ):
     """Smooth quadrature on the fine set of a density given at the coarse nodes.
 
@@ -265,7 +262,7 @@ def upsampled_potential(
     blocks, shapes = zip(*(density_columns(part, len(nodes), kernel.d) for part in parts))
     out = np.zeros((len(targets), kernel.d, blocks[0].shape[2]))
     for cols, block in upsampled_blocks(
-        kernel, layer, nodes, density, fine_nodes, targets, backend
+        kernel, layer, nodes, density, fine_nodes, targets
     ):
         out[:, :, cols] += block
     return out.reshape((len(targets),) + shapes[0])

@@ -24,6 +24,7 @@ from .geometry.patches import (
 )
 from .quadrature import discretize
 from .spatial import (
+    EPS_OPT,
     AABBTree,
     box_sqdist,
     chunks,
@@ -39,23 +40,23 @@ from .spatial import (
 
 @dataclass
 class AdmissibilityConfig(CheckLine):
-    """The check line plus the coarse-set tolerances and refinement limits."""
+    """The check line plus the coarse-set tolerances and length floor."""
 
     eps_geometry: float = 1e-6
     eps_boundary: float = 1e-6
     min_length: float = 0.0  # 0 disables the safeguard
-    max_depth: int = 12
 
 
 @dataclass
 class UpsamplingConfig:
     n_skip: int = 2
-    max_depth: int = 12
 
     def __post_init__(self):
         if self.n_skip < 0:
             raise UsageError("n_skip must be nonnegative")
 
+
+MAX_DEPTH = 12  # deepest quadtree level any refinement or upsampling reaches
 
 # the pair counts an upsampling sweep's screen records: the pairs gathered
 # and the alive ones among them, then how each alive pair was decided
@@ -123,7 +124,6 @@ def refine_for_geometry(
     mesh: QuadMesh,
     degree: int,
     eps_geometry: float,
-    max_depth: int = 12,
     min_length: float = 0.0,
     report: RefinementReport | None = None,
 ) -> PatchSet:
@@ -138,7 +138,7 @@ def refine_for_geometry(
             patch = fit_patch(emb, root_id, domain, degree, orientation=mesh.orientation)
             if patch.fit_error < eps_geometry:
                 patches.append(patch)
-            elif domain.depth >= max_depth:
+            elif domain.depth >= MAX_DEPTH:
                 unresolved.append(len(patches))
                 patches.append(patch)
             elif min_length > 0.0 and characteristic_length(patch) / 2.0 < min_length:
@@ -150,7 +150,7 @@ def refine_for_geometry(
                         queue.append(domain.quadrant(s_up, t_up))
     if unresolved:
         raise RefinementError(
-            f"geometry fit did not converge at max depth {max_depth}",
+            f"geometry fit did not converge at max depth {MAX_DEPTH}",
             offenders=unresolved,
         )
     out = PatchSet(patches, mesh=mesh)
@@ -191,16 +191,16 @@ def _bc_interpolation_error(patchset, f: BoundaryCondition, q: int):
     return errs
 
 
-def _splittable(patchset, bad, max_depth, min_length, message, report):
+def _splittable(patchset, bad, min_length, message, report):
     """The patches of bad that may still split; warns about the others.
 
-    A patch is blocked at max_depth, or when its children would be shorter
+    A patch is blocked at MAX_DEPTH, or when its children would be shorter
     than min_length (0 disables that floor).
     """
     blocked = [
         i
         for i in bad
-        if patchset[i].depth >= max_depth
+        if patchset[i].depth >= MAX_DEPTH
         or (min_length > 0.0 and patchset.lengths[i] / 2.0 < min_length)
     ]
     if blocked:
@@ -216,7 +216,7 @@ def _split(patchset: PatchSet, indices) -> PatchSet:
 
     Children are refit from the exact embedding when the set has a mesh,
     so the approximated surface keeps improving, and quadrisected
-    otherwise; both give the quadrisect child order.
+    otherwise; both give the quadrisect_all child order.
     """
     if patchset.mesh is None:
         return patchset.quadrisected(indices)
@@ -237,18 +237,16 @@ def refine_for_boundary_condition(
     f: BoundaryCondition,
     eps_boundary: float,
     q: int = 20,
-    max_depth: int = 12,
     min_length: float = 0.0,
     report: RefinementReport | None = None,
 ) -> PatchSet:
     """Split patches until the tensor interpolant of f meets eps_boundary."""
     current = patchset
-    for sweep in range(max_depth + 1):
+    for sweep in range(MAX_DEPTH + 1):
         errs = _bc_interpolation_error(current, f, q)
         bad = _splittable(
             current,
             np.flatnonzero(errs >= eps_boundary).tolist(),
-            max_depth,
             min_length,
             "boundary-condition refinement stopped on patches {}",
             report,
@@ -457,9 +455,7 @@ def _nearest_triangle(prox, slot, x, bound):
     return d2, closest
 
 
-def _admissibility_offenders(
-    patchset, tree, centers, anchors, owner, radius, eps_opt, postol
-):
+def _admissibility_offenders(patchset, tree, centers, anchors, owner, radius, postol):
     """Patches owning a check center that projects somewhere other than its node.
 
     Returns (sorted patch indices, unconverged closest-point count).  Each
@@ -490,7 +486,7 @@ def _admissibility_offenders(
         np.linalg.norm(closest - anchors[rows], axis=1) <= cell + 2.0 * sag
     ) & (tdist >= d - 2.0 * sag)
     suspect = np.flatnonzero(competitive & ~coincides)
-    res = closest_points(patchset, pids[suspect], x[suspect], eps_opt)
+    res = closest_points(patchset, pids[suspect], x[suspect])
     pos = patch_points(patchset, pids[suspect], res.params)
     beats = (res.distance < d[suspect] - postol) & (
         np.linalg.norm(pos - anchors[rows[suspect]], axis=1) >= postol
@@ -513,7 +509,7 @@ def enforce_admissibility(
     """
     current = patchset
     inadmissible = set(range(len(patchset)))
-    for sweep in range(cfg.max_depth + 1):
+    for sweep in range(MAX_DEPTH + 1):
         if not inadmissible:
             break
         lo, hi = current.control_boxes()
@@ -523,10 +519,8 @@ def enforce_admissibility(
         # neighbor patches only agree along shared edges up to the fit
         # error, so the coincidence test cannot be tighter than that
         fit_gap = float(np.nanmax([p.fit_error for p in current.patches] + [0.0]))
-        postol = max(cfg.eps_opt, 10.0 * fit_gap, 1e-12)
-        still_bad, unconverged = _admissibility_offenders(
-            current, tree, *centers, cfg.eps_opt, postol
-        )
+        postol = max(EPS_OPT, 10.0 * fit_gap, 1e-12)
+        still_bad, unconverged = _admissibility_offenders(current, tree, *centers, postol)
         if report is not None:
             report.add("admissibility", sweep, current, still_bad, unconverged)
         if not still_bad:
@@ -534,7 +528,6 @@ def enforce_admissibility(
         splitting = _splittable(
             current,
             still_bad,
-            cfg.max_depth,
             cfg.min_length,
             "admissibility unresolved on patches {} (length floor)",
             report,
@@ -564,9 +557,9 @@ def coarse_set(
     """The admissible coarse set of a mesh: the geometry fit, then the
     boundary-condition refinement when f is given, then admissibility.
 
-    Every stage holds to cfg's tolerances, max_depth and min_length.
+    Every stage holds to cfg's tolerances and min_length, and to MAX_DEPTH.
     """
-    limits = dict(max_depth=cfg.max_depth, min_length=cfg.min_length, report=report)
+    limits = dict(min_length=cfg.min_length, report=report)
     coarse = refine_for_geometry(mesh, degree, cfg.eps_geometry, **limits)
     if f is not None:
         coarse = refine_for_boundary_condition(coarse, f, cfg.eps_boundary, q=cfg.q, **limits)
@@ -598,7 +591,7 @@ def required_check_points(
     )
 
 
-def _pairs_within_length(fine, rows_all, ids_all, check_points, eps_opt, counts=None):
+def _pairs_within_length(fine, rows_all, ids_all, check_points, counts=None):
     """(check rows, patch ids) of the pairs with dist(check, patch) < L(patch).
 
     Also returns the number of closest-point solves left unconverged.
@@ -655,7 +648,7 @@ def _pairs_within_length(fine, rows_all, ids_all, check_points, eps_opt, counts=
     tdist = np.sqrt(d2)
     close[todo] = tdist + sag[todo] < limit[todo]
     band = todo[~close[todo] & (tdist - sag[todo] < limit[todo])]
-    res = closest_points(fine, pids[band], x[band], eps_opt)
+    res = closest_points(fine, pids[band], x[band])
     close[band] = res.distance < limit[band]
     stages["settled by triangle"] = len(todo) - len(band)
     stages["in Newton band"] = len(band)
@@ -679,7 +672,7 @@ def adaptive_upsample(
         check_points = required_check_points(coarse, nodes, adm)
     fine = coarse.as_fine()
     near = np.ones(len(check_points), dtype=np.bool_)
-    for sweep in range(cfg.max_depth + 1):
+    for sweep in range(MAX_DEPTH + 1):
         if not near.any():
             break
         if sweep < cfg.n_skip:
@@ -689,7 +682,7 @@ def adaptive_upsample(
             depths = np.array([p.depth for p in fine.patches])
             if report is not None:
                 report.add("upsampling", sweep, fine, list(range(len(fine))))
-            if depths.max() >= cfg.max_depth:
+            if depths.max() >= MAX_DEPTH:
                 raise RefinementError("adaptive upsampling exceeded max depth")
             fine = fine.quadrisected(range(len(fine)))
             continue
@@ -704,7 +697,7 @@ def adaptive_upsample(
         rows_all = near_rows[rows_local]
         screen = {}
         close_rows, close_ids, unconverged = _pairs_within_length(
-            fine, rows_all, ids_all, check_points, adm.eps_opt, screen
+            fine, rows_all, ids_all, check_points, screen
         )
         still_near = np.zeros(len(check_points), dtype=np.bool_)
         still_near[close_rows] = True
@@ -714,7 +707,7 @@ def adaptive_upsample(
             report.add("upsampling", sweep, fine, to_split.tolist(), unconverged, screen)
         if not len(to_split):
             break
-        if np.any(depths[to_split] >= cfg.max_depth):
+        if np.any(depths[to_split] >= MAX_DEPTH):
             raise RefinementError(
                 "adaptive upsampling exceeded max depth",
                 offenders=np.flatnonzero(near).tolist(),

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backends import default_backend
 from .errors import UsageError
 from .evaluation import (
     EvalOptions,
@@ -58,7 +57,6 @@ class BVProblem:
     side: str = "interior"
     degree: int = 8
     admissibility: AdmissibilityConfig = field(default_factory=AdmissibilityConfig)
-    upsampling: UpsamplingConfig = field(default_factory=UpsamplingConfig)
     options: EvalOptions = field(default_factory=EvalOptions)
     uniform_levels: int | None = None  # fixed-level upsampling when set
 
@@ -127,7 +125,7 @@ def assemble(problem: BVProblem) -> AssembledSystem:
     if problem.uniform_levels is not None:
         fine = uniform_upsample(coarse, problem.uniform_levels)
     else:
-        fine = adaptive_upsample(coarse, problem.upsampling, adm, report=report)
+        fine = adaptive_upsample(coarse, UpsamplingConfig(), adm, report=report)
     return assemble_from_sets(problem, coarse, fine, report)
 
 
@@ -169,7 +167,7 @@ def _exterior_completion(system: AssembledSystem, density, points) -> np.ndarray
     )
 
 
-def matvec(system: AssembledSystem, density, backend=None) -> np.ndarray:
+def matvec(system: AssembledSystem, density) -> np.ndarray:
     """Apply the discrete boundary operator to a density or a block of them.
 
     Interior: (1/2 I + D) phi via the two-sided extrapolated double layer.
@@ -178,7 +176,6 @@ def matvec(system: AssembledSystem, density, backend=None) -> np.ndarray:
     back as (N, d, k); each coarse patch's fine nodes are summed only into
     the densities that are nonzero on that patch.
     """
-    backend = backend or default_backend()
     problem = system.problem
     density = np.asarray(density, float)
     columns = density.reshape(len(system.nodes), -1)
@@ -188,7 +185,6 @@ def matvec(system: AssembledSystem, density, backend=None) -> np.ndarray:
         columns,
         system.fine_nodes,
         problem.options,
-        backend,
         interior=problem.side == "interior",
     )
     if problem.side == "exterior":
@@ -287,7 +283,7 @@ class DensityField:
     kernel: KernelFamily
 
 
-def solve(problem_or_system, backend=None):
+def solve(problem_or_system):
     """Solve A phi = f with restart-free GMRES at the 1e-12 tolerance.
 
     Accepts a BVProblem (assembled here) or a prebuilt AssembledSystem.
@@ -302,7 +298,6 @@ def solve(problem_or_system, backend=None):
     (DensityField, SolveReport); non-convergence keeps the best iterate and
     reports converged=False.
     """
-    backend = backend or default_backend()
     system = (
         problem_or_system
         if isinstance(problem_or_system, AssembledSystem)
@@ -314,7 +309,7 @@ def solve(problem_or_system, backend=None):
     # refuse a build over the pair budget before the identity is formed
     checks = 2 * (system.problem.options.p + 1) * len(system.nodes)
     check_pairs(checks * len(system.fine_nodes))
-    op = matvec(system, np.eye(n).reshape(-1, d, n), backend).reshape(n, n)
+    op = matvec(system, np.eye(n).reshape(-1, d, n)).reshape(n, n)
     build = time.perf_counter() - t0
     b = system.rhs.reshape(-1)
     t0 = time.perf_counter()
@@ -338,9 +333,7 @@ def solve(problem_or_system, backend=None):
     return DensityField(values=x.reshape(-1, d), kernel=system.problem.kernel), report
 
 
-def evaluate_solution(
-    system: AssembledSystem, density: DensityField, targets, backend=None
-):
+def evaluate_solution(system: AssembledSystem, density: DensityField, targets):
     """Evaluate the solved potential at arbitrary targets.
 
     Marks the targets (winding-number cull plus closest-point search) and
@@ -349,7 +342,6 @@ def evaluate_solution(
 
     Returns (values (M, d), labels, mask).
     """
-    backend = backend or default_backend()
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if targets.size == 0:
         return (
@@ -358,7 +350,7 @@ def evaluate_solution(
             np.zeros(0, dtype=bool),
         )
     problem = system.problem
-    labels = mark_points(targets, system.nodes, problem.options.eps_target, backend)
+    labels = mark_points(targets, system.nodes, problem.options.eps_target)
     values, mask = evaluate_one_sided(
         targets,
         labels,
@@ -367,7 +359,6 @@ def evaluate_solution(
         system.nodes,
         system.fine_nodes,
         problem.options,
-        backend,
         domain_side=problem.side,
     )
     if problem.side == "exterior":

@@ -355,20 +355,17 @@ _DENSE_GRID = 64  # the value check scans this grid for every pair
 _RANK_ENTRIES = 16 * _DENSE_GRID**2  # ranks per GEMM, so they stay in cache
 _NEWTON_STEPS = 50
 _FLAT = 64 * np.finfo(float).eps  # predicted decrease at the rounding of f, relative
+EPS_OPT = 1e-14  # closest-point tolerance: a Newton step below it has converged
 
 
-def closest_point_on_patch(
-    patch: SurfacePatch, points, eps_opt: float = 1e-14
-) -> ClosestPointResult:
+def closest_point_on_patch(patch: SurfacePatch, points) -> ClosestPointResult:
     """Closest points on one patch: closest_points with every pair on it."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
     slot = np.zeros(len(X), dtype=np.int64)
-    return _closest_points(patch.coeffs[None], slot, X, eps_opt)
+    return _closest_points(patch.coeffs[None], slot, X)
 
 
-def closest_points(
-    patchset: PatchSet, pids, points, eps_opt: float = 1e-14
-) -> ClosestPointResult:
+def closest_points(patchset: PatchSet, pids, points) -> ClosestPointResult:
     """Minimize |P(s, t) - x|^2 over the parameter square for each pair.
 
     Pair k asks for the point of patch pids[k] closest to points[k]; the
@@ -382,7 +379,7 @@ def closest_points(
         converged=np.empty(len(X), dtype=bool),
     )
     for _, coeffs, rows, slot in pair_groups(patchset, pids):
-        res = _closest_points(coeffs, slot, X[rows], eps_opt)
+        res = _closest_points(coeffs, slot, X[rows])
         out.params[rows] = res.params
         out.distance[rows] = res.distance
         out.converged[rows] = res.converged
@@ -429,7 +426,7 @@ def patch_normals(patchset: PatchSet, pids, params) -> np.ndarray:
     return orientation.reshape(-1, 1) * out / norm
 
 
-def _closest_points(coeffs, slot, X, eps_opt):
+def _closest_points(coeffs, slot, X):
     """Closest points for pairs (patch coeffs[slot[k]], point X[k]) of one degree.
 
     Projected (box-constrained) Newton started from the best node of a
@@ -447,15 +444,13 @@ def _closest_points(coeffs, slot, X, eps_opt):
     for part in chunks(m, row_bytes):
         rows = order[part]
         seeds, _ = _grid_scan(coeffs, slot[rows], X[rows], _SEED_GRID)
-        params[rows], f[rows], conv[rows] = _projected_newton(
-            coeffs, slot[rows], seeds, X[rows], eps_opt
-        )
+        params[rows], f[rows], conv[rows] = _projected_newton(coeffs, slot[rows], seeds, X[rows])
     dense, dense_f = _grid_scan(coeffs, slot[order], X[order], _DENSE_GRID)
     bad = ~conv[order] | (dense_f < f[order] * (1.0 - 1e-12))
     rows, seeds = order[bad], dense[bad]
     for part in chunks(len(rows), row_bytes):
         sub = rows[part]
-        p2, f2, conv2 = _projected_newton(coeffs, slot[sub], seeds[part], X[sub], eps_opt)
+        p2, f2, conv2 = _projected_newton(coeffs, slot[sub], seeds[part], X[sub])
         better = f2 <= f[sub]
         params[sub[better]] = p2[better]
         f[sub[better]] = f2[better]
@@ -550,14 +545,14 @@ def _half_sqdist(C, s, t, X):
     return 0.5 * np.einsum("mk,mk->m", diff, diff)
 
 
-def _projected_newton(coeffs, slot, cur, X, eps_opt):
+def _projected_newton(coeffs, slot, cur, X):
     """Projected Newton from params cur for pairs (coeffs[slot[k]], X[k]).
 
     Returns (params, f, converged).  A pair stops once the predicted
     decrease |g . step| of its projected Newton step is within 64 eps f,
     after taking that step: f is flat to second order at the minimum, so
     this pins the params where testing f alone would stop about 1e-8 short.
-    It also stops when its step stalls below eps_opt or the line search
+    It also stops when its step stalls below EPS_OPT or the line search
     finds no decrease in 25 halvings.
     """
     n = coeffs.shape[1] - 1
@@ -566,7 +561,6 @@ def _projected_newton(coeffs, slot, cur, X, eps_opt):
     active = np.ones(m, dtype=bool)
     converged = np.zeros(m, dtype=bool)
     f = _half_sqdist(coeffs[slot], cur[:, 0], cur[:, 1], X)
-    tol = max(eps_opt, 1e-15)
     for _ in range(_NEWTON_STEPS):
         if not active.any():
             break
@@ -633,7 +627,7 @@ def _projected_newton(coeffs, slot, cur, X, eps_opt):
         # done when the step's predicted decrease is at rounding level, the
         # projected step stalls at machine scale, or no decrease was
         # possible (already at a numerical minimum)
-        done = flat | (np.max(np.abs(newp - start), axis=1) <= tol)
+        done = flat | (np.max(np.abs(newp - start), axis=1) <= EPS_OPT)
         done[trial] = True
         cur[idx] = newp
         f[idx] = fnew

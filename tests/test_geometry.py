@@ -9,7 +9,6 @@ from hedgehog.geometry.patches import (
     characteristic_length,
     derivatives,
     fit_patch,
-    quadrisect,
     quadrisect_all,
 )
 
@@ -144,7 +143,7 @@ def test_normal_orthogonal_to_tangents(random_cubic_patch):
 
 
 def test_quadrisect_children_reproduce_parent(random_cubic_patch):
-    children = quadrisect(random_cubic_patch)
+    children = quadrisect_all([random_cubic_patch])[0]
     assert len(children) == 4
     rng = np.random.default_rng(4)
     st = rng.uniform(-1, 1, (100, 2))
@@ -177,7 +176,7 @@ def test_batched_quadrisection_keeps_the_reference_bits(unit_sphere_patches, ran
                     assert geo.subdivide(c, s_up, t_up).tobytes() == ref.tobytes()
     mixed = [random_cubic_patch, unit_sphere_patches[0], unit_sphere_patches[5]]
     for patch, children in zip(mixed, quadrisect_all(mixed)):
-        for got, one in zip(children, quadrisect(patch)):
+        for got, one in zip(children, quadrisect_all([patch])[0]):
             assert got.coeffs.tobytes() == one.coeffs.tobytes()
             assert (got.domain, got.depth, got.root_id) == (one.domain, one.depth, one.root_id)
 
@@ -195,7 +194,7 @@ def test_patchset_control_boxes_match_each_patch(unit_sphere_patches, random_cub
 def test_quadrisect_shared_corner():
     emb = geo.plate_embedding([0, 0, 0], [2, 0, 0], [0, 2, 0])
     patch = fit_patch(emb, 0, Subdomain(), 2)
-    children = quadrisect(patch)
+    children = quadrisect_all([patch])[0]
     a = geo.evaluate(children[0], 1.0, 1.0)
     b = geo.evaluate(children[3], -1.0, -1.0)
     assert np.abs(a - b).max() < 1e-13
@@ -204,7 +203,7 @@ def test_quadrisect_shared_corner():
 def test_quadrisect_area_partition(unit_sphere_patches):
     patch = unit_sphere_patches[0]
     parent_area = characteristic_length(patch) ** 2
-    child_area = sum(characteristic_length(c) ** 2 for c in quadrisect(patch))
+    child_area = sum(characteristic_length(c) ** 2 for c in quadrisect_all([patch])[0])
     assert child_area == pytest.approx(parent_area, rel=1e-12)
 
 
@@ -245,7 +244,7 @@ def test_characteristic_length_flat_rectangle():
     emb = geo.plate_embedding([0, 0, 0], [2, 0, 0], [0, 3, 0])
     patch = fit_patch(emb, 0, Subdomain(), 2)
     assert characteristic_length(patch) == pytest.approx(np.sqrt(6.0), rel=1e-12)
-    for child in quadrisect(patch):
+    for child in quadrisect_all([patch])[0]:
         assert characteristic_length(child) == pytest.approx(
             np.sqrt(6.0) / 2.0, rel=1e-12
         )

@@ -3,7 +3,6 @@ import pytest
 
 import hedgehog.geometry as geo
 from hedgehog import kernels as K
-from hedgehog.backends import DirectBackend, PluginBackend
 from hedgehog.chebyshev import cc_rule
 from hedgehog.errors import CoincidentPointsError, UsageError
 from hedgehog.geometry.patches import PatchSet, Subdomain, fit_patch
@@ -105,45 +104,6 @@ def test_target_on_node_raises(sphere96):
             K.LAPLACE, "double", nodes, np.ones(len(nodes)),
             nodes.positions[3][None, :],
         )
-
-
-def test_plugin_backend_matches_direct(sphere96):
-    nodes = discretize(sphere96, 6)
-    rng = np.random.default_rng(3)
-    phi = rng.normal(size=len(nodes))
-    targets = rng.normal(size=(7, 3)) * 0.1
-    direct = smooth_potential(K.LAPLACE, "double", nodes, phi, targets)
-    reference = DirectBackend()
-
-    def fast_stub(kernel, layer, sources, normals, weighted, tgts):
-        return reference.potential(kernel, layer, sources, normals, weighted, tgts)
-
-    plugged = smooth_potential(
-        K.LAPLACE, "double", nodes, phi, targets, PluginBackend(fast_stub)
-    )
-    assert np.abs(direct - plugged).max() < 1e-12 * max(1.0, np.abs(direct).max())
-
-
-@pytest.mark.parametrize("kern", [K.LAPLACE, K.STOKES])
-def test_plugin_backend_applies_a_block_column_by_column(sphere96, kern):
-    """The plug-in callable only ever sees (N, d) densities."""
-    nodes = discretize(sphere96, 4)
-    rng = np.random.default_rng(5)
-    block = rng.normal(size=(len(nodes), kern.d, 3))
-    targets = rng.normal(size=(6, 3)) * 0.1
-    reference = DirectBackend()
-    seen = []
-
-    def vector_only(kernel, layer, sources, normals, weighted, tgts):
-        assert weighted.shape == (len(sources), kernel.d)
-        seen.append(weighted.shape)
-        return reference.potential(kernel, layer, sources, normals, weighted, tgts)
-
-    plugged = smooth_potential(kern, "double", nodes, block, targets, PluginBackend(vector_only))
-    direct = smooth_potential(kern, "double", nodes, block, targets)
-    assert len(seen) == 3
-    assert plugged.shape == direct.shape == (6, 3 * kern.d)
-    assert np.abs(direct - plugged).max() < 1e-12 * np.abs(direct).max()
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,7 @@ def test_pruned_screen_matches_brute_force_oracle(unit_sphere_patches):
 
     cfg = AdmissibilityConfig(b=0.2, a=0.2 / 6, q=6)
     fine, checks, rows_all, ids_all = _first_screened_sweep(unit_sphere_patches, cfg)
-    rows, pids, unconverged = _pairs_within_length(fine, rows_all, ids_all, checks, cfg.eps_opt)
+    rows, pids, unconverged = _pairs_within_length(fine, rows_all, ids_all, checks)
     assert unconverged == 0
     got = set(zip(rows.tolist(), pids.tolist()))
 
@@ -307,7 +307,7 @@ def test_pruned_screen_matches_brute_force_oracle(unit_sphere_patches):
     gap = np.linalg.norm(pts - np.clip(pts, lo[ids_all], hi[ids_all]), axis=1)
     alive = gap < lengths[ids_all]
     a_rows, a_ids = rows_all[alive], ids_all[alive]
-    exact = closest_points(fine, a_ids, checks[a_rows], cfg.eps_opt)
+    exact = closest_points(fine, a_ids, checks[a_rows])
     close = exact.distance < lengths[a_ids]
     assert got == set(zip(a_rows[close].tolist(), a_ids[close].tolist()))
     assert 0 < len(got) < len(a_rows)
@@ -404,7 +404,7 @@ def test_screen_counts_partition_the_gathered_pairs(unit_sphere_patches):
     cfg = AdmissibilityConfig(b=0.2, a=0.2 / 6, q=6)
     fine, checks, rows_all, ids_all = _first_screened_sweep(unit_sphere_patches, cfg)
     counts = {}
-    rows, _, _ = _pairs_within_length(fine, rows_all, ids_all, checks, cfg.eps_opt, counts)
+    rows, _, _ = _pairs_within_length(fine, rows_all, ids_all, checks, counts)
     assert tuple(counts) == SCREEN_STAGES
     assert counts["gathered"] == len(rows_all)
     decided = sum(counts[stage] for stage in SCREEN_STAGES[2:])

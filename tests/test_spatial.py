@@ -22,7 +22,7 @@ from hedgehog.geometry.patches import (
     evaluate,
     fit_patch,
     normal,
-    quadrisect,
+    quadrisect_all,
 )
 
 
@@ -387,12 +387,11 @@ def test_batched_closest_points_match_per_pair_solves(
     st = rng.uniform(-1.0, 1.0, (120, 2))
     anchors = np.array([geo.evaluate(ps[p], s, t) for p, (s, t) in zip(pids, st)])
     points = anchors + rng.normal(scale=0.3, size=(120, 3))
-    eps_opt = 1e-14
-    res = closest_points(ps, pids, points, eps_opt)
+    res = closest_points(ps, pids, points)
     for k, (pid, x) in enumerate(zip(pids, points)):
-        one = closest_point_on_patch(ps[pid], x, eps_opt)
-        assert np.abs(res.params[k] - one.params[0]).max() <= eps_opt
-        assert abs(res.distance[k] - one.distance[0]) <= eps_opt
+        one = closest_point_on_patch(ps[pid], x)
+        assert np.abs(res.params[k] - one.params[0]).max() <= 1e-14
+        assert abs(res.distance[k] - one.distance[0]) <= 1e-14
         assert res.converged[k] == one.converged[0]
     assert res.converged.all()
 
@@ -487,7 +486,7 @@ def test_grid_scan_node_is_the_grid_minimum_to_rounding(targets_sphere):
     from hedgehog import spatial
     from hedgehog.geometry import bernstein_matrix
 
-    children = PatchSet([c for p in targets_sphere for c in quadrisect(p)])
+    children = PatchSet([c for p in targets_sphere for c in quadrisect_all([p])[0]])
     eps = np.finfo(float).eps
     k = 64
     for patchset, seed in ((targets_sphere, 23), (children, 24)):
