@@ -221,6 +221,8 @@ def evaluate_one_sided(
 
     Returns (values (M, d), evaluated_mask (M,)).
     """
+    if domain_side not in ("interior", "exterior"):
+        raise UsageError(f"domain_side must be interior or exterior, not {domain_side!r}")
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     values = np.zeros((len(targets), kernel.d))
     in_domain = labels.inside if domain_side == "interior" else ~labels.inside

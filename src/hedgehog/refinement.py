@@ -3,7 +3,9 @@
 Coarse-stage refinement (geometry fit, boundary-condition resolution,
 check-center admissibility) refits children from the exact embeddings, so
 the approximated surface keeps improving; fine-stage upsampling subdivides
-patches exactly and never changes the surface.
+patches exactly and never changes the surface.  Both screens decide their
+(point, patch) pairs with the triangle proxies of spatial.patch_proxies,
+and only the pairs the proxies cannot settle run a closest-point solve.
 """
 
 import warnings
@@ -26,15 +28,13 @@ from .quadrature import discretize
 from .spatial import (
     EPS_OPT,
     AABBTree,
-    box_sqdist,
-    chunks,
     closest_points,
-    grid_triangles,
-    nearest_nodes,
-    pair_groups,
-    pair_sqdist,
+    nearest_proxy_triangle,
     patch_points,
+    patch_proxies,
     slack,
+    triangles_within,
+    vertex_distance,
 )
 
 
@@ -290,169 +290,7 @@ def _check_centers(patchset, index_list, nodes, cfg: AdmissibilityConfig):
     )
 
 
-_DECISION_GRID = 7
-_CELLS = (_DECISION_GRID - 1) ** 2  # cells per proxy; triangles c and c + _CELLS split cell c
 _MARGIN = 1e-9  # relative margin by which a bound must clear its threshold
-_ROW_BYTES = 8 * 2 * _CELLS * 3 * 8  # one point against its triangles
-
-
-# the triangles of each 2 x 2 block of cells, blocks row-major: (9, 8)
-_BLOCKS = (_DECISION_GRID - 1) // 2
-_BLOCK_CELLS = np.arange(_CELLS).reshape(_BLOCKS, 2, _BLOCKS, 2).swapaxes(1, 2).reshape(-1, 4)
-_GROUP_TRIANGLES = np.concatenate([_BLOCK_CELLS, _BLOCK_CELLS + _CELLS], axis=1)
-
-
-@dataclass
-class _Proxies:
-    """Proxy screens of listed patches, stacked in list order.
-
-    The vertices sample the patch on a 7 x 7 parameter grid and the
-    triangles split its cells.  sag bounds how far the true patch can
-    deviate from the triangles, estimated at cell midpoints and doubled for
-    safety, so distances to the patch lie within +-sag of the triangle
-    distance.  cell is the longest cell diagonal.  Group box g is the box of
-    the triangle boxes _GROUP_TRIANGLES[g], one 2 x 2 block of cells.
-    """
-
-    vertices: np.ndarray  # (P, 49, 3)
-    tris: np.ndarray  # (P, 72, 3, 3)
-    lo: np.ndarray  # (P, 72, 3) triangle boxes
-    hi: np.ndarray  # (P, 72, 3)
-    group_lo: np.ndarray  # (P, 9, 3) boxes of 2 x 2-cell groups
-    group_hi: np.ndarray  # (P, 9, 3)
-    cell: np.ndarray  # (P,)
-    sag: np.ndarray | None = None  # (P,), set once the triangles are built
-
-
-def _proxies(patchset: PatchSet, ids) -> _Proxies:
-    """Proxies of the patches ids, built per degree group in one pass."""
-    k = _DECISION_GRID
-    grid = np.linspace(-1.0, 1.0, k)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    pos = np.empty((len(ids), k, k, 3))
-    mid = np.empty((len(ids), _CELLS, 3))
-    for n, coeffs, rows, slot in pair_groups(patchset, ids):
-        sub = coeffs[slot]
-        b = bezier.bernstein_matrix(n, grid)
-        bm = bezier.bernstein_matrix(n, mids)
-        pos[rows] = bezier.eval_grid(sub, b, b)
-        mid[rows] = bezier.eval_grid(sub, bm, bm).reshape(len(rows), _CELLS, 3)
-    tris = grid_triangles(pos)
-    lo, hi = tris.min(axis=2), tris.max(axis=2)
-    diag = (pos[:, 1:, 1:] - pos[:, :-1, :-1]).reshape(len(ids), -1, 3)
-    prox = _Proxies(
-        vertices=pos.reshape(len(ids), -1, 3),
-        tris=tris,
-        lo=lo,
-        hi=hi,
-        group_lo=lo[:, _GROUP_TRIANGLES].min(axis=2),
-        group_hi=hi[:, _GROUP_TRIANGLES].max(axis=2),
-        cell=np.sqrt(np.max(np.einsum("ptk,ptk->pt", diag, diag), axis=1)),
-    )
-    # the two triangles of a midpoint's own cell bound its triangle
-    # distance from above
-    slot = np.repeat(np.arange(len(ids)), _CELLS)
-    own = np.tile(np.arange(_CELLS), len(ids))
-    pts = mid.reshape(-1, 3)
-    bound = np.minimum(
-        pair_sqdist(pts, tris[slot, own])[0],
-        pair_sqdist(pts, tris[slot, own + _CELLS])[0],
-    ).reshape(len(ids), _CELLS)
-    # sag needs only each patch's largest exact midpoint distance.  An exact
-    # distance never exceeds its bound, so midpoints are resolved in
-    # descending bound, one per patch per round, until no unresolved bound
-    # exceeds the largest distance resolved: that is then the maximum over
-    # all midpoints, the same bits as resolving every one
-    order = np.argsort(-bound, axis=1, kind="stable")
-    worst = np.full(len(ids), -1.0)
-    todo = np.arange(len(ids))
-    for rank in range(_CELLS):
-        c = order[todo, rank]
-        go = bound[todo, c] > worst[todo]
-        todo, c = todo[go], c[go]
-        if not len(todo):
-            break
-        exact, _ = _nearest_triangle(prox, todo, mid[todo, c], np.sqrt(bound[todo, c]))
-        worst[todo] = np.maximum(worst[todo], exact)
-    prox.sag = 2.0 * np.sqrt(worst) + 1e-14
-    return prox
-
-
-def _vertex_distance(prox, slot, x):
-    """Nearest proxy-vertex distance per pair.
-
-    Vertices lie on their triangles, so this bounds the proxy-triangle
-    distance from above.  Each patch's vertices are ranked for its pairs by
-    one GEMM (spatial.nearest_nodes), and the winner's distance is then
-    computed exactly; it lies within rounding of the nearest vertex's.
-    """
-    order = np.argsort(slot, kind="stable")
-    used, starts = np.unique(slot[order], return_index=True)
-    best = np.empty(len(x), dtype=np.int64)
-    best[order] = nearest_nodes(
-        prox.vertices[used].transpose(0, 2, 1),
-        np.append(starts, len(order)),
-        x[order],
-    )
-    diff = prox.vertices[slot, best] - x
-    return np.sqrt(np.einsum("pk,pk->p", diff, diff))
-
-
-def _triangles_within(prox, slot, x, within):
-    """(pair, triangle) rows whose triangle box passes within, and which
-    pairs had a group box pass it.
-
-    within(d2, pair) takes squared box distances of pairs and must hold
-    for a distance whenever it holds for a larger one.  A group box
-    contains its triangles' boxes, so its distance is at most theirs, and
-    only the triangles of groups that pass are tested.  Rows run pair by
-    pair in any triangle order.
-    """
-    width = _GROUP_TRIANGLES.shape[1]
-    pairs, tris = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    grouped = np.zeros(len(x), dtype=bool)
-    for part in chunks(len(x), _ROW_BYTES):
-        s = slot[part]
-        near = within(
-            box_sqdist(x[part, None, :], prox.group_lo[s], prox.group_hi[s]),
-            np.arange(part.start, part.stop)[:, None],
-        )
-        grouped[part] = near.any(axis=1)
-        pair, group = np.nonzero(near)
-        pair, tri = np.repeat(pair + part.start, width), _GROUP_TRIANGLES[group].ravel()
-        s = slot[pair]
-        keep = within(box_sqdist(x[pair], prox.lo[s, tri], prox.hi[s, tri]), pair)
-        pairs.append(pair[keep])
-        tris.append(tri[keep])
-    return np.concatenate(pairs), np.concatenate(tris), grouped
-
-
-def _nearest_triangle(prox, slot, x, bound):
-    """Minimum proxy-triangle squared distance and its closest point, per pair.
-
-    Pair k is point x[k] against the triangles of patch slot[k], and
-    bound[k] is an upper bound on its triangle distance.  Only the
-    triangles whose box lies within it (plus a rounding slack) are
-    evaluated; the one attaining the minimum always is, so the result
-    equals the minimum over all triangles bit for bit, ties going to the
-    lowest triangle index.
-    """
-    reach2 = slack(bound, x) ** 2
-    pair, tri, _ = _triangles_within(prox, slot, x, lambda b2, p: b2 <= reach2[p])
-    d2 = np.empty(len(x))
-    closest = np.empty((len(x), 3))
-    # rows run pair by pair and every pair has one
-    starts = np.searchsorted(pair, np.arange(len(x) + 1))
-    for part in chunks(len(x), _ROW_BYTES):
-        rows = slice(starts[part.start], starts[part.stop])
-        p, t = pair[rows], tri[rows]
-        rows_d2, rows_closest = pair_sqdist(x[p], prox.tris[slot[p], t])
-        d2[part] = np.minimum.reduceat(rows_d2, starts[part.start : part.stop] - rows.start)
-        # of the rows at the minimum, the lowest triangle's wins
-        hits = np.flatnonzero(rows_d2 == d2[p])
-        hits = hits[np.lexsort((t[hits], p[hits]))]
-        closest[part] = rows_closest[hits[np.unique(p[hits], return_index=True)[1]]]
-    return d2, closest
 
 
 def _admissibility_offenders(patchset, tree, centers, anchors, owner, radius, postol):
@@ -474,8 +312,8 @@ def _admissibility_offenders(patchset, tree, centers, anchors, owner, radius, po
     if not len(rows):
         return [], 0
     ids, slot = np.unique(pids, return_inverse=True)
-    prox = _proxies(patchset, ids)
-    d2, closest = _nearest_triangle(prox, slot, x, _vertex_distance(prox, slot, x))
+    prox = patch_proxies(patchset, ids)
+    d2, closest = nearest_proxy_triangle(prox, slot, x, vertex_distance(prox, slot, x))
     tdist = np.sqrt(d2)
     sag, cell = prox.sag[slot], prox.cell[slot]
     competitive = tdist - sag < d
@@ -625,9 +463,9 @@ def _pairs_within_length(fine, rows_all, ids_all, check_points, counts=None):
     if not len(rows):
         return rows, pids, 0
     ids, slot = np.unique(pids, return_inverse=True)
-    prox = _proxies(fine, ids)
+    prox = patch_proxies(fine, ids)
     x, limit, sag = check_points[rows], lengths[pids], prox.sag[slot]
-    vert = _vertex_distance(prox, slot, x)
+    vert = vertex_distance(prox, slot, x)
     close = vert + sag < limit * (1.0 - _MARGIN)
     stages["closed by vertex"] = int(np.count_nonzero(close))
     todo = np.flatnonzero(~close)
@@ -635,7 +473,7 @@ def _pairs_within_length(fine, rows_all, ids_all, check_points, counts=None):
     # clears the threshold; their distances are at most d_T, so d_T would
     # clear it too.  Pairs with a triangle box inside go on to d_T
     limit_far = limit * (1.0 + _MARGIN)
-    pair, _, grouped = _triangles_within(
+    pair, _, grouped = triangles_within(
         prox, slot[todo], x[todo],
         lambda b2, p: np.sqrt(b2) - sag[todo[p]] < limit_far[todo[p]],
     )
@@ -644,7 +482,7 @@ def _pairs_within_length(fine, rows_all, ids_all, check_points, counts=None):
     stages["far by group box"] = int(np.count_nonzero(~grouped))
     stages["far by triangle box"] = int(np.count_nonzero(grouped & ~boxed))
     todo = todo[boxed]
-    d2, _ = _nearest_triangle(prox, slot[todo], x[todo], vert[todo])
+    d2, _ = nearest_proxy_triangle(prox, slot[todo], x[todo], vert[todo])
     tdist = np.sqrt(d2)
     close[todo] = tdist + sag[todo] < limit[todo]
     band = todo[~close[todo] & (tdist - sag[todo] < limit[todo])]

@@ -1,24 +1,32 @@
 """Spatial queries: AABB trees, triangle proxies, closest points on patches.
 
-The AABB tree is a median-split bounding volume hierarchy over item boxes.
-Each of its queries (query_points_bulk, query_box, nearest_triangle)
-answers a whole stack of points or boxes in one level-synchronous traversal
-and returns exactly the brute-force answer over the stored primitives.
-nearest_triangle gathers only the triangle boxes that meet the ball of its
-upper bound (widened by slack), not the ball's bounding cube.
-closest_point_global_bulk calls nearest_triangle and query_box once for
-all its points, and keeps only the candidate patches whose control box
-meets the same kind of ball; refinement calls query_points_bulk and
-query_box.
+The AABB tree is a balanced median-split bounding volume hierarchy over
+item boxes, stored implicitly: level l has 2^l nodes over contiguous runs
+of one item order, and the whole tree is built one vectorised pass per
+level.  Each of its queries (query_points_bulk, query_box,
+nearest_triangle) answers a whole stack of points or boxes in one
+level-synchronous traversal and returns exactly the brute-force answer
+over the stored primitives.  nearest_triangle gathers only the triangle
+boxes that meet the ball of its upper bound (widened by slack), not the
+ball's bounding cube.  closest_point_global_bulk calls nearest_triangle
+and query_box once for all its points, and keeps only the candidate
+patches whose control box meets the same kind of ball; refinement calls
+query_points_bulk and query_box.
+
+patch_proxies is the one triangle-proxy model: each patch sampled on a
+7 x 7 grid, 72 triangles, their boxes and the boxes of 2 x 2-cell groups,
+and a sag that bounds how far the patch strays from its triangles.
+Marking's triangle tree (SurfaceIndex) holds these triangles, and the
+admissibility and upsampling screens of refinement ask vertex_distance,
+triangles_within and nearest_proxy_triangle about them.
 
 Closest points on Bezier patches come from closest_points, one batched
 projected-Newton solve over flat (point, patch) pairs per degree group.
 Newton starts at the best node of a coarse parameter grid, and every pair
 is value-checked against a dense grid scan that reseeds Newton where it
 stalled or converged into the wrong basin.  nearest_nodes ranks each
-patch's nodes for its points with GEMMs; the grid scans here and the proxy
-vertex screen of refinement both use it and recompute the winner's
-distance exactly.
+patch's nodes for its points with GEMMs; the grid scans and
+vertex_distance both use it and recompute the winner's distance exactly.
 A pair's Newton run stops once the predicted decrease of its next step is
 within 64 eps of f: it takes that step, which resolves the params to
 rounding, and only pairs whose line search has not yet decreased f are
@@ -30,7 +38,6 @@ forms all pairs of two lists), box_sqdist the one point-box distance
 kernel, and grid_triangles the one triangulation of sampled patch grids.
 Chunked passes keep their temporaries within CHUNK_BYTES.
 """
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +64,14 @@ def slack(bound, pts):
 
 
 class AABBTree:
-    """Median-split AABB tree over (box, id) items.
+    """Balanced median-split AABB tree over (box, id) items, stored by level.
 
-    Each query answers a whole stack of points or boxes in one
+    Level l has 2^l nodes: node k covers the items
+    order[(k n) >> l : ((k + 1) n) >> l], and its children are nodes 2k
+    and 2k + 1 of level l + 1.  Every leaf sits at the last level and holds
+    at most _LEAF_SIZE items, and at least half that once n > _LEAF_SIZE.
+    The tree keeps only order and each level's node boxes, built one pass
+    per level.  Each query answers a whole stack of points or boxes in one
     level-synchronous traversal, vectorised over the frontier, and returns
     exactly the brute-force answer.  A tree built with triangles (T, 3, 3),
     one per item, also answers nearest_triangle.
@@ -73,95 +85,54 @@ class AABBTree:
         n = len(self.ids)
         if n == 0:
             raise UsageError("AABB tree needs at least one item")
+        self._depth = ((n - 1) // _LEAF_SIZE).bit_length()
         centers = 0.5 * (self.lo + self.hi)
-        # flat arrays; children indices, -1 marks leaf nodes
-        self._node_lo = []
-        self._node_hi = []
-        self._left = []
-        self._right = []
-        self._leaf_start = []
-        self._leaf_count = []
         self.order = np.arange(n)
-        self._build(0, n, centers)
-        self._node_lo = np.asarray(self._node_lo)
-        self._node_hi = np.asarray(self._node_hi)
-        self._left = np.asarray(self._left)
-        self._right = np.asarray(self._right)
-        self._leaf_start = np.asarray(self._leaf_start)
-        self._leaf_count = np.asarray(self._leaf_count)
+        self._node_lo, self._node_hi = [], []  # per level, (2^l, 3) each
+        for level in range(self._depth + 1):
+            bounds = self._bounds(np.arange(2**level + 1), level)
+            starts = bounds[:-1]
+            self._node_lo.append(np.minimum.reduceat(self.lo[self.order], starts))
+            self._node_hi.append(np.maximum.reduceat(self.hi[self.order], starts))
+            if level == self._depth:
+                break
+            # every node sorts its items along the axis of its largest
+            # centre extent; its children split the sorted run at bounds
+            c = centers[self.order]
+            extent = np.maximum.reduceat(c, starts) - np.minimum.reduceat(c, starts)
+            node = np.repeat(np.arange(len(starts)), np.diff(bounds))
+            key = c[np.arange(n), np.argmax(extent, axis=1)[node]]
+            self.order = self.order[np.lexsort((key, node))]
 
-    def _build(self, start, end, centers) -> int:
-        idx = self.order[start:end]
-        node = len(self._node_lo)
-        self._node_lo.append(self.lo[idx].min(axis=0))
-        self._node_hi.append(self.hi[idx].max(axis=0))
-        self._left.append(-1)
-        self._right.append(-1)
-        self._leaf_start.append(start)
-        self._leaf_count.append(0)
-        if end - start <= _LEAF_SIZE:
-            self._leaf_count[node] = end - start
-            return node
-        c = centers[idx]
-        axis = int(np.argmax(c.max(axis=0) - c.min(axis=0)))
-        mid = (end - start) // 2
-        part = np.argpartition(c[:, axis], mid)
-        self.order[start:end] = idx[part]
-        left = self._build(start, start + mid, centers)
-        right = self._build(start + mid, end, centers)
-        self._left[node] = left
-        self._right[node] = right
-        return node
+    def _bounds(self, nodes, level):
+        """First item slot of each node of the level: (k n) >> level."""
+        return (nodes * len(self.order)) >> level
 
-    def _expand_leaves(self, rows, nodes):
-        """(row, item-slot) pairs for leaf frontier entries, vectorized."""
-        counts = self._leaf_count[nodes]
-        total = int(counts.sum())
-        if total == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        rep_rows = np.repeat(rows, counts)
-        offsets = np.repeat(self._leaf_start[nodes], counts)
-        within = np.arange(total) - np.repeat(
-            np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
-        )
-        items = self.order[offsets + within]
-        return rep_rows, items
+    def _leaf_items(self, rows, leaves):
+        """(row, item) pairs of every item in each (row, leaf) entry."""
+        start = self._bounds(leaves, self._depth)
+        count = self._bounds(leaves + 1, self._depth) - start
+        slot = np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count - start, count)
+        return np.repeat(rows, count), self.order[slot]
 
     def _gather(self, n, meets):
         """(row, item) pairs of every item box that query row meets, rows range(n).
 
         meets(rows, lo, hi) says which rows meet which boxes [lo, hi]; it
-        prunes the node boxes and then tests the item boxes.
+        prunes the node boxes level by level and then tests the item boxes.
+        Rows come out in ascending order.
         """
-        rows_out: list[np.ndarray] = []
-        items_out: list[np.ndarray] = []
-        frontier_rows = np.arange(n)
-        frontier_nodes = np.zeros(n, dtype=np.int64)
-        while len(frontier_rows):
-            meet = meets(
-                frontier_rows, self._node_lo[frontier_nodes], self._node_hi[frontier_nodes]
-            )
-            frontier_rows = frontier_rows[meet]
-            frontier_nodes = frontier_nodes[meet]
-            if not len(frontier_rows):
-                break
-            leaf = self._left[frontier_nodes] < 0
-            if leaf.any():
-                rep_rows, items = self._expand_leaves(
-                    frontier_rows[leaf], frontier_nodes[leaf]
-                )
-                hit = meets(rep_rows, self.lo[items], self.hi[items])
-                rows_out.append(rep_rows[hit])
-                items_out.append(items[hit])
-            inner_rows = frontier_rows[~leaf]
-            inner_nodes = frontier_nodes[~leaf]
-            frontier_rows = np.concatenate([inner_rows, inner_rows])
-            frontier_nodes = np.concatenate(
-                [self._left[inner_nodes], self._right[inner_nodes]]
-            )
-        if rows_out:
-            return np.concatenate(rows_out), np.concatenate(items_out)
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        rows = np.arange(n)
+        nodes = np.zeros(n, dtype=np.int64)
+        for level, (lo, hi) in enumerate(zip(self._node_lo, self._node_hi)):
+            meet = meets(rows, lo[nodes], hi[nodes])
+            rows, nodes = rows[meet], nodes[meet]
+            if level < self._depth:
+                rows = np.repeat(rows, 2)
+                nodes = (2 * nodes[:, None] + np.arange(2)).ravel()
+        rows, items = self._leaf_items(rows, nodes)
+        hit = meets(rows, self.lo[items], self.hi[items])
+        return rows[hit], items[hit]
 
     def _gather_boxes(self, los, his):
         """(row, item) pairs of every item box meeting query box [los[row], his[row]]."""
@@ -203,14 +174,11 @@ class AABBTree:
         X = np.atleast_2d(np.asarray(points, dtype=float))
         m = len(X)
         node = np.zeros(m, dtype=np.int64)
-        inner = np.flatnonzero(self._left[node] >= 0)
-        while len(inner):
-            x = X[inner]
-            child = np.stack([self._left[node[inner]], self._right[node[inner]]])
-            d2 = box_sqdist(x, self._node_lo[child], self._node_hi[child])
-            node[inner] = np.where(d2[1] < d2[0], child[1], child[0])
-            inner = inner[self._left[node[inner]] >= 0]
-        rows, items = self._expand_leaves(np.arange(m), node)
+        for lo, hi in zip(self._node_lo[1:], self._node_hi[1:]):
+            child = 2 * node + np.arange(2)[:, None]
+            d2 = box_sqdist(X, lo[child], hi[child])
+            node = child[0] + (d2[1] < d2[0])
+        rows, items = self._leaf_items(np.arange(m), node)
         d2 = self._triangle_sqdist(X, rows, items)
         # rows run point by point and every leaf holds at least one item
         bound = np.sqrt(np.minimum.reduceat(d2, np.searchsorted(rows, np.arange(m))))
@@ -641,42 +609,187 @@ def _projected_newton(coeffs, slot, cur, X):
 # ---------------------------------------------------------------------------
 
 
+PROXY_GRID = 7  # a proxy's vertices sample its patch on this parameter grid
+_CELLS = (PROXY_GRID - 1) ** 2  # cells per proxy; triangles c and c + _CELLS split cell c
+_TRIANGLES = 2 * _CELLS  # triangles per proxy
+_ROW_BYTES = 8 * _TRIANGLES * 3 * 8  # one point against its triangles
+
+# the triangles of each 2 x 2 block of cells, blocks row-major: (9, 8)
+_BLOCKS = (PROXY_GRID - 1) // 2
+_BLOCK_CELLS = np.arange(_CELLS).reshape(_BLOCKS, 2, _BLOCKS, 2).swapaxes(1, 2).reshape(-1, 4)
+_GROUP_TRIANGLES = np.concatenate([_BLOCK_CELLS, _BLOCK_CELLS + _CELLS], axis=1)
+
+
 @dataclass
-class TriangleProxies:
-    vertices: np.ndarray  # (T, 3, 3)
-    patch_ids: np.ndarray  # (T,)
+class Proxies:
+    """Triangle proxies of listed patches, stacked in list order.
+
+    Marking (through SurfaceIndex), admissibility and upsampling all use
+    this one model.  The vertices sample the patch on a 7 x 7 parameter
+    grid and the triangles split its cells.  sag bounds how far the true patch can
+    deviate from the triangles, estimated at cell midpoints and doubled for
+    safety, so distances to the patch lie within +-sag of the triangle
+    distance.  cell is the longest cell diagonal.  Group box g is the box of
+    the triangle boxes _GROUP_TRIANGLES[g], one 2 x 2 block of cells.
+    """
+
+    vertices: np.ndarray  # (P, 49, 3)
+    tris: np.ndarray  # (P, 72, 3, 3)
+    lo: np.ndarray  # (P, 72, 3) triangle boxes
+    hi: np.ndarray  # (P, 72, 3)
+    group_lo: np.ndarray  # (P, 9, 3) boxes of 2 x 2-cell groups
+    group_hi: np.ndarray  # (P, 9, 3)
+    cell: np.ndarray  # (P,)
+    sag: np.ndarray | None = None  # (P,), set once the triangles are built
 
 
-_PROXY_GRID = 8
-
-
-def triangle_proxies(patchset: PatchSet) -> TriangleProxies:
-    """8 x 8 sample grid per patch triangulated into 2 * 7^2 triangles."""
-    grid = np.linspace(-1.0, 1.0, _PROXY_GRID)
-    verts = []
-    pids = []
-    for n, (idx, coeffs) in patchset.degree_groups().items():
+def patch_proxies(patchset: PatchSet, ids) -> Proxies:
+    """Proxies of the patches ids, built per degree group in one pass."""
+    k = PROXY_GRID
+    grid = np.linspace(-1.0, 1.0, k)
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    pos = np.empty((len(ids), k, k, 3))
+    mid = np.empty((len(ids), _CELLS, 3))
+    for n, coeffs, rows, slot in pair_groups(patchset, ids):
+        sub = coeffs[slot]
         b = bezier.bernstein_matrix(n, grid)
-        tri = grid_triangles(bezier.eval_grid(coeffs, b, b))  # (P, T_patch, 3, 3)
-        verts.append(tri.reshape(-1, 3, 3))
-        pids.append(np.repeat(idx, tri.shape[1]))
-    return TriangleProxies(
-        vertices=np.concatenate(verts), patch_ids=np.concatenate(pids)
+        bm = bezier.bernstein_matrix(n, mids)
+        pos[rows] = bezier.eval_grid(sub, b, b)
+        mid[rows] = bezier.eval_grid(sub, bm, bm).reshape(len(rows), _CELLS, 3)
+    tris = grid_triangles(pos)
+    lo, hi = tris.min(axis=2), tris.max(axis=2)
+    diag = (pos[:, 1:, 1:] - pos[:, :-1, :-1]).reshape(len(ids), -1, 3)
+    prox = Proxies(
+        vertices=pos.reshape(len(ids), -1, 3),
+        tris=tris,
+        lo=lo,
+        hi=hi,
+        group_lo=lo[:, _GROUP_TRIANGLES].min(axis=2),
+        group_hi=hi[:, _GROUP_TRIANGLES].max(axis=2),
+        cell=np.sqrt(np.max(np.einsum("ptk,ptk->pt", diag, diag), axis=1)),
     )
+    # the two triangles of a midpoint's own cell bound its triangle
+    # distance from above
+    slot = np.repeat(np.arange(len(ids)), _CELLS)
+    own = np.tile(np.arange(_CELLS), len(ids))
+    pts = mid.reshape(-1, 3)
+    bound = np.minimum(
+        pair_sqdist(pts, tris[slot, own])[0],
+        pair_sqdist(pts, tris[slot, own + _CELLS])[0],
+    ).reshape(len(ids), _CELLS)
+    # sag needs only each patch's largest exact midpoint distance.  An exact
+    # distance never exceeds its bound, so midpoints are resolved in
+    # descending bound, one per patch per round, until no unresolved bound
+    # exceeds the largest distance resolved: that is then the maximum over
+    # all midpoints, the same bits as resolving every one
+    order = np.argsort(-bound, axis=1, kind="stable")
+    worst = np.full(len(ids), -1.0)
+    todo = np.arange(len(ids))
+    for rank in range(_CELLS):
+        c = order[todo, rank]
+        go = bound[todo, c] > worst[todo]
+        todo, c = todo[go], c[go]
+        if not len(todo):
+            break
+        exact, _ = nearest_proxy_triangle(prox, todo, mid[todo, c], np.sqrt(bound[todo, c]))
+        worst[todo] = np.maximum(worst[todo], exact)
+    prox.sag = 2.0 * np.sqrt(worst) + 1e-14
+    return prox
+
+
+def vertex_distance(prox, slot, x):
+    """Nearest proxy-vertex distance per pair.
+
+    Vertices lie on their triangles, so this bounds the proxy-triangle
+    distance from above.  Each patch's vertices are ranked for its pairs by
+    one GEMM (nearest_nodes), and the winner's distance is then
+    computed exactly; it lies within rounding of the nearest vertex's.
+    """
+    order = np.argsort(slot, kind="stable")
+    used, starts = np.unique(slot[order], return_index=True)
+    best = np.empty(len(x), dtype=np.int64)
+    best[order] = nearest_nodes(
+        prox.vertices[used].transpose(0, 2, 1),
+        np.append(starts, len(order)),
+        x[order],
+    )
+    diff = prox.vertices[slot, best] - x
+    return np.sqrt(np.einsum("pk,pk->p", diff, diff))
+
+
+def triangles_within(prox, slot, x, within):
+    """(pair, triangle) rows whose triangle box passes within, and which
+    pairs had a group box pass it.
+
+    within(d2, pair) takes squared box distances of pairs and must hold
+    for a distance whenever it holds for a larger one.  A group box
+    contains its triangles' boxes, so its distance is at most theirs, and
+    only the triangles of groups that pass are tested.  Rows run pair by
+    pair in any triangle order.
+    """
+    width = _GROUP_TRIANGLES.shape[1]
+    pairs, tris = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    grouped = np.zeros(len(x), dtype=bool)
+    for part in chunks(len(x), _ROW_BYTES):
+        s = slot[part]
+        near = within(
+            box_sqdist(x[part, None, :], prox.group_lo[s], prox.group_hi[s]),
+            np.arange(part.start, part.stop)[:, None],
+        )
+        grouped[part] = near.any(axis=1)
+        pair, group = np.nonzero(near)
+        pair, tri = np.repeat(pair + part.start, width), _GROUP_TRIANGLES[group].ravel()
+        s = slot[pair]
+        keep = within(box_sqdist(x[pair], prox.lo[s, tri], prox.hi[s, tri]), pair)
+        pairs.append(pair[keep])
+        tris.append(tri[keep])
+    return np.concatenate(pairs), np.concatenate(tris), grouped
+
+
+def nearest_proxy_triangle(prox, slot, x, bound):
+    """Minimum proxy-triangle squared distance and its closest point, per pair.
+
+    Pair k is point x[k] against the triangles of patch slot[k], and
+    bound[k] is an upper bound on its triangle distance.  Only the
+    triangles whose box lies within it (plus a rounding slack) are
+    evaluated; the one attaining the minimum always is, so the result
+    equals the minimum over all triangles bit for bit, ties going to the
+    lowest triangle index.
+    """
+    reach2 = slack(bound, x) ** 2
+    pair, tri, _ = triangles_within(prox, slot, x, lambda b2, p: b2 <= reach2[p])
+    d2 = np.empty(len(x))
+    closest = np.empty((len(x), 3))
+    # rows run pair by pair and every pair has one
+    starts = np.searchsorted(pair, np.arange(len(x) + 1))
+    for part in chunks(len(x), _ROW_BYTES):
+        rows = slice(starts[part.start], starts[part.stop])
+        p, t = pair[rows], tri[rows]
+        rows_d2, rows_closest = pair_sqdist(x[p], prox.tris[slot[p], t])
+        d2[part] = np.minimum.reduceat(rows_d2, starts[part.start : part.stop] - rows.start)
+        # of the rows at the minimum, the lowest triangle's wins
+        hits = np.flatnonzero(rows_d2 == d2[p])
+        hits = hits[np.lexsort((t[hits], p[hits]))]
+        closest[part] = rows_closest[hits[np.unique(p[hits], return_index=True)[1]]]
+    return d2, closest
 
 
 class SurfaceIndex:
-    """Patch-box and triangle-proxy trees for one patch set."""
+    """Patch-box and proxy-triangle trees for one patch set.
+
+    Triangle id t of tree_triangles is triangle t % 72 of patch t // 72.
+    """
 
     def __init__(self, patchset: PatchSet):
         lo, hi = patchset.control_boxes()
         self.tree_boxes = AABBTree(lo, hi, np.arange(len(patchset)))
-        self.proxies = triangle_proxies(patchset)
+        self.proxies = patch_proxies(patchset, np.arange(len(patchset)))
+        tris = self.proxies.tris.reshape(-1, 3, 3)
         self.tree_triangles = AABBTree(
-            self.proxies.vertices.min(axis=1),
-            self.proxies.vertices.max(axis=1),
-            np.arange(len(self.proxies.patch_ids)),
-            triangles=self.proxies.vertices,
+            self.proxies.lo.reshape(-1, 3),
+            self.proxies.hi.reshape(-1, 3),
+            np.arange(len(tris)),
+            triangles=tris,
         )
 
 
@@ -703,7 +816,7 @@ def closest_point_global_bulk(patchset: PatchSet, points):
     index = surface_index(patchset)
 
     tri_ids, _ = index.tree_triangles.nearest_triangle(X)
-    cand0 = index.proxies.patch_ids[tri_ids]
+    cand0 = tri_ids // _TRIANGLES
     first = closest_points(patchset, cand0, X)
 
     reach = slack(first.distance, X)

@@ -5,6 +5,7 @@ import pytest
 
 import hedgehog.geometry as geo
 from hedgehog import kernels as K
+from hedgehog.errors import UsageError
 from hedgehog.evaluation import (
     EvalOptions,
     Zone,
@@ -186,6 +187,20 @@ def test_one_sided_masks_exterior_targets(sphere_system):
     )
     assert list(mask) == [False, True]
     assert vals[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("side", ["Interior", "inside", ""])
+def test_one_sided_rejects_an_unknown_domain_side(sphere_system, side):
+    """Only "interior" and "exterior" name a side; any other string used to
+    evaluate the exterior side, masking the target inside."""
+    coarse, fine, nodes, fine_nodes, opts = sphere_system
+    targets = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.1]])
+    labels = mark_points(targets, nodes, 1e-6)
+    args = (targets, labels, K.LAPLACE, np.ones(len(nodes)), nodes, fine_nodes, opts)
+    with pytest.raises(UsageError, match="domain_side"):
+        evaluate_one_sided(*args, domain_side=side)
+    _, mask = evaluate_one_sided(*args, domain_side="exterior")
+    assert list(mask) == [True, False]
 
 
 def test_mark_points_sphere_center_far_inside(sphere_system):

@@ -392,6 +392,47 @@ def test_quad_mesh_file_round_trip(tmp_path):
         ).max() < 1e-14
 
 
+def _mesh_file_lines(tmp_path):
+    """Lines of a valid two-quad degree-2 geometry file."""
+    rng = np.random.default_rng(7)
+    mesh = geo.QuadMesh(embeddings=[geo.BezierEmbedding(rng.normal(size=(3, 3, 3))) for _ in range(2)])
+    path = tmp_path / "good.txt"
+    _write_quad_mesh(path, mesh)
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["empty", "bad header", "negative quad", "duplicate line", "l out of range", "r out of range",
+     "fractional index", "missing line"],
+)
+def test_quad_mesh_file_rejects_a_broken_file(tmp_path, case):
+    """Every broken file raises UsageError: a quad index of -1 used to wrap
+    onto the last quad, a duplicated line left zeros, and an empty file or an
+    index out of range raised a bare IndexError."""
+    from hedgehog.errors import UsageError
+
+    lines = _mesh_file_lines(tmp_path)
+    first, last = 2, len(lines) - 1  # the first and last control-point lines
+    x, y, z = lines[first].split()[3:]
+    edits = {
+        "empty": [],
+        "bad header": ["quads 2", "degree 2"] + lines[2:],
+        "negative quad": lines[:last] + [f"-1 2 2 {x} {y} {z}"],
+        "duplicate line": lines[:last] + [lines[first]],
+        "l out of range": lines[:last] + [f"1 3 2 {x} {y} {z}"],
+        "r out of range": lines[:last] + [f"2 2 2 {x} {y} {z}"],
+        "fractional index": lines[:last] + [f"1 2 1.5 {x} {y} {z}"],
+        "missing line": lines[:last],
+    }
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(edits[case]) + "\n")
+    with pytest.raises(UsageError):
+        geo.read_quad_mesh(path)
+    good = tmp_path / "good.txt"
+    assert geo.read_quad_mesh(good).n_quads == 2
+
+
 def test_builtin_meshes_have_outward_normals():
     # winding number at an interior point must be +1 with outward normals
     from hedgehog import kernels as K

@@ -261,6 +261,17 @@ def test_cli_rejects_unknown_geometry(tmp_path):
     assert rc == 1
 
 
+def test_cli_reports_a_broken_geometry_file(tmp_path, capsys):
+    """A malformed or missing geometry file ends in an error line and exit
+    code 1, not a traceback."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("degree 2\nquads 1\n0 0 0 1.0 2.0 3.0\n")
+    for path in (bad, tmp_path / "missing.txt"):
+        rc = main(["greens-identity", "--geometry", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 @pytest.mark.slow
 def test_greens_identity_torus_error_decays(tmp_path):
     # one uniform quadrisection of the torus drops the residual by far

@@ -4,7 +4,10 @@ No linter is part of the toolchain, so this scans the syntax tree: a name
 bound by an import must appear as a name somewhere in the module.  Package
 __init__ files re-export their imports and are exempt.  scipy is a test
 dependency: no module of the library imports it, and importing the library
-and solving a system loads none of it.
+and solving a system loads none of it.  The point-triangle, point-box,
+triangulation and node-ranking kernels and the triangle-proxy model live in
+spatial.py alone: no other library module names a kernel or defines a name
+of the proxy model, whose functions it may call.
 """
 
 import ast
@@ -98,3 +101,46 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+GEOMETRY_KERNELS = {"pair_sqdist", "box_sqdist", "grid_triangles", "nearest_nodes"}
+PROXY_MODEL = {
+    "Proxies", "patch_proxies", "vertex_distance", "triangles_within", "nearest_proxy_triangle",
+}
+
+
+def spatial_trespass(source: str) -> list[str]:
+    """Geometry kernels the module names and proxy-model names it defines."""
+    tree = ast.parse(source)
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            named.update(a.name for a in node.names)
+    defined = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    return sorted((named & GEOMETRY_KERNELS) | (defined & PROXY_MODEL))
+
+
+def test_scan_finds_a_geometry_kernel_outside_spatial():
+    source = (
+        "from .spatial import box_sqdist as gap, patch_proxies\n"
+        "from . import spatial\n"
+        "prox = patch_proxies(None, [])\n"
+        "d = spatial.pair_sqdist(1, 2)\n"
+        "def vertex_distance():\n    pass\n"
+    )
+    assert spatial_trespass(source) == ["box_sqdist", "pair_sqdist", "vertex_distance"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in LIBRARY if p.name != "spatial.py"], ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_geometry_kernels_stay_in_spatial(path):
+    assert spatial_trespass(path.read_text()) == []

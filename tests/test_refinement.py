@@ -292,8 +292,8 @@ def _first_screened_sweep(coarse, cfg):
 
 def test_pruned_screen_matches_brute_force_oracle(unit_sphere_patches):
     """The bound-pruned screen keeps exactly the pairs a Newton solve on every alive pair finds close."""
-    from hedgehog.refinement import _pairs_within_length, _proxies
-    from hedgehog.spatial import point_triangle_sqdist
+    from hedgehog.refinement import _pairs_within_length
+    from hedgehog.spatial import patch_proxies, point_triangle_sqdist
 
     cfg = AdmissibilityConfig(b=0.2, a=0.2 / 6, q=6)
     fine, checks, rows_all, ids_all = _first_screened_sweep(unit_sphere_patches, cfg)
@@ -314,7 +314,7 @@ def test_pruned_screen_matches_brute_force_oracle(unit_sphere_patches):
 
     # the old decision rule on all 72 triangles never contradicts Newton
     ids = np.unique(a_ids)
-    prox = _proxies(fine, ids)
+    prox = patch_proxies(fine, ids)
     for k in np.random.default_rng(9).choice(len(a_rows), 400, replace=False):
         j = np.searchsorted(ids, a_ids[k])
         d2, _ = point_triangle_sqdist(checks[a_rows[k]], prox.tris[j])
@@ -327,13 +327,12 @@ def test_pruned_screen_matches_brute_force_oracle(unit_sphere_patches):
 
 def test_pruned_sag_equals_full_minimum(unit_sphere_patches, flat_square_patch, random_cubic_patch):
     from hedgehog.geometry.bezier import bernstein_matrix, eval_grid
-    from hedgehog.refinement import _DECISION_GRID, _proxies
-    from hedgehog.spatial import point_triangle_sqdist
+    from hedgehog.spatial import PROXY_GRID, patch_proxies, point_triangle_sqdist
 
     patches = unit_sphere_patches.as_fine().uniform_refined(1).patches[:40]
     ps = PatchSet(patches + [flat_square_patch, random_cubic_patch])
-    prox = _proxies(ps, np.arange(len(ps)))
-    grid = np.linspace(-1.0, 1.0, _DECISION_GRID)
+    prox = patch_proxies(ps, np.arange(len(ps)))
+    grid = np.linspace(-1.0, 1.0, PROXY_GRID)
     mids = 0.5 * (grid[:-1] + grid[1:])
     for i, p in enumerate(ps):
         bm = bernstein_matrix(p.degree, mids)
@@ -362,33 +361,32 @@ def test_unconverged_closest_points_are_recorded(unit_sphere_patches, monkeypatc
 
 def test_sag_does_not_depend_on_the_batch(unit_sphere_patches, flat_square_patch, random_cubic_patch):
     """Each patch's sag has the same bits for shuffled and partial id lists."""
-    from hedgehog.refinement import _proxies
+    from hedgehog.spatial import patch_proxies
 
     patches = unit_sphere_patches.as_fine().uniform_refined(1).patches[:40]
     ps = PatchSet(patches + [flat_square_patch, random_cubic_patch])
-    whole = _proxies(ps, np.arange(len(ps))).sag
+    whole = patch_proxies(ps, np.arange(len(ps))).sag
     rng = np.random.default_rng(4)
     shuffled = rng.permutation(len(ps))
-    assert np.array_equal(_proxies(ps, shuffled).sag, whole[shuffled])
+    assert np.array_equal(patch_proxies(ps, shuffled).sag, whole[shuffled])
     for ids in (rng.choice(len(ps), 7, replace=False), np.array([len(ps) - 1]), np.array([3])):
-        assert np.array_equal(_proxies(ps, ids).sag, whole[ids])
+        assert np.array_equal(patch_proxies(ps, ids).sag, whole[ids])
 
 
 def test_vertex_distance_on_unsorted_slots(unit_sphere_patches):
     """The GEMM-ranked vertex distance is the brute-force vertex minimum to
     rounding and never undercuts the exact proxy-triangle distance."""
-    from hedgehog.refinement import _proxies, _vertex_distance
-    from hedgehog.spatial import point_triangle_sqdist
+    from hedgehog.spatial import patch_proxies, point_triangle_sqdist, vertex_distance
 
     ps = unit_sphere_patches.as_fine().uniform_refined(1)
     ids = np.arange(0, len(ps), 3)
-    prox = _proxies(ps, ids)
+    prox = patch_proxies(ps, ids)
     rng = np.random.default_rng(8)
     slot = rng.integers(0, len(ids), 600)  # unsorted, with repeats
     lengths = ps.lengths[ids[slot]]
     centre = prox.vertices[slot].mean(axis=1)
     x = centre * (1.0 + rng.uniform(-1.5, 1.5, (600, 1)) * lengths[:, None])
-    dist = _vertex_distance(prox, slot, x)
+    dist = vertex_distance(prox, slot, x)
     brute = np.sqrt(((prox.vertices[slot] - x[:, None, :]) ** 2).sum(axis=2).min(axis=1))
     assert np.all(np.abs(dist - brute) <= 1e-12 * brute)
     for k in range(len(x)):

@@ -4,6 +4,8 @@ import pytest
 import hedgehog.geometry as geo
 from hedgehog.errors import UsageError
 from hedgehog.spatial import (
+    _LEAF_SIZE,
+    PROXY_GRID,
     AABBTree,
     closest_point_global_bulk,
     closest_point_on_patch,
@@ -14,7 +16,6 @@ from hedgehog.spatial import (
     patch_points,
     point_triangle_sqdist,
     surface_index,
-    triangle_proxies,
 )
 from hedgehog.geometry.patches import (
     PatchSet,
@@ -139,12 +140,72 @@ def test_empty_tree_rejected():
         AABBTree(np.zeros((0, 3)), np.zeros((0, 3)), [])
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 65, 1000])
+def test_tree_levels_partition_the_items(n):
+    """Every item sits in exactly one leaf of at most _LEAF_SIZE items (at
+    least half that above one leaf), and every node box is the union of its
+    items' boxes."""
+    rng = np.random.default_rng(n)
+    lo, hi = _random_boxes(n, rng)
+    tree = AABBTree(lo, hi, np.arange(n))
+    depth = len(tree._node_lo) - 1
+    leaves = [tree.order[(k * n) >> depth : ((k + 1) * n) >> depth] for k in range(2**depth)]
+    assert np.array_equal(np.sort(np.concatenate(leaves)), np.arange(n))
+    sizes = [len(leaf) for leaf in leaves]
+    assert max(sizes) <= _LEAF_SIZE
+    assert n <= _LEAF_SIZE or min(sizes) >= _LEAF_SIZE // 2
+    for level, (node_lo, node_hi) in enumerate(zip(tree._node_lo, tree._node_hi)):
+        assert len(node_lo) == 2**level
+        for k in range(2**level):
+            items = tree.order[(k * n) >> level : ((k + 1) * n) >> level]
+            assert np.array_equal(node_lo[k], lo[items].min(axis=0))
+            assert np.array_equal(node_hi[k], hi[items].max(axis=0))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 65, 1000])
+def test_tree_queries_match_brute_force_at_every_size(n):
+    """query_points_bulk, query_box and nearest_triangle against all items,
+    from one leaf to many levels."""
+    rng = np.random.default_rng(100 + n)
+    tris = rng.uniform(-1, 1, (n, 3, 3)) * rng.uniform(0.05, 0.5, (n, 1, 1))
+    tris += rng.uniform(-1, 1, (n, 1, 3))
+    lo, hi = tris.min(axis=1), tris.max(axis=1)
+    ids = rng.permutation(n) + 5
+    tree = AABBTree(lo, hi, ids, triangles=tris)
+    pts = rng.uniform(-1.5, 1.5, (40, 3))
+    rows, got = tree.query_points_bulk(pts)
+    inside = np.all((lo <= pts[:, None]) & (pts[:, None] <= hi), axis=2)
+    assert sorted(zip(rows.tolist(), got.tolist())) == sorted(
+        (j, int(ids[i])) for j, i in zip(*np.nonzero(inside))
+    )
+    qlo = pts - rng.uniform(0.0, 0.4, (40, 3))
+    qhi = pts + rng.uniform(0.0, 0.4, (40, 3))
+    rows, got = tree.query_box(qlo, qhi)
+    meet = np.all((lo <= qhi[:, None]) & (qlo[:, None] <= hi), axis=2)
+    assert sorted(zip(rows.tolist(), got.tolist())) == sorted(
+        (j, int(ids[i])) for j, i in zip(*np.nonzero(meet))
+    )
+    got_ids, got_dist = tree.nearest_triangle(pts)
+    d2, _ = point_triangle_sqdist(pts, tris)
+    best = d2.min(axis=1)
+    lowest = np.where(d2 == best[:, None], ids, np.iinfo(np.int64).max).min(axis=1)
+    assert np.array_equal(got_ids, lowest)
+    assert np.array_equal(got_dist, np.sqrt(best))
+
+
 def test_nearest_triangle_on_flat_mesh(flat_square_patch):
-    ps = PatchSet([flat_square_patch])
+    """The index's triangle ids name their patch: triangle t is on patch t // 72."""
+    lifted = fit_patch(
+        geo.plate_embedding([-0.5, -0.5, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), 1, Subdomain(), 3
+    )
+    ps = PatchSet([flat_square_patch, lifted])
     idx = surface_index(ps)
-    tri_ids, dists = idx.tree_triangles.nearest_triangle(np.array([[0.0, 0.0, 0.3]]))
-    assert dists[0] == pytest.approx(0.3, abs=1e-12)
-    assert idx.proxies.patch_ids[tri_ids[0]] == 0
+    tri_ids, dists = idx.tree_triangles.nearest_triangle(np.array([[0.0, 0.0, 0.3], [0.1, 0.2, 0.8]]))
+    assert dists == pytest.approx([0.3, 0.2], abs=1e-12)
+    assert np.array_equal(tri_ids // 72, [0, 1])
+    patch_ids, _, patch_dists, _ = closest_point_global_bulk(ps, [[0.0, 0.0, 0.3], [0.1, 0.2, 0.8]])
+    assert np.array_equal(patch_ids, [0, 1])
+    assert patch_dists == pytest.approx([0.3, 0.2], abs=1e-12)
 
 
 def test_nearest_triangle_matches_brute_force():
@@ -554,10 +615,18 @@ def test_patch_box_contains_control_points_and_surface(random_cubic_patch):
 
 
 def test_triangle_proxies_cover_patches(unit_sphere_patches):
-    proxies = triangle_proxies(unit_sphere_patches)
-    per_patch = 2 * 7 * 7
-    assert len(proxies.patch_ids) == per_patch * len(unit_sphere_patches)
-    assert proxies.vertices.shape == (len(proxies.patch_ids), 3, 3)
+    """The index's triangle tree holds the shared proxies, 72 triangles per
+    patch in patch order, whose vertices lie on their patch's 7 x 7 grid."""
+    idx = surface_index(unit_sphere_patches)
+    per_patch = 2 * (PROXY_GRID - 1) ** 2
+    assert per_patch == 72
+    assert idx.proxies.tris.shape == (len(unit_sphere_patches), per_patch, 3, 3)
+    assert np.array_equal(idx.tree_triangles.triangles, idx.proxies.tris.reshape(-1, 3, 3))
+    assert np.array_equal(idx.tree_triangles.ids, np.arange(per_patch * len(unit_sphere_patches)))
+    grid = np.linspace(-1.0, 1.0, PROXY_GRID)
+    s, t = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
+    for i, patch in enumerate(unit_sphere_patches):
+        assert np.abs(idx.proxies.vertices[i] - evaluate(patch, s, t)).max() < 1e-13
 
 
 def test_patch_frames_match_the_per_patch_evaluation(unit_sphere_patches, flat_square_patch):
