@@ -17,7 +17,6 @@ import numpy as np
 
 from .chebyshev import extrapolation_weights
 from .errors import UsageError
-from .geometry.patches import PatchSet
 from .kernels import LAPLACE, KernelFamily, density_columns
 from .quadrature import (
     QuadratureNodeSet,
@@ -155,7 +154,7 @@ def mark_points(
         lengths = patchset.lengths[rp]
         zone[rows[rd <= lengths]] = Zone.NEAR
         zone[rows[rd > lengths]] = Zone.INTERMEDIATE
-        anchors, normals = _surface_frames(patchset, rp, rpar)
+        anchors, normals = patch_points(patchset, rp, rpar), patch_normals(patchset, rp, rpar)
         inside[rows] = np.einsum("mk,mk->m", normals, targets[rest] - anchors) < 0.0
     return ZoneLabels(
         inside=inside, zone=zone, patch_ids=pids, params=params,
@@ -174,14 +173,6 @@ def surface_node_labels(nodes: QuadratureNodeSet, inside: bool = True) -> ZoneLa
         distance=np.zeros(m),
         winding=np.full(m, 0.5),
     )
-
-
-def _surface_frames(patchset: PatchSet, pids, params):
-    """Surface points and unit normals at (patch id, params) pairs.
-
-    One batched evaluation per degree group.
-    """
-    return patch_points(patchset, pids, params), patch_normals(patchset, pids, params)
 
 
 def _extrapolate_rows(values, weights):
@@ -236,7 +227,8 @@ def evaluate_one_sided(
     if len(mid) or len(near):
         patchset = coarse_nodes.patchset
         pids = labels.patch_ids[near]
-        anchors, normals = _surface_frames(patchset, pids, labels.params[near])
+        anchors = patch_points(patchset, pids, labels.params[near])
+        normals = patch_normals(patchset, pids, labels.params[near])
         lengths = patchset.lengths[pids]
         sign = -1.0 if domain_side == "interior" else 1.0
         pts = np.concatenate([targets[mid], opts.points(anchors, normals, lengths, sign)])

@@ -132,3 +132,24 @@ def eval_grid(coeffs, bs: np.ndarray, bt: np.ndarray) -> np.ndarray:
 def eval_points(coeffs, bs: np.ndarray, bt: np.ndarray) -> np.ndarray:
     """Pointwise evaluation: basis rows are paired, result (M, 3)."""
     return _contract("mi,ijd,mj->md", bs, coeffs, bt)
+
+
+def evaluate_paired(coeffs, s, t, partials: bool = False):
+    """P(s, t) of one patch at paired parameters, or with partials the pair
+    (dP/ds, dP/dt); scalar parameters give (3,) vectors, 1-d arrays (M, 3)."""
+    scalar = np.ndim(s) == 0
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    n = coeffs.shape[0] - 1
+    b0s = bernstein_matrix(n, s)
+    b0t = bernstein_matrix(n, t)
+    if partials:
+        out = (
+            eval_points(coeffs, bernstein_matrix(n, s, 1), b0t),
+            eval_points(coeffs, b0s, bernstein_matrix(n, t, 1)),
+        )
+    else:
+        out = (eval_points(coeffs, b0s, b0t),)
+    if scalar:
+        out = tuple(v[0] for v in out)
+    return out if partials else out[0]

@@ -50,25 +50,12 @@ class BezierEmbedding:
         return self.coeffs.shape[0] - 1
 
     def position(self, s, t) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        n = self.degree
-        out = bezier.eval_points(
-            self.coeffs, bezier.bernstein_matrix(n, s), bezier.bernstein_matrix(n, t)
-        )
-        return out[0] if np.ndim(s) == 0 else out
+        """Points at paired parameters: (3,) for scalars, (M, 3) for arrays."""
+        return bezier.evaluate_paired(self.coeffs, s, t)
 
     def jacobian(self, s, t) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        n = self.degree
-        b0s = bezier.bernstein_matrix(n, s)
-        b1s = bezier.bernstein_matrix(n, s, 1)
-        b0t = bezier.bernstein_matrix(n, t)
-        b1t = bezier.bernstein_matrix(n, t, 1)
-        ps = bezier.eval_points(self.coeffs, b1s, b0t)
-        pt = bezier.eval_points(self.coeffs, b0s, b1t)
-        return np.stack([ps, pt], axis=-1)
+        """Partials (d gamma / ds, d gamma / dt): (3, 2) for scalars, (M, 3, 2) for arrays."""
+        return np.stack(bezier.evaluate_paired(self.coeffs, s, t, partials=True), axis=-1)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..chebyshev import cc_rule
-from ..errors import DegenerateGeometryError, FittingError
+from ..errors import DegenerateGeometryError, FittingError, UsageError
 from . import bezier
 from .embeddings import QuadMesh
 
@@ -71,31 +71,12 @@ class SurfacePatch:
 
 def evaluate(patch: SurfacePatch, s, t) -> np.ndarray:
     """Patch position at paired parameters; scalars give a (3,) point."""
-    scalar = np.ndim(s) == 0
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    n = patch.degree
-    out = bezier.eval_points(
-        patch.coeffs, bezier.bernstein_matrix(n, s), bezier.bernstein_matrix(n, t)
-    )
-    return out[0] if scalar else out
+    return bezier.evaluate_paired(patch.coeffs, s, t)
 
 
 def derivatives(patch: SurfacePatch, s, t):
     """First partials (dP/ds, dP/dt) at paired parameters."""
-    scalar = np.ndim(s) == 0
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    n = patch.degree
-    b0s = bezier.bernstein_matrix(n, s)
-    b1s = bezier.bernstein_matrix(n, s, 1)
-    b0t = bezier.bernstein_matrix(n, t)
-    b1t = bezier.bernstein_matrix(n, t, 1)
-    ps = bezier.eval_points(patch.coeffs, b1s, b0t)
-    pt = bezier.eval_points(patch.coeffs, b0s, b1t)
-    if scalar:
-        return ps[0], pt[0]
-    return ps, pt
+    return bezier.evaluate_paired(patch.coeffs, s, t, partials=True)
 
 
 def normal(patch: SurfacePatch, s, t) -> np.ndarray:
@@ -117,30 +98,25 @@ def quadrisect_all(patches) -> list[list[SurfacePatch]]:
 
     The children of each patch, in input order, are ordered [(-,-), (+,-),
     (-,+), (+,+)] in (s, t); the union of their images equals the parent
-    image exactly.  One subdivision product per degree and quadrant over
-    the stacked control points.
+    image exactly.  The patches must form a PatchSet (one degree, one
+    orientation); one subdivision product per quadrant over their stacked
+    control points.
     """
-    patches = list(patches)
-    out = [None] * len(patches)
-    by_n: dict[int, list[int]] = {}
-    for k, p in enumerate(patches):
-        by_n.setdefault(p.degree, []).append(k)
-    for ks in by_n.values():
-        stack = np.stack([patches[k].coeffs for k in ks])
-        quads = [bezier.subdivide(stack, s_up, t_up) for s_up, t_up in _QUADRANTS]
-        for j, k in enumerate(ks):
-            p = patches[k]
-            out[k] = [
-                SurfacePatch(
-                    coeffs=c[j],
-                    root_id=p.root_id,
-                    domain=p.domain.quadrant(s_up, t_up),
-                    orientation=p.orientation,
-                    fit_error=p.fit_error,
-                )
-                for c, (s_up, t_up) in zip(quads, _QUADRANTS)
-            ]
-    return out
+    patches = PatchSet(patches)
+    quads = [bezier.subdivide(patches.coeffs, s_up, t_up) for s_up, t_up in _QUADRANTS]
+    return [
+        [
+            SurfacePatch(
+                coeffs=c[j],
+                root_id=p.root_id,
+                domain=p.domain.quadrant(s_up, t_up),
+                orientation=p.orientation,
+                fit_error=p.fit_error,
+            )
+            for c, (s_up, t_up) in zip(quads, _QUADRANTS)
+        ]
+        for j, p in enumerate(patches)
+    ]
 
 
 def characteristic_length(patch: SurfacePatch) -> float:
@@ -228,6 +204,11 @@ def fit_patch(
 class PatchSet:
     """Ordered, immutable collection of patches plus refinement lineage.
 
+    A set holds at least one patch, and all its patches share one degree
+    and one orientation; the constructor raises UsageError otherwise.  Every
+    batched geometry job therefore runs on the one coefficient stack coeffs
+    (P, n+1, n+1, 3).
+
     For fine (upsampled) sets, ancestors[i] is the index of the coarse patch
     that fine patch i descends from, nondecreasing in i, so the fine patches
     of each coarse patch form one contiguous run; coarse sets carry
@@ -236,9 +217,15 @@ class PatchSet:
 
     def __init__(self, patches, mesh: QuadMesh | None = None, ancestors=None):
         self.patches = list(patches)
+        if not self.patches:
+            raise UsageError("a patch set needs at least one patch")
+        self.degree = self.patches[0].degree
+        self.orientation = self.patches[0].orientation
+        if any(p.degree != self.degree or p.orientation != self.orientation for p in self.patches):
+            raise UsageError("the patches of a set must share one degree and one orientation")
         self.mesh = mesh
         self.ancestors = None if ancestors is None else np.asarray(ancestors, dtype=np.int64)
-        self._groups = None
+        self._coeffs = None
         self._lengths = None
         self._boxes = None
         self._index = None
@@ -252,49 +239,39 @@ class PatchSet:
     def __getitem__(self, i) -> SurfacePatch:
         return self.patches[i]
 
-    def degree_groups(self):
-        """{degree: (indices, stacked coeffs)} for batched evaluation."""
-        if self._groups is None:
-            by_n: dict[int, list[int]] = {}
-            for i, p in enumerate(self.patches):
-                by_n.setdefault(p.degree, []).append(i)
-            self._groups = {
-                n: (np.asarray(idx, dtype=np.int64),
-                    np.stack([self.patches[i].coeffs for i in idx]))
-                for n, idx in by_n.items()
-            }
-        return self._groups
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The stacked control points (P, n+1, n+1, 3) (cached)."""
+        if self._coeffs is None:
+            self._coeffs = np.stack([p.coeffs for p in self.patches])
+        return self._coeffs
 
     @property
     def lengths(self) -> np.ndarray:
         """Characteristic length L(P) per patch (cached, batch computed)."""
         if self._lengths is None:
-            rule = cc_rule(LENGTH_RULE_ORDER)
-            w2 = np.outer(rule.weights, rule.weights).ravel()
-            out = np.empty(len(self.patches))
-            for n, (idx, coeffs) in self.degree_groups().items():
-                missing = [k for k, i in enumerate(idx) if self.patches[i]._length is None]
-                if missing:
-                    b0 = bezier.bernstein_matrix(n, rule.nodes)
-                    b1 = bezier.bernstein_matrix(n, rule.nodes, 1)
-                    sub = coeffs[missing]
-                    ps = bezier.eval_grid(sub, b1, b0).reshape(len(missing), -1, 3)
-                    pt = bezier.eval_grid(sub, b0, b1).reshape(len(missing), -1, 3)
-                    # |ps x pt| component by component: the bits of
-                    # norm(cross(ps, pt), axis=2), without its passes over
-                    # the short last axis
-                    (sx, sy, sz), (tx, ty, tz) = np.moveaxis(ps, 2, 0), np.moveaxis(pt, 2, 0)
-                    cx = sy * tz - sz * ty
-                    cy = sz * tx - sx * tz
-                    cz = sx * ty - sy * tx
-                    sqrtg = np.sqrt(cx * cx + cy * cy + cz * cz)
-                    # a per-row sum, so a patch's L does not depend on its batch
-                    areas = (sqrtg * w2).sum(axis=1)
-                    for k, a in zip(missing, areas):
-                        self.patches[idx[k]]._length = float(np.sqrt(a))
-                for k, i in enumerate(idx):
-                    out[i] = self.patches[i]._length
-            self._lengths = out
+            missing = [i for i, p in enumerate(self.patches) if p._length is None]
+            if missing:
+                rule = cc_rule(LENGTH_RULE_ORDER)
+                w2 = np.outer(rule.weights, rule.weights).ravel()
+                b0 = bezier.bernstein_matrix(self.degree, rule.nodes)
+                b1 = bezier.bernstein_matrix(self.degree, rule.nodes, 1)
+                sub = self.coeffs[missing]
+                ps = bezier.eval_grid(sub, b1, b0).reshape(len(missing), -1, 3)
+                pt = bezier.eval_grid(sub, b0, b1).reshape(len(missing), -1, 3)
+                # |ps x pt| component by component: the bits of
+                # norm(cross(ps, pt), axis=2), without its passes over
+                # the short last axis
+                (sx, sy, sz), (tx, ty, tz) = np.moveaxis(ps, 2, 0), np.moveaxis(pt, 2, 0)
+                cx = sy * tz - sz * ty
+                cy = sz * tx - sx * tz
+                cz = sx * ty - sy * tx
+                sqrtg = np.sqrt(cx * cx + cy * cy + cz * cz)
+                # a per-row sum, so a patch's L does not depend on its batch
+                areas = (sqrtg * w2).sum(axis=1)
+                for i, a in zip(missing, areas):
+                    self.patches[i]._length = float(np.sqrt(a))
+            self._lengths = np.array([p._length for p in self.patches])
         return self._lengths
 
     def control_boxes(self):
@@ -304,12 +281,8 @@ class PatchSet:
         points, which contains the patch.
         """
         if self._boxes is None:
-            lo = np.empty((len(self.patches), 3))
-            hi = np.empty((len(self.patches), 3))
-            for idx, coeffs in self.degree_groups().values():
-                pts = coeffs.reshape(len(idx), -1, 3)
-                lo[idx] = pts.min(axis=1)
-                hi[idx] = pts.max(axis=1)
+            pts = self.coeffs.reshape(len(self.patches), -1, 3)
+            lo, hi = pts.min(axis=1), pts.max(axis=1)
             lo.setflags(write=False)
             hi.setflags(write=False)
             self._boxes = (lo, hi)

@@ -137,7 +137,8 @@ def _write_outputs(config, name, header, rows, eoc=float("nan"), report=None):
     with open(path, "w") as fh:
         fh.write(f"experiment: {config.experiment}\n")
         fh.write(f"geometry: {config.geometry}\nkernel: {config.kernel}\n")
-        fh.write(f"q={config.q} p={config.p} a={config.a} b={config.b}\n")
+        line = asdict(config.eval_options().check_line())
+        fh.write("check line: " + " ".join(f"{k}={v}" for k, v in line.items()) + "\n")
         fh.write(f"estimated convergence order: {eoc:.3f}\n" if eoc == eoc else "")
     with open(os.path.join(config.out, "refinement_report.txt"), "w") as fh:
         fh.write(report.to_text())

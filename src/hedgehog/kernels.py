@@ -60,13 +60,9 @@ class KernelFamily:
             raise UsageError("viscosity must be positive")
 
     @property
-    def value_dimension(self) -> int:
-        return 1 if self.family is Family.LAPLACE else 3
-
-    # short alias used throughout
-    @property
     def d(self) -> int:
-        return self.value_dimension
+        """Components of the kernel's values: 1 for Laplace, 3 otherwise."""
+        return 1 if self.family is Family.LAPLACE else 3
 
 
 LAPLACE = KernelFamily(Family.LAPLACE)

@@ -48,26 +48,18 @@ def discretize(patchset: PatchSet, q: int) -> QuadratureNodeSet:
     rule = cc_rule(q)
     w2 = np.outer(rule.weights, rule.weights).ravel()
     npatches = len(patchset)
-    positions = np.empty((npatches, q * q, 3))
-    normals = np.empty((npatches, q * q, 3))
-    weights = np.empty((npatches, q * q))
-    for n, (idx, coeffs) in patchset.degree_groups().items():
-        b0 = bezier.bernstein_matrix(n, rule.nodes)
-        b1 = bezier.bernstein_matrix(n, rule.nodes, 1)
-        pos = bezier.eval_grid(coeffs, b0, b0).reshape(len(idx), -1, 3)
-        ps = bezier.eval_grid(coeffs, b1, b0).reshape(len(idx), -1, 3)
-        pt = bezier.eval_grid(coeffs, b0, b1).reshape(len(idx), -1, 3)
-        cross = np.cross(ps, pt)
-        sqrtg = np.linalg.norm(cross, axis=2)
-        if np.any(sqrtg <= _MIN_SQRTG):
-            bad = idx[np.any(sqrtg <= _MIN_SQRTG, axis=1)]
-            raise DegenerateGeometryError(
-                f"zero metric determinant on patches {bad.tolist()}"
-            )
-        orient = np.array([patchset[i].orientation for i in idx])[:, None, None]
-        positions[idx] = pos
-        normals[idx] = orient * cross / sqrtg[:, :, None]
-        weights[idx] = sqrtg * w2[None, :]
+    b0 = bezier.bernstein_matrix(patchset.degree, rule.nodes)
+    b1 = bezier.bernstein_matrix(patchset.degree, rule.nodes, 1)
+    positions = bezier.eval_grid(patchset.coeffs, b0, b0).reshape(npatches, -1, 3)
+    ps = bezier.eval_grid(patchset.coeffs, b1, b0).reshape(npatches, -1, 3)
+    pt = bezier.eval_grid(patchset.coeffs, b0, b1).reshape(npatches, -1, 3)
+    cross = np.cross(ps, pt)
+    sqrtg = np.linalg.norm(cross, axis=2)
+    if np.any(sqrtg <= _MIN_SQRTG):
+        bad = np.flatnonzero(np.any(sqrtg <= _MIN_SQRTG, axis=1))
+        raise DegenerateGeometryError(f"zero metric determinant on patches {bad.tolist()}")
+    normals = patchset.orientation * cross / sqrtg[:, :, None]
+    weights = sqrtg * w2[None, :]
     ss, tt = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
     params = np.tile(
         np.stack([ss.ravel(), tt.ravel()], axis=1), (npatches, 1)

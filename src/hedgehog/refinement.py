@@ -174,20 +174,18 @@ def _bc_interpolation_error(patchset, f: BoundaryCondition, q: int):
     rule = cc_rule(q)
     vpts = np.linspace(-1.0, 1.0, 2 * q)
     a = chebyshev_interpolation_matrix(q, vpts)
+    b = bezier.bernstein_matrix(patchset.degree, rule.nodes)
+    pos = bezier.eval_grid(patchset.coeffs, b, b).reshape(len(patchset), -1, 3)
+    bv = bezier.bernstein_matrix(patchset.degree, vpts)
+    vpos = bezier.eval_grid(patchset.coeffs, bv, bv).reshape(len(patchset), -1, 3)
     errs = np.zeros(len(patchset))
-    for n, (ks, coeffs) in patchset.degree_groups().items():
-        b = bezier.bernstein_matrix(n, rule.nodes)
-        pos = bezier.eval_grid(coeffs, b, b).reshape(len(ks), -1, 3)
-        bv = bezier.bernstein_matrix(n, vpts)
-        vpos = bezier.eval_grid(coeffs, bv, bv).reshape(len(ks), -1, 3)
-        for j, k in enumerate(ks):
-            fv = f(pos[j])
-            d = fv.shape[1]
-            interp = np.einsum(
-                "ai,ijd,bj->abd", a, fv.reshape(q, q, d), a, optimize=True
-            ).reshape(-1, d)
-            exact = f(vpos[j])
-            errs[k] = np.abs(interp - exact).max()
+    for k in range(len(patchset)):
+        fv = f(pos[k])
+        d = fv.shape[1]
+        interp = np.einsum(
+            "ai,ijd,bj->abd", a, fv.reshape(q, q, d), a, optimize=True
+        ).reshape(-1, d)
+        errs[k] = np.abs(interp - f(vpos[k])).max()
     return errs
 
 

@@ -21,7 +21,8 @@ admissibility and upsampling screens of refinement ask vertex_distance,
 triangles_within and nearest_proxy_triangle about them.
 
 Closest points on Bezier patches come from closest_points, one batched
-projected-Newton solve over flat (point, patch) pairs per degree group.
+projected-Newton solve over flat (point, patch) pairs on the set's one
+coefficient stack.
 Newton starts at the best node of a coarse parameter grid, and every pair
 is value-checked against a dense grid scan that reseeds Newton where it
 stalled or converged into the wrong basin.  nearest_nodes ranks each
@@ -336,66 +337,37 @@ def closest_point_on_patch(patch: SurfacePatch, points) -> ClosestPointResult:
 def closest_points(patchset: PatchSet, pids, points) -> ClosestPointResult:
     """Minimize |P(s, t) - x|^2 over the parameter square for each pair.
 
-    Pair k asks for the point of patch pids[k] closest to points[k]; the
-    pairs of each degree group run as one batched solve.
+    Pair k asks for the point of patch pids[k] closest to points[k]; all
+    pairs run as one batched solve over the set's coefficient stack.
     """
     pids = np.asarray(pids, dtype=np.int64)
-    X = np.asarray(points, dtype=float).reshape(-1, 3)
-    out = ClosestPointResult(
-        params=np.empty((len(X), 2)),
-        distance=np.empty(len(X)),
-        converged=np.empty(len(X), dtype=bool),
-    )
-    for _, coeffs, rows, slot in pair_groups(patchset, pids):
-        res = _closest_points(coeffs, slot, X[rows])
-        out.params[rows] = res.params
-        out.distance[rows] = res.distance
-        out.converged[rows] = res.converged
-    return out
-
-
-def pair_groups(patchset: PatchSet, pids):
-    """Per degree group the patch ids touch: (degree, stacked coeffs, rows, slots).
-
-    rows are the positions in pids that hold the group's patches and
-    slots their positions in the stacked coefficients.
-    """
-    pids = np.asarray(pids, dtype=np.int64)
-    for n, (idx, coeffs) in patchset.degree_groups().items():
-        rows = np.flatnonzero(np.isin(pids, idx))
-        if len(rows):
-            yield n, coeffs, rows, np.searchsorted(idx, pids[rows])
+    return _closest_points(patchset.coeffs, pids, np.asarray(points, dtype=float).reshape(-1, 3))
 
 
 def patch_points(patchset: PatchSet, pids, params) -> np.ndarray:
-    """Surface points P(s, t) of (patch id, params) pairs, per degree group."""
-    out = np.empty((len(pids), 3))
-    for n, coeffs, rows, slot in pair_groups(patchset, pids):
-        bs = bezier.bernstein_matrix(n, params[rows, 0])
-        bt = bezier.bernstein_matrix(n, params[rows, 1])
-        out[rows] = _eval_pairs(coeffs[slot], bs, bt)
-    return out
+    """Surface points P(s, t) of (patch id, params) pairs."""
+    n = patchset.degree
+    bs = bezier.bernstein_matrix(n, params[:, 0])
+    bt = bezier.bernstein_matrix(n, params[:, 1])
+    return _eval_pairs(patchset.coeffs[pids], bs, bt)
 
 
 def patch_normals(patchset: PatchSet, pids, params) -> np.ndarray:
-    """Unit exterior normals of (patch id, params) pairs, per degree group."""
-    pids = np.asarray(pids, dtype=np.int64)
-    out = np.empty((len(pids), 3))
-    for n, coeffs, rows, slot in pair_groups(patchset, pids):
-        s, t = params[rows, 0], params[rows, 1]
-        C = coeffs[slot]
-        ps = _eval_pairs(C, bezier.bernstein_matrix(n, s, 1), bezier.bernstein_matrix(n, t))
-        pt = _eval_pairs(C, bezier.bernstein_matrix(n, s), bezier.bernstein_matrix(n, t, 1))
-        out[rows] = np.cross(ps, pt)
+    """Unit exterior normals of (patch id, params) pairs."""
+    n = patchset.degree
+    s, t = params[:, 0], params[:, 1]
+    C = patchset.coeffs[pids]
+    ps = _eval_pairs(C, bezier.bernstein_matrix(n, s, 1), bezier.bernstein_matrix(n, t))
+    pt = _eval_pairs(C, bezier.bernstein_matrix(n, s), bezier.bernstein_matrix(n, t, 1))
+    out = np.cross(ps, pt)
     norm = np.linalg.norm(out, axis=1, keepdims=True)
     if np.any(norm == 0.0):
         raise DegenerateGeometryError("zero surface Jacobian")
-    orientation = np.array([patchset[p].orientation for p in pids])
-    return orientation.reshape(-1, 1) * out / norm
+    return patchset.orientation * out / norm
 
 
 def _closest_points(coeffs, slot, X):
-    """Closest points for pairs (patch coeffs[slot[k]], point X[k]) of one degree.
+    """Closest points for pairs (patch coeffs[slot[k]], point X[k]).
 
     Projected (box-constrained) Newton started from the best node of a
     5 x 5 parameter grid.  Every pair is then value-checked against a dense
@@ -644,18 +616,15 @@ class Proxies:
 
 
 def patch_proxies(patchset: PatchSet, ids) -> Proxies:
-    """Proxies of the patches ids, built per degree group in one pass."""
+    """Proxies of the patches ids, built in one pass over their coefficients."""
     k = PROXY_GRID
     grid = np.linspace(-1.0, 1.0, k)
     mids = 0.5 * (grid[:-1] + grid[1:])
-    pos = np.empty((len(ids), k, k, 3))
-    mid = np.empty((len(ids), _CELLS, 3))
-    for n, coeffs, rows, slot in pair_groups(patchset, ids):
-        sub = coeffs[slot]
-        b = bezier.bernstein_matrix(n, grid)
-        bm = bezier.bernstein_matrix(n, mids)
-        pos[rows] = bezier.eval_grid(sub, b, b)
-        mid[rows] = bezier.eval_grid(sub, bm, bm).reshape(len(rows), _CELLS, 3)
+    sub = patchset.coeffs[ids]
+    b = bezier.bernstein_matrix(patchset.degree, grid)
+    bm = bezier.bernstein_matrix(patchset.degree, mids)
+    pos = bezier.eval_grid(sub, b, b)
+    mid = bezier.eval_grid(sub, bm, bm).reshape(len(ids), _CELLS, 3)
     tris = grid_triangles(pos)
     lo, hi = tris.min(axis=2), tris.max(axis=2)
     diag = (pos[:, 1:, 1:] - pos[:, :-1, :-1]).reshape(len(ids), -1, 3)
@@ -809,8 +778,6 @@ def closest_point_global_bulk(patchset: PatchSet, points):
     be closer; ties broken by the lowest patch id.  converged is the
     winning solve's flag.  Each tree query runs once for all points.
     """
-    if len(patchset) == 0:
-        raise UsageError("empty patch set")
     X = np.atleast_2d(np.asarray(points, dtype=float))
     m = X.shape[0]
     index = surface_index(patchset)

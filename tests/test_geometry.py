@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hedgehog.geometry as geo
+from hedgehog.errors import UsageError
 from hedgehog.geometry.patches import (
     PatchSet,
     Subdomain,
@@ -174,21 +175,41 @@ def test_batched_quadrisection_keeps_the_reference_bits(unit_sphere_patches, ran
                     ref = np.einsum("il,lmd,jm->ijd", ms, c, mt)
                     assert got.tobytes() == ref.tobytes()
                     assert geo.subdivide(c, s_up, t_up).tobytes() == ref.tobytes()
-    mixed = [random_cubic_patch, unit_sphere_patches[0], unit_sphere_patches[5]]
-    for patch, children in zip(mixed, quadrisect_all(mixed)):
-        for got, one in zip(children, quadrisect_all([patch])[0]):
-            assert got.coeffs.tobytes() == one.coeffs.tobytes()
-            assert (got.domain, got.depth, got.root_id) == (one.domain, one.depth, one.root_id)
+    # one set per degree
+    for patches in ([random_cubic_patch], [unit_sphere_patches[0], unit_sphere_patches[5]]):
+        for patch, children in zip(patches, quadrisect_all(patches)):
+            for got, one in zip(children, quadrisect_all([patch])[0]):
+                assert got.coeffs.tobytes() == one.coeffs.tobytes()
+                assert (got.domain, got.depth, got.root_id) == (one.domain, one.depth, one.root_id)
 
 
 def test_patchset_control_boxes_match_each_patch(unit_sphere_patches, random_cubic_patch):
-    ps = PatchSet([random_cubic_patch] + list(unit_sphere_patches.patches[:4]))
-    lo, hi = ps.control_boxes()
-    for i, p in enumerate(ps):
-        pts = p.coeffs.reshape(-1, 3)
-        assert np.array_equal(lo[i], pts.min(axis=0))
-        assert np.array_equal(hi[i], pts.max(axis=0))
-    assert ps.control_boxes()[0] is lo
+    for ps in (PatchSet([random_cubic_patch]), PatchSet(unit_sphere_patches.patches[:4])):
+        lo, hi = ps.control_boxes()
+        for i, p in enumerate(ps):
+            pts = p.coeffs.reshape(-1, 3)
+            assert np.array_equal(lo[i], pts.min(axis=0))
+            assert np.array_equal(hi[i], pts.max(axis=0))
+        assert ps.control_boxes()[0] is lo
+
+
+def test_patchset_refuses_mixed_degrees_mixed_orientations_and_no_patches(
+    unit_sphere_patches, random_cubic_patch
+):
+    """A set holds one degree and one orientation; quadrisect_all stacks its
+    patches the same way, so it refuses the same lists."""
+    from dataclasses import replace
+
+    sphere = list(unit_sphere_patches.patches[:2])
+    flipped = replace(sphere[1], orientation=-1.0)
+    for bad in ([], [random_cubic_patch] + sphere, [sphere[0], flipped]):
+        with pytest.raises(UsageError):
+            PatchSet(bad)
+        with pytest.raises(UsageError):
+            quadrisect_all(bad)
+    ps = PatchSet(sphere)
+    assert (ps.degree, ps.orientation, ps.coeffs.shape) == (12, 1.0, (2, 13, 13, 3))
+    assert PatchSet([flipped]).orientation == -1.0
 
 
 def test_quadrisect_shared_corner():
@@ -217,6 +238,27 @@ def test_fit_reproduces_polynomial_embedding():
     assert np.abs(
         geo.evaluate(patch, st[:, 0], st[:, 1]) - emb.position(st[:, 0], st[:, 1])
     ).max() < 1e-12
+
+
+def test_bezier_embedding_shapes_and_bits_match_the_patch_evaluation(random_cubic_patch):
+    """Scalar parameters give (3,) points and (3, 2) partials, arrays (M, 3)
+    and (M, 3, 2), as for the analytic embeddings; the values are the bits
+    of evaluate and derivatives on the same coefficients."""
+    emb = geo.BezierEmbedding(random_cubic_patch.coeffs)
+    plate = geo.plate_embedding([0, 0, 0], [1, 0, 0], [0, 1, 0])
+    s = np.array([-1.0, -0.3, 0.1, 0.77])
+    t = np.array([0.2, 1.0, -0.6, 0.0])
+    for ss, tt, lead in ((0.1, 0.2, ()), (s, t, (4,))):
+        assert emb.position(ss, tt).shape == plate.position(ss, tt).shape == lead + (3,)
+        assert emb.jacobian(ss, tt).shape == plate.jacobian(ss, tt).shape == lead + (3, 2)
+        ps, pt = derivatives(random_cubic_patch, ss, tt)
+        assert emb.position(ss, tt).tobytes() == geo.evaluate(random_cubic_patch, ss, tt).tobytes()
+        assert emb.jacobian(ss, tt).tobytes() == np.stack([ps, pt], axis=-1).tobytes()
+        assert ps.shape == pt.shape == lead + (3,)
+    # the bits of the one paired contraction the patch evaluation always made
+    c, n = random_cubic_patch.coeffs, random_cubic_patch.degree
+    direct = geo.eval_points(c, geo.bernstein_matrix(n, s), geo.bernstein_matrix(n, t))
+    assert emb.position(s, t).tobytes() == direct.tobytes()
 
 
 def test_fit_constant_map_gives_equal_control_points():
@@ -312,17 +354,18 @@ def test_lengths_keep_the_bits_of_the_cross_product_norm(unit_sphere_patches, ra
     from hedgehog.geometry.bezier import bernstein_matrix, eval_grid
     from hedgehog.geometry.patches import LENGTH_RULE_ORDER
 
-    patches = list(unit_sphere_patches.as_fine().uniform_refined(1)) + [random_cubic_patch]
-    got = PatchSet([replace(p, _length=None) for p in patches]).lengths
     rule = cc_rule(LENGTH_RULE_ORDER)
     w2 = np.outer(rule.weights, rule.weights).ravel()
-    for p, length in zip(patches, got):
-        b0 = bernstein_matrix(p.degree, rule.nodes)
-        b1 = bernstein_matrix(p.degree, rule.nodes, 1)
-        ps = eval_grid(p.coeffs[None], b1, b0).reshape(1, -1, 3)
-        pt = eval_grid(p.coeffs[None], b0, b1).reshape(1, -1, 3)
-        sqrtg = np.linalg.norm(np.cross(ps, pt), axis=2)
-        assert length == np.sqrt((sqrtg * w2).sum(axis=1))[0]
+    # one set per degree
+    for patches in (list(unit_sphere_patches.as_fine().uniform_refined(1)), [random_cubic_patch]):
+        got = PatchSet([replace(p, _length=None) for p in patches]).lengths
+        for p, length in zip(patches, got):
+            b0 = bernstein_matrix(p.degree, rule.nodes)
+            b1 = bernstein_matrix(p.degree, rule.nodes, 1)
+            ps = eval_grid(p.coeffs[None], b1, b0).reshape(1, -1, 3)
+            pt = eval_grid(p.coeffs[None], b0, b1).reshape(1, -1, 3)
+            sqrtg = np.linalg.norm(np.cross(ps, pt), axis=2)
+            assert length == np.sqrt((sqrtg * w2).sum(axis=1))[0]
 
 
 def test_bernstein_binomials_are_cached_read_only():

@@ -1,7 +1,7 @@
 import csv
 import os
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -113,6 +113,18 @@ def test_solve_refines_for_the_boundary_condition(tmp_path):
     report = (tmp_path / "refinement_report.txt").read_text()
     assert "boundary-condition sweep 0: 24 patches" in report
     assert "boundary-condition sweep 1: 27 patches" in report
+
+
+def test_summary_writes_the_check_line_as_it_ran(tmp_path):
+    """a left to default to b / 6 and sqrt_scaling both read back as used."""
+    config = _small_sphere(a=None, sqrt_scaling=False, out=str(tmp_path))
+    run_greens_identity(config)
+    text = (tmp_path / "greens-identity_summary.txt").read_text()
+    line = next(ln for ln in text.splitlines() if ln.startswith("check line: "))
+    written = dict(item.split("=") for item in line.split(": ", 1)[1].split())
+    expected = asdict(config.eval_options().check_line())
+    assert written == {k: str(v) for k, v in expected.items()}
+    assert float(written["a"]) == 0.2 / 6 and written["sqrt_scaling"] == "False"
 
 
 def test_greens_identity_over_the_pair_budget_names_the_pair_count(monkeypatch):

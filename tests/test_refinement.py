@@ -330,17 +330,18 @@ def test_pruned_sag_equals_full_minimum(unit_sphere_patches, flat_square_patch, 
     from hedgehog.spatial import PROXY_GRID, patch_proxies, point_triangle_sqdist
 
     patches = unit_sphere_patches.as_fine().uniform_refined(1).patches[:40]
-    ps = PatchSet(patches + [flat_square_patch, random_cubic_patch])
-    prox = patch_proxies(ps, np.arange(len(ps)))
     grid = np.linspace(-1.0, 1.0, PROXY_GRID)
     mids = 0.5 * (grid[:-1] + grid[1:])
-    for i, p in enumerate(ps):
-        bm = bernstein_matrix(p.degree, mids)
-        mid = eval_grid(p.coeffs, bm, bm).reshape(-1, 3)
-        d2, _ = point_triangle_sqdist(mid, prox.tris[i])
-        full = 2.0 * np.sqrt(d2.min(axis=1).max()) + 1e-14
-        assert prox.sag[i] == full
-    assert prox.sag[len(patches)] < 1e-13  # flat: the midpoints lie on the triangles
+    # one set per degree
+    for ps in (PatchSet(patches), PatchSet([flat_square_patch, random_cubic_patch])):
+        prox = patch_proxies(ps, np.arange(len(ps)))
+        for i, p in enumerate(ps):
+            bm = bernstein_matrix(p.degree, mids)
+            mid = eval_grid(p.coeffs, bm, bm).reshape(-1, 3)
+            d2, _ = point_triangle_sqdist(mid, prox.tris[i])
+            full = 2.0 * np.sqrt(d2.min(axis=1).max()) + 1e-14
+            assert prox.sag[i] == full
+    assert prox.sag[0] < 1e-13  # flat: the midpoints lie on the triangles
 
 
 def test_unconverged_closest_points_are_recorded(unit_sphere_patches, monkeypatch):
@@ -364,13 +365,15 @@ def test_sag_does_not_depend_on_the_batch(unit_sphere_patches, flat_square_patch
     from hedgehog.spatial import patch_proxies
 
     patches = unit_sphere_patches.as_fine().uniform_refined(1).patches[:40]
-    ps = PatchSet(patches + [flat_square_patch, random_cubic_patch])
-    whole = patch_proxies(ps, np.arange(len(ps))).sag
     rng = np.random.default_rng(4)
-    shuffled = rng.permutation(len(ps))
-    assert np.array_equal(patch_proxies(ps, shuffled).sag, whole[shuffled])
-    for ids in (rng.choice(len(ps), 7, replace=False), np.array([len(ps) - 1]), np.array([3])):
-        assert np.array_equal(patch_proxies(ps, ids).sag, whole[ids])
+    # one set per degree
+    for ps in (PatchSet(patches), PatchSet([flat_square_patch, random_cubic_patch])):
+        whole = patch_proxies(ps, np.arange(len(ps))).sag
+        shuffled = rng.permutation(len(ps))
+        assert np.array_equal(patch_proxies(ps, shuffled).sag, whole[shuffled])
+        some = rng.choice(len(ps), min(7, len(ps)), replace=False)
+        for ids in (some, np.array([len(ps) - 1]), np.array([min(3, len(ps) - 1)])):
+            assert np.array_equal(patch_proxies(ps, ids).sag, whole[ids])
 
 
 def test_vertex_distance_on_unsorted_slots(unit_sphere_patches):

@@ -210,6 +210,41 @@ def test_solve_forms_the_operator_in_one_fine_set_sum(kernel, side, monkeypatch)
     assert np.abs(density.values.reshape(-1) - x).max() <= 1e-8 * np.abs(x).max()
 
 
+@pytest.mark.parametrize("sqrt_scaling", [False, True])
+def test_operator_build_sums_the_check_points_upsampling_certified(sqrt_scaling, monkeypatch):
+    """The operator build sums the fine set at exactly the check points that
+    adaptive upsampling made far from every fine patch, bit for bit."""
+    from hedgehog import evaluation
+    from hedgehog.refinement import required_check_points
+
+    b = 0.2
+    problem = BVProblem(
+        kernel=K.LAPLACE,
+        geometry=geo.sphere_mesh(0.8, per_face=1),
+        boundary_condition=constant_boundary_condition([1.0]),
+        degree=10,
+        admissibility=AdmissibilityConfig(
+            eps_geometry=1e-2, eps_boundary=1e-1, b=b, a=b / 6, q=4, sqrt_scaling=sqrt_scaling
+        ),
+        options=EvalOptions(p=6, b=b, q=4, sqrt_scaling=sqrt_scaling),
+        uniform_levels=None,
+    )
+    system = assemble(problem)
+    summed = []
+    blocks = evaluation.upsampled_blocks
+
+    def capturing(kernel, layer, nodes, density, fine_nodes, targets, *args, **kwargs):
+        summed.append(np.array(targets))
+        return blocks(kernel, layer, nodes, density, fine_nodes, targets, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "upsampled_blocks", capturing)
+    solve(system)
+    certified = required_check_points(system.coarse, system.nodes, problem.admissibility)
+    got = np.unique(np.concatenate(summed), axis=0)
+    assert got.tobytes() == np.unique(certified, axis=0).tobytes()
+    assert len(system.fine) > len(system.coarse)
+
+
 def test_solve_over_the_pair_budget_is_refused_before_the_build(monkeypatch):
     system = _small_system()
     p = system.problem.options.p

@@ -439,22 +439,26 @@ def test_closest_point_matches_grid_scan_oracle(random_cubic_patch):
 def test_batched_closest_points_match_per_pair_solves(
     unit_sphere_patches, random_cubic_patch, flat_square_patch
 ):
-    """One batched solve over mixed-degree pairs equals each pair solved alone."""
-    ps = PatchSet(
-        [unit_sphere_patches[2], random_cubic_patch, flat_square_patch, unit_sphere_patches[9]]
-    )
+    """One batched solve per set equals each pair solved alone, on a set of
+    each of two degrees."""
+    patches = [
+        unit_sphere_patches[2], random_cubic_patch, flat_square_patch, unit_sphere_patches[9]
+    ]
     rng = np.random.default_rng(12)
-    pids = rng.integers(0, len(ps), 120)
+    pids = rng.integers(0, len(patches), 120)
     st = rng.uniform(-1.0, 1.0, (120, 2))
-    anchors = np.array([geo.evaluate(ps[p], s, t) for p, (s, t) in zip(pids, st)])
+    anchors = np.array([geo.evaluate(patches[p], s, t) for p, (s, t) in zip(pids, st)])
     points = anchors + rng.normal(scale=0.3, size=(120, 3))
-    res = closest_points(ps, pids, points)
-    for k, (pid, x) in enumerate(zip(pids, points)):
-        one = closest_point_on_patch(ps[pid], x)
-        assert np.abs(res.params[k] - one.params[0]).max() <= 1e-14
-        assert abs(res.distance[k] - one.distance[0]) <= 1e-14
-        assert res.converged[k] == one.converged[0]
-    assert res.converged.all()
+    for members in ([0, 3], [1, 2]):
+        ps = PatchSet([patches[i] for i in members])
+        rows = np.flatnonzero(np.isin(pids, members))
+        res = closest_points(ps, np.searchsorted(members, pids[rows]), points[rows])
+        for k, (pid, x) in enumerate(zip(pids[rows], points[rows])):
+            one = closest_point_on_patch(patches[pid], x)
+            assert np.abs(res.params[k] - one.params[0]).max() <= 1e-14
+            assert abs(res.distance[k] - one.distance[0]) <= 1e-14
+            assert res.converged[k] == one.converged[0]
+        assert res.converged.all()
 
 
 @pytest.fixture(scope="module")
@@ -555,13 +559,14 @@ def test_grid_scan_node_is_the_grid_minimum_to_rounding(targets_sphere):
         points, pids = _off_surface(patchset, rng, 200, 1e-3, 1.2)
         order = np.argsort(pids, kind="stable")
         points, pids = points[order], pids[order]
-        (n, (idx, coeffs)), = patchset.degree_groups().items()
-        slot = np.searchsorted(idx, pids)
-        params, f = spatial._grid_scan(coeffs, slot, points, k)
-        grids = spatial._eval_grids(coeffs, bernstein_matrix(n, np.linspace(-1.0, 1.0, k)))
-        grids = grids.reshape(len(idx), 3, k * k).transpose(0, 2, 1)
-        for x, sl, fx in zip(points, slot, f):
-            g = grids[sl]
+        coeffs = patchset.coeffs
+        params, f = spatial._grid_scan(coeffs, pids, points, k)
+        grids = spatial._eval_grids(
+            coeffs, bernstein_matrix(patchset.degree, np.linspace(-1.0, 1.0, k))
+        )
+        grids = grids.reshape(len(patchset), 3, k * k).transpose(0, 2, 1)
+        for x, pid, fx in zip(points, pids, f):
+            g = grids[pid]
             every = 0.5 * ((g - x) ** 2).sum(axis=1)
             c = g.mean(axis=0)
             low = int(np.argmin(every))
@@ -630,18 +635,22 @@ def test_triangle_proxies_cover_patches(unit_sphere_patches):
 
 
 def test_patch_frames_match_the_per_patch_evaluation(unit_sphere_patches, flat_square_patch):
-    """Batched points and normals over two degrees and both orientations
-    against the one-patch evaluate and normal, pair by pair."""
+    """Batched points and normals on sets of two degrees and both
+    orientations against the one-patch evaluate and normal, pair by pair."""
     from dataclasses import replace
 
     flipped = replace(flat_square_patch, orientation=-1.0)
-    patchset = PatchSet(list(unit_sphere_patches) + [flat_square_patch, flipped])
+    patches = list(unit_sphere_patches) + [flat_square_patch, flipped]
     rng = np.random.default_rng(8)
-    pids = rng.integers(0, len(patchset), 200)
+    pids = rng.integers(0, len(patches), 200)
     params = rng.uniform(-1.0, 1.0, (200, 2))
-    points = patch_points(patchset, pids, params)
-    normals = patch_normals(patchset, pids, params)
-    for k, (p, (s, t)) in enumerate(zip(pids, params)):
-        assert np.abs(points[k] - evaluate(patchset[p], s, t)).max() < 1e-14
-        assert np.abs(normals[k] - normal(patchset[p], s, t)).max() < 1e-14
-    assert patch_normals(patchset, pids[:0], params[:0]).shape == (0, 3)
+    for members in (np.arange(len(unit_sphere_patches)), [len(patches) - 2], [len(patches) - 1]):
+        patchset = PatchSet([patches[i] for i in members])
+        rows = np.flatnonzero(np.isin(pids, members))
+        local = np.searchsorted(members, pids[rows])
+        points = patch_points(patchset, local, params[rows])
+        normals = patch_normals(patchset, local, params[rows])
+        for k, (p, (s, t)) in enumerate(zip(pids[rows], params[rows])):
+            assert np.abs(points[k] - evaluate(patches[p], s, t)).max() < 1e-14
+            assert np.abs(normals[k] - normal(patches[p], s, t)).max() < 1e-14
+        assert patch_normals(patchset, local[:0], params[:0]).shape == (0, 3)
