@@ -4,10 +4,10 @@ Near-surface potentials are computed at p + 1 collinear check points placed
 along the surface normal at the target's closest surface point, using smooth
 quadrature on the upsampled patch set, then extrapolated back to the target
 with the first-kind barycentric formula.  Far targets get plain smooth
-quadrature on the coarse nodes; intermediate targets and the check points of
-near and on-surface targets are summed on the upsampled set through
-quadrature.upsampled_potential, the sum of the same per-patch blocks that
-the operator build extrapolates one at a time (average_limits).
+quadrature on the coarse nodes.  Intermediate targets and the check points
+of near and on-surface targets take one path, _upsampled_limits: the sums
+arrive from quadrature.upsampled_blocks one coarse patch at a time, and each
+patch's check rows are extrapolated to their targets as they arrive.
 """
 
 from dataclasses import dataclass, fields
@@ -15,15 +15,10 @@ from enum import IntEnum
 
 import numpy as np
 
-from .chebyshev import extrapolation_weights
+from .chebyshev import extrapolate, extrapolation_weights
 from .errors import UsageError
 from .kernels import LAPLACE, KernelFamily, density_columns
-from .quadrature import (
-    QuadratureNodeSet,
-    smooth_potential,
-    upsampled_blocks,
-    upsampled_potential,
-)
+from .quadrature import QuadratureNodeSet, smooth_potential, upsampled_blocks
 from .spatial import chunks, closest_point_global_bulk, patch_normals, patch_points
 
 
@@ -162,11 +157,11 @@ def mark_points(
     )
 
 
-def surface_node_labels(nodes: QuadratureNodeSet, inside: bool = True) -> ZoneLabels:
-    """Labels for on-surface targets: each node anchors its own evaluation."""
+def surface_node_labels(nodes: QuadratureNodeSet) -> ZoneLabels:
+    """Labels for on-surface targets, inside: each node anchors its own evaluation."""
     m = len(nodes)
     return ZoneLabels(
-        inside=np.full(m, inside),
+        inside=np.ones(m, dtype=bool),
         zone=np.full(m, Zone.NEAR, dtype=np.int64),
         patch_ids=nodes.patch_ids.copy(),
         params=nodes.params.copy(),
@@ -175,18 +170,35 @@ def surface_node_labels(nodes: QuadratureNodeSet, inside: bool = True) -> ZoneLa
     )
 
 
-def _extrapolate_rows(values, weights):
-    """Extrapolate stacked check values: values (M (p + 1), ...) with the
-    weights (M, p + 1) of extrapolation_weights gives (M, c), c the values
-    per check point.
+def _upsampled_limits(kernel, layer, nodes, density, fine_nodes, direct, lines, weights):
+    """Fine-set sums at the points direct, and limits extrapolated on lines.
 
-    The contraction runs in long double, the weights' type; the cardinal
-    weights are large and alternating, and the cancellation noise would
-    otherwise cap the scheme near 1e-11.  einsum casts the values as it
-    goes, so no long-double copy of them is formed.
+    The one path from the upsampled set to a value.  lines holds one or two
+    sides, each the stacked check points (M (p + 1), 3) of the M lines that
+    weights (M, p + 1) extrapolate.  The sums arrive from upsampled_blocks
+    one coarse patch at a time; each block's direct rows, and its check
+    rows extrapolated (two sides averaged as 0.5 (I + E)), are added into
+    the columns nonzero on that patch, so no two patches' check values are
+    held at once.  A column nonzero on one patch only, as one of the
+    identity, gets the bits of extrapolating the full sums; others differ
+    in rounding only.  Returns (sums (len(direct), d, k), limits (M, d, k)).
     """
-    m, s = weights.shape
-    return np.einsum("ms,msd->md", weights, values.reshape(m, s, -1)).astype(float)
+    d = kernel.d
+    part = density[0] if layer == "combined" else density
+    k = density_columns(part, len(nodes), d)[0].shape[2]
+    sums, limits = np.zeros((len(direct), d, k)), np.zeros((len(weights), d, k))
+    # each side holds weights.size rows, one check value per weight
+    starts = len(direct) + weights.size * np.arange(len(lines) + 1)
+    for cols, block in upsampled_blocks(
+        kernel, layer, nodes, density, fine_nodes, np.concatenate([direct, *lines])
+    ):
+        sums[:, :, cols] += block[: len(direct)]
+        # the mean of the sides' limits, 0.5 (I + E) for two; unnamed, so the
+        # last block's limits are freed before this block's are formed
+        limits[:, :, cols] += sum(
+            extrapolate(block[a:b], weights) for a, b in zip(starts, starts[1:])
+        ) / len(lines)
+    return sums, limits
 
 
 def evaluate_one_sided(
@@ -203,12 +215,12 @@ def evaluate_one_sided(
     """Zone-dispatched evaluation of a layer potential at marked targets.
 
     density is given at the coarse nodes, one (N, d) field ((N,) when
-    d = 1) or, for layer "combined", a (single, double) pair.  Far targets use coarse smooth
-    quadrature.  Intermediate targets and the check points of near and
-    on-surface targets are stacked into one upsampled_potential sum on the
-    fine set; the near rows are then extrapolated to their targets, with
-    the limit taken from the domain side.  Targets on the wrong side of the
-    surface get value 0 and a False entry in the returned mask.
+    d = 1) or, for layer "combined", a (single, double) pair.  Far targets
+    use coarse smooth quadrature.  Intermediate targets are summed on the
+    fine set, and near and on-surface targets are extrapolated from their
+    check lines on the domain side, both through _upsampled_limits.
+    Targets on the wrong side of the surface get value 0 and a False entry
+    in the returned mask.
 
     Returns (values (M, d), evaluated_mask (M,)).
     """
@@ -231,16 +243,14 @@ def evaluate_one_sided(
         normals = patch_normals(patchset, pids, labels.params[near])
         lengths = patchset.lengths[pids]
         sign = -1.0 if domain_side == "interior" else 1.0
-        pts = np.concatenate([targets[mid], opts.points(anchors, normals, lengths, sign)])
-        sums = upsampled_potential(
-            kernel, layer, coarse_nodes, density, fine_nodes, pts
-        ).reshape(len(pts), -1)
-        values[mid] = sums[: len(mid)]
-        if len(near):
-            ray, step = opts.spacings(lengths)
-            t_x = (np.linalg.norm(targets[near] - anchors, axis=1) - ray) / step
-            weights = extrapolation_weights(opts.p, t_x)
-            values[near] = _extrapolate_rows(sums[len(mid) :], weights)
+        ray, step = opts.spacings(lengths)
+        t_x = (np.linalg.norm(targets[near] - anchors, axis=1) - ray) / step
+        sums, limits = _upsampled_limits(
+            kernel, layer, coarse_nodes, density, fine_nodes, targets[mid],
+            [opts.points(anchors, normals, lengths, sign)], extrapolation_weights(opts.p, t_x),
+        )
+        values[mid] = sums.reshape(len(mid), kernel.d)
+        values[near] = limits.reshape(len(near), kernel.d)
     return values, mask
 
 
@@ -276,30 +286,14 @@ def average_limits(anchors, normals, lengths, kernel, nodes, density, fine_nodes
     """Average of interior and exterior extrapolated limits (the PV).
 
     density is given at the coarse nodes, as (N,), (N, d), (N, d, k) or
-    (N, d * k); the result is (M, d * k).  The check-point sums arrive from
-    quadrature.upsampled_blocks one coarse patch at a time, and each
-    patch's block is extrapolated to the anchors as it arrives and added
-    into the result's columns that are nonzero on that patch.  So the
-    check values of all densities are never held at once, only the result
-    and one patch's block.  Columns nonzero on one patch only, as those of
-    the identity in the operator build, get the bits of extrapolating the
-    full sums; other columns differ from that in rounding only.
+    (N, d * k); the result is (M, d * k).  Both sides' check lines go
+    through _upsampled_limits, so only the result and one coarse patch's
+    check block are held at once.
     """
-    m, p, d = len(anchors), opts.p, kernel.d
-    both = np.concatenate(
-        [
-            opts.points(anchors, normals, lengths, -1.0),
-            opts.points(anchors, normals, lengths, +1.0),
-        ]
+    lines = [opts.points(anchors, normals, lengths, sign) for sign in (-1.0, 1.0)]
+    t_x = -opts.b / opts.a * np.ones(len(anchors))  # on-surface targets: |x - y*| = 0
+    _, limits = _upsampled_limits(
+        kernel, "double", nodes, density, fine_nodes, np.empty((0, 3)), lines,
+        extrapolation_weights(opts.p, t_x),
     )
-    t_x = -opts.b / opts.a * np.ones(m)  # on-surface targets: |x - y*| = 0
-    weights = extrapolation_weights(p, t_x)
-    out = np.zeros((m, d, density_columns(density, len(nodes), d)[0].shape[2]))
-    half = m * (p + 1)
-    for cols, block in upsampled_blocks(
-        kernel, "double", nodes, density, fine_nodes, both
-    ):
-        interior = _extrapolate_rows(block[:half], weights)
-        exterior = _extrapolate_rows(block[half:], weights)
-        out[:, :, cols] += (0.5 * (interior + exterior)).reshape(m, d, -1)
-    return out.reshape(m, -1)
+    return limits.reshape(len(anchors), -1)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .chebyshev import extrapolate
+from .chebyshev import extrapolate, extrapolation_weights
 from .errors import UsageError
 from .evaluation import EvalOptions, evaluate_one_sided, surface_node_labels
 from .geometry.embeddings import QuadMesh, builtin_mesh
@@ -321,11 +321,11 @@ def run_solver_convergence(config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def extrapolation_error(ray: float, spacing: float, p: int, rho: float = -0.1):
-    """Relative error extrapolating mu(t) = 1 / |t - rho| back to t = 0."""
-    samples = 1.0 / (ray + spacing * np.arange(p + 1) - rho)
-    exact = 1.0 / abs(rho)
-    value = extrapolate(samples, -ray / spacing)
+def extrapolation_error(ray: float, spacing: float, p: int):
+    """Relative error extrapolating mu(t) = 1 / |t - RHO| back to t = 0."""
+    samples = 1.0 / (ray + spacing * np.arange(p + 1) - RHO)
+    exact = 1.0 / abs(RHO)
+    value = extrapolate(samples, extrapolation_weights(p, -ray / spacing))[0]
     return abs(value - exact) / exact
 
 
@@ -334,20 +334,17 @@ def run_extrapolation_sweep(
     p_list=(6, 8, 10, 12, 14),
     r_over_rho=None,
     rp_over_r=None,
-    rho: float = -0.1,
 ):
     """Error heatmap of line extrapolation against a point singularity."""
-    if rho >= 0:
-        raise UsageError("the singularity must sit behind the surface (rho < 0)")
     r_grid = np.linspace(0.05, 1.0, 39) if r_over_rho is None else np.asarray(r_over_rho)
     s_grid = np.linspace(0.05, 1.0, 39) if rp_over_r is None else np.asarray(rp_over_r)
     rows = []
     for p in p_list:
         for rr in r_grid:
-            ray = rr * abs(rho)
+            ray = rr * abs(RHO)
             for ss in s_grid:
                 spacing = ss * ray / p
-                err = extrapolation_error(ray, spacing, p, rho)
+                err = extrapolation_error(ray, spacing, p)
                 rows.append((p, float(rr), float(ss), float(np.log10(max(err, 1e-17)))))
     _write_outputs(
         config,
@@ -360,6 +357,7 @@ def run_extrapolation_sweep(
 
 B_MIN, B_MAX = 0.02, 0.30  # the range of spacing factors choose_b searches
 LAM = 1.0  # singularity distance behind the surface, in patch lengths
+RHO = -0.1  # the sweep's singularity, behind the surface at t = 0
 SAFETY = 1.0  # discount on the target for the gap between the sweep and real kernels
 
 
@@ -373,8 +371,8 @@ def choose_b(eps_target: float, p: int = 6) -> float:
     grid = np.linspace(B_MIN, B_MAX, 200)
     best = B_MIN
     for b in grid:
-        ray = (b / LAM) * 0.1
-        err = extrapolation_error(ray, ray / p, p, rho=-0.1)
+        ray = (b / LAM) * abs(RHO)
+        err = extrapolation_error(ray, ray / p, p)
         if err <= SAFETY * eps_target:
             best = b
     return float(best)

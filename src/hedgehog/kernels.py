@@ -69,8 +69,8 @@ LAPLACE = KernelFamily(Family.LAPLACE)
 STOKES = KernelFamily(Family.STOKES)
 
 
-def elasticity(poisson_ratio: float, viscosity: float = 1.0) -> KernelFamily:
-    return KernelFamily(Family.ELASTICITY, poisson_ratio, viscosity)
+def elasticity(poisson_ratio: float) -> KernelFamily:
+    return KernelFamily(Family.ELASTICITY, poisson_ratio)
 
 
 def _check_separation(rho):

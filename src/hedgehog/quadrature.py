@@ -87,7 +87,7 @@ def smooth_potential(
     Sums over the node set as given, with the density at those nodes: the
     coarse far-field sum and the winding number.  A density given at the
     coarse nodes and summed on the upsampled set goes through
-    upsampled_potential instead.  density has shape (N, d) or (N,), or
+    upsampled_blocks instead.  density has shape (N, d) or (N,), or
     holds k densities as (N, d, k), which gives d * k result columns; layer
     "combined" takes a (single, double) density pair and sums both
     layers in one sweep.  Targets must be disjoint from the nodes.
@@ -165,7 +165,7 @@ def upsample_density(
     Uses the tensor Chebyshev interpolant of each coarse patch's q^2 nodes,
     evaluated at the fine nodes' parameters pulled back through the dyadic
     lineage; exact for tensor polynomials of degree < q.  One GEMM per
-    coarse patch, with the matrices upsampled_potential uses.
+    coarse patch, with the matrices upsampled_blocks uses.
     """
     matrices = _upsampling(coarse_nodes, fine_nodes)
     values = np.asarray(values, dtype=float)
@@ -186,13 +186,19 @@ def upsampled_blocks(
     fine_nodes: QuadratureNodeSet,
     targets,
 ):
-    """The terms of upsampled_potential, one coarse patch at a time.
+    """Smooth quadrature on the fine set of a density given at the coarse
+    nodes, as its terms K(X, F_j) (W U_j phi_j), one coarse patch j at a time.
 
-    Yields (cols, block) for each coarse patch j on which the density is
-    nonzero: block (M, d, len(cols)) is K(X, F_j) (W U_j phi_j) in the
-    density columns cols that are nonzero on patch j, from one backend call
-    over patch j's fine nodes.  The blocks are written into one buffer, so
-    each is valid only until the next is produced.
+    The one sum over an upsampled set.  F_j are patch j's fine nodes, U_j
+    the cached interpolation onto them and W their weights, so each patch's
+    density is upsampled by one GEMM onto its own fine nodes, and the dense
+    fine copy of a block with local support, as the identity, is never
+    formed.  density is (N,), (N, d), (N, d, k) or (N, d * k); layer
+    "combined" takes a (single, double) pair of one shape and sums both in
+    one backend call.  Yields (cols, block) for each patch on which the
+    density is nonzero: block (M, d, len(cols)) in the density columns cols
+    nonzero on patch j.  The blocks share one buffer, so each is valid only
+    until the next.  Targets must be disjoint from the fine nodes.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     check_pairs(len(targets) * len(fine_nodes))
@@ -221,43 +227,6 @@ def upsampled_blocks(
             tuple(weighted) if layer == "combined" else weighted[0], targets,
             out=buffer[:size].reshape(shape),
         )
-
-
-def upsampled_potential(
-    kernel,
-    layer: str,
-    nodes: QuadratureNodeSet,
-    density,
-    fine_nodes: QuadratureNodeSet,
-    targets,
-):
-    """Smooth quadrature on the fine set of a density given at the coarse nodes.
-
-    The one sum over an upsampled set: the operator build and off-surface
-    evaluation both go through it, the build through its terms
-    upsampled_blocks.  Sums sum_j K(X, F_j) (W U_j phi_j) over the coarse
-    patches j, where F_j are the fine nodes of patch j, U_j the cached
-    interpolation onto them and W their weights: each patch's density
-    block is upsampled by one GEMM onto its own fine nodes only, and summed
-    only into the density columns that are nonzero on that patch.  The pairs
-    are those of one sum over the fine set; for a block with local support,
-    such as the identity, the GEMM flops drop by the number of coarse
-    patches, and the dense fine copy of the block is never formed.  layer is
-    "single", "double" or "combined", which takes a (single, double) pair of
-    densities of one shape and sums both layers in one backend call per
-    patch, into the union of their nonzero columns.
-    density is (N,), (N, d), (N, d, k) or (N, d * k) and the result keeps
-    its trailing shape.  Targets must be disjoint from the fine nodes.
-    """
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    parts = density if layer == "combined" else (density,)
-    blocks, shapes = zip(*(density_columns(part, len(nodes), kernel.d) for part in parts))
-    out = np.zeros((len(targets), kernel.d, blocks[0].shape[2]))
-    for cols, block in upsampled_blocks(
-        kernel, layer, nodes, density, fine_nodes, targets
-    ):
-        out[:, :, cols] += block
-    return out.reshape((len(targets),) + shapes[0])
 
 
 def quadrature_error_heuristic(h: float, k: int, q: int, variation: float) -> float:

@@ -29,7 +29,6 @@ class ReferenceSolution:
         m: int = 100,
         radius: float = 1.0,
         seed: int = 0,
-        center=(0.0, 0.0, 0.0),
     ) -> "ReferenceSolution":
         if m < 0:
             raise UsageError("charge count cannot be negative")
@@ -39,20 +38,17 @@ class ReferenceSolution:
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         strengths = rng.uniform(0.0, 1.0, size=(m, kernel.d))
         return cls(
-            charges=np.asarray(center, dtype=float) + radius * dirs,
+            charges=radius * dirs,
             strengths=strengths,
             kernel=kernel,
         )
 
     @classmethod
-    def single_charge(cls, kernel: KernelFamily, location, strength=None):
-        strength = (
-            np.ones((1, kernel.d)) if strength is None
-            else np.asarray(strength, float).reshape(1, kernel.d)
-        )
+    def single_charge(cls, kernel: KernelFamily, location):
+        """One unit-strength charge at location."""
         return cls(
             charges=np.asarray(location, dtype=float).reshape(1, 3),
-            strengths=strength,
+            strengths=np.ones((1, kernel.d)),
             kernel=kernel,
         )
 

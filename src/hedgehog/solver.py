@@ -13,7 +13,7 @@ EPS_GMRES ||b||.  The check-point sums run one coarse patch at a time, each
 patch's fine nodes into the identity columns of that patch's own nodes, so
 the build sums the pairs of one pass over the fine set and never forms the
 dense fine copy of the identity.  Each patch's check values are
-extrapolated to the surface as they arrive (evaluation.average_limits),
+extrapolated to the surface as they arrive (evaluation._upsampled_limits),
 so the build holds the identity, the operator, one patch's check block
 and the tiles' workspace, which spatial.CHUNK_BYTES bounds.
 """

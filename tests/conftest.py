@@ -3,6 +3,25 @@ import pytest
 
 import hedgehog.geometry as geo
 from hedgehog.geometry.patches import PatchSet, Subdomain, fit_patch
+from hedgehog.kernels import density_columns
+from hedgehog.quadrature import upsampled_blocks
+
+
+@pytest.fixture(scope="session")
+def upsampled_sum():
+    """The sum of quadrature.upsampled_blocks over every coarse patch: smooth
+    quadrature on the fine set of a density given at the coarse nodes, with
+    the density's trailing shape."""
+
+    def total(kernel, layer, nodes, density, fine_nodes, targets):
+        part = density[0] if layer == "combined" else density
+        block, shape = density_columns(part, len(nodes), kernel.d)
+        out = np.zeros((len(targets), kernel.d, block.shape[2]))
+        for cols, terms in upsampled_blocks(kernel, layer, nodes, density, fine_nodes, targets):
+            out[:, :, cols] += terms
+        return out.reshape((len(targets),) + shape)
+
+    return total
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ TEST_ONLY = {
     "constant_boundary_condition": "public API: the boundary data of a constant field",
     "plate_embedding": "public API: the embedding of a flat parallelogram",
     "evaluate_solution": "public API: the solved potential at arbitrary targets",
-    "quadrature_error_heuristic": "waits for ROADMAP item 5, the error-driven refinement",
+    "quadrature_error_heuristic": "waits for ROADMAP item 7, the error-driven refinement",
 }
 
 

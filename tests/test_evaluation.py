@@ -5,6 +5,7 @@ import pytest
 
 import hedgehog.geometry as geo
 from hedgehog import kernels as K
+from hedgehog.chebyshev import extrapolate, extrapolation_weights
 from hedgehog.errors import UsageError
 from hedgehog.evaluation import (
     EvalOptions,
@@ -25,6 +26,7 @@ from hedgehog.refinement import (
     enforce_admissibility,
     uniform_upsample,
 )
+from hedgehog.spatial import patch_normals, patch_points
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +136,103 @@ def test_one_sided_interior_limit_constant_density(sphere_system):
     )
     assert mask.all()
     assert np.abs(vals - 1.0).max() < 1e-5
+
+
+@pytest.fixture(scope="module")
+def small_sphere(unit_sphere_patches):
+    """The 24-patch sphere at q = 6 with one uniform upsampling level, and
+    interior targets: 8 NEAR at 0.05-0.5 L below a node, 4 INTERMEDIATE
+    within radius 0.4 of the centre."""
+    q = 6
+    nodes = discretize(unit_sphere_patches, q)
+    fine_nodes = discretize(uniform_upsample(unit_sphere_patches, 1), q)
+    opts = EvalOptions(p=6, b=0.2, q=q)
+    rng = np.random.default_rng(12)
+    picks = rng.choice(len(nodes), 8, replace=False)
+    depth = rng.uniform(0.05, 0.5, 8) * unit_sphere_patches.lengths[nodes.patch_ids[picks]]
+    near = nodes.positions[picks] - depth[:, None] * nodes.normals[picks]
+    dirs = rng.normal(size=(4, 3))
+    mid = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * rng.uniform(0.1, 0.4, (4, 1))
+    labels = ZoneLabels(
+        inside=np.ones(12, dtype=bool),
+        zone=np.array([Zone.NEAR] * 8 + [Zone.INTERMEDIATE] * 4),
+        patch_ids=np.concatenate([nodes.patch_ids[picks], np.full(4, -1)]),
+        params=np.concatenate([nodes.params[picks], np.zeros((4, 2))]),
+        distance=np.concatenate([depth, np.full(4, np.inf)]),
+        winding=np.ones(12),
+    )
+    return nodes, fine_nodes, opts, np.concatenate([near, mid]), labels
+
+
+def _densities(nodes, layer, support):
+    """A seeded density for layer, dense or zero off one coarse patch."""
+    rng = np.random.default_rng(13)
+    parts = rng.normal(size=(2, len(nodes), 1))
+    if support == "one patch":
+        parts[:, nodes.patch_ids != 5] = 0.0
+    return {"single": parts[0], "double": parts[1], "combined": (parts[0], parts[1])}[layer]
+
+
+def _sum_then_extrapolate(small_sphere, upsampled_sum, layer, density):
+    """Near-target reference: every check-point sum from the blocks of
+    upsampled_blocks first, then one extrapolation of the full sums."""
+    nodes, fine_nodes, opts, targets, labels = small_sphere
+    patchset = nodes.patchset
+    near = labels.zone == Zone.NEAR
+    pids, params = labels.patch_ids[near], labels.params[near]
+    anchors = patch_points(patchset, pids, params)
+    lengths = patchset.lengths[pids]
+    checks = opts.points(anchors, patch_normals(patchset, pids, params), lengths, -1.0)
+    ray, step = opts.spacings(lengths)
+    t_x = (np.linalg.norm(targets[near] - anchors, axis=1) - ray) / step
+    weights = extrapolation_weights(opts.p, t_x)
+    sums = upsampled_sum(K.LAPLACE, layer, nodes, density, fine_nodes, checks)
+    return extrapolate(sums, weights), weights
+
+
+@pytest.mark.parametrize("layer", ["single", "double", "combined"])
+def test_one_sided_near_values_match_sum_then_extrapolate(small_sphere, upsampled_sum, layer):
+    """Extrapolating each coarse patch's check block as it arrives gives the
+    bits of extrapolating the full sums for a density on one coarse patch,
+    and agrees with them within 10 eps sum|w| for a dense one."""
+    nodes, fine_nodes, opts, targets, labels = small_sphere
+    near = np.flatnonzero(labels.zone == Zone.NEAR)
+    for support in ("one patch", "dense"):
+        density = _densities(nodes, layer, support)
+        got, mask = evaluate_one_sided(
+            targets[near], labels.take(near), K.LAPLACE, density, nodes, fine_nodes, opts,
+            layer=layer,
+        )
+        want, weights = _sum_then_extrapolate(small_sphere, upsampled_sum, layer, density)
+        assert mask.all() and got.shape == want.shape == (len(near), 1)
+        if support == "one patch":
+            assert np.abs(want).max() > 0.0
+            assert got.tobytes() == want.tobytes()
+        else:
+            floor = 10.0 * np.finfo(float).eps * np.abs(weights).sum(axis=1).max()
+            assert np.abs(got - want).max() <= floor * np.abs(want).max()
+
+
+def test_one_sided_takes_intermediate_only_far_only_and_no_targets(small_sphere, upsampled_sum):
+    """Intermediate targets with no near ones leave an empty check block,
+    which must extrapolate to nothing; a far target and an empty target set
+    evaluate too.  Near targets alone are the test above."""
+    nodes, fine_nodes, opts, targets, labels = small_sphere
+    density = _densities(nodes, "double", "dense")
+    args = (K.LAPLACE, density, nodes, fine_nodes, opts)
+    mid = np.flatnonzero(labels.zone == Zone.INTERMEDIATE)
+    got, mask = evaluate_one_sided(targets[mid], labels.take(mid), *args)
+    want = upsampled_sum(K.LAPLACE, "double", nodes, density, fine_nodes, targets[mid])
+    assert mask.all() and got.tobytes() == want.tobytes()
+    centre = ZoneLabels(
+        inside=np.ones(1, dtype=bool), zone=np.array([Zone.FAR]), patch_ids=np.array([-1]),
+        params=np.zeros((1, 2)), distance=np.array([np.inf]), winding=np.ones(1),
+    )
+    got, mask = evaluate_one_sided(np.zeros((1, 3)), centre, *args)
+    want = smooth_potential(K.LAPLACE, "double", nodes, density, np.zeros((1, 3)))
+    assert mask.all() and got.tobytes() == want.tobytes()
+    got, mask = evaluate_one_sided(np.zeros((0, 3)), centre.take([]), *args)
+    assert got.shape == (0, 1) and mask.shape == (0,)
 
 
 def test_two_sided_average_matches_flat_plate_principal_value():

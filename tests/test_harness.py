@@ -170,7 +170,7 @@ def test_extrapolation_sweep_large_p_small_spacing_degrades():
 
 def test_extrapolation_sweep_polynomial_data_machine_precision():
     # degree <= p data: errors at machine scale across the whole sweep
-    from hedgehog.chebyshev import extrapolate
+    from hedgehog.chebyshev import extrapolate, extrapolation_weights
 
     rng = np.random.default_rng(1)
     coeffs = rng.uniform(-1, 1, 7) * 0.1
@@ -179,7 +179,7 @@ def test_extrapolation_sweep_polynomial_data_machine_precision():
             pos = ray + spacing * np.arange(7)
             vals = np.polynomial.polynomial.polyval(pos, coeffs)
             exact = np.polynomial.polynomial.polyval(0.0, coeffs)
-            got = extrapolate(vals, -ray / spacing)
+            got = extrapolate(vals, extrapolation_weights(6, -ray / spacing))[0]
             assert abs(got - exact) < 1e-11
 
 

@@ -27,4 +27,6 @@ def test_output_hashes_prints_one_line_per_workload():
     for line in lines:
         name = line.split()[0]
         fields = targets if name == "targets" else solve
-        assert re.fullmatch(rf"{name} seed=1 {fields} failed=\d+", line), line
+        match = re.fullmatch(rf"{name} seed=1 {fields} failed=\d+ error=(\S+)", line)
+        assert match, line
+        assert float(match.group(1)) >= 0.0, line

@@ -11,7 +11,6 @@ from hedgehog.quadrature import (
     quadrature_error_heuristic,
     smooth_potential,
     upsample_density,
-    upsampled_potential,
 )
 from hedgehog.references import ReferenceSolution
 from hedgehog.refinement import uniform_upsample
@@ -256,8 +255,11 @@ def test_upsample_requires_fine_patches_grouped_by_ancestor():
 
 @pytest.mark.parametrize("m", [0, 6])
 @pytest.mark.parametrize("layer", ["single", "double", "combined"])
-def test_upsampled_potential_matches_sum_on_upsampled_density(unit_sphere_patches, layer, m):
-    """The per-coarse-patch sum equals smooth quadrature of the upsampled density.
+def test_upsampled_potential_matches_sum_on_upsampled_density(
+    unit_sphere_patches, upsampled_sum, layer, m
+):
+    """The sum of the per-coarse-patch blocks equals smooth quadrature of the
+    upsampled density.
 
     Two density columns, zero on the first coarse patches; on patch 4 the
     single-layer density keeps only column 0 and the double-layer density
@@ -278,7 +280,7 @@ def test_upsampled_potential_matches_sum_on_upsampled_density(unit_sphere_patche
         if layer == "combined"
         else upsample_density(cn, density, fn)
     )
-    got = upsampled_potential(K.LAPLACE, layer, cn, density, fn, targets)
+    got = upsampled_sum(K.LAPLACE, layer, cn, density, fn, targets)
     want = smooth_potential(K.LAPLACE, layer, fn, fine_density, targets)
     assert got.shape == want.shape == (m, 2)
     assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=1.0)

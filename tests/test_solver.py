@@ -15,7 +15,6 @@ from hedgehog.chebyshev import extrapolation_weights
 from hedgehog.errors import UsageError
 from hedgehog.evaluation import EvalOptions, average_limits
 from hedgehog.geometry.embeddings import constant_boundary_condition
-from hedgehog.quadrature import upsampled_potential
 from hedgehog.references import ReferenceSolution
 from hedgehog.refinement import AdmissibilityConfig
 from hedgehog.solver import (
@@ -97,7 +96,7 @@ def test_matvec_block_matches_columns(kernel, side):
         assert np.abs(out - columns).max() <= floor * np.abs(columns).max()
 
 
-def _sum_then_extrapolate(system, density):
+def _sum_then_extrapolate(system, density, upsampled_sum):
     """The reference for average_limits at the coarse nodes: every
     check-point sum first, then the extrapolation of both sides at once."""
     nodes, opts, kernel = system.nodes, system.problem.options, system.problem.kernel
@@ -106,7 +105,7 @@ def _sum_then_extrapolate(system, density):
     both = np.concatenate(
         [opts.points(nodes.positions, nodes.normals, lengths, sign) for sign in (-1.0, 1.0)]
     )
-    sums = upsampled_potential(kernel, "double", nodes, density, system.fine_nodes, both)
+    sums = upsampled_sum(kernel, "double", nodes, density, system.fine_nodes, both)
     sums = sums.reshape(2, m, p + 1, -1).astype(np.longdouble)
     weights = extrapolation_weights(p, -opts.b / opts.a * np.ones(m))
     sides = [np.einsum("ms,msd->md", weights, side).astype(float) for side in sums]
@@ -114,7 +113,7 @@ def _sum_then_extrapolate(system, density):
 
 
 @pytest.mark.parametrize("kernel", [K.LAPLACE, K.STOKES])
-def test_average_limits_extrapolates_each_patch_as_the_full_sum(kernel):
+def test_average_limits_extrapolates_each_patch_as_the_full_sum(kernel, upsampled_sum):
     """Extrapolating each coarse patch's check sums as they arrive gives the
     bits of the full sum for identity columns, each nonzero on one patch, and
     agrees with it to the rounding floor of test_matvec_block_matches_columns
@@ -133,14 +132,14 @@ def test_average_limits_extrapolates_each_patch_as_the_full_sum(kernel):
             system.fine_nodes, opts,
         )
 
-    want = _sum_then_extrapolate(system, identity.reshape(n, -1))
+    want = _sum_then_extrapolate(system, identity.reshape(n, -1), upsampled_sum)
     got = limits(identity.reshape(n, -1))
     assert got.shape == want.shape == (n, d * 7)
     assert got.tobytes() == want.tobytes()
 
     weights = extrapolation_weights(opts.p, np.array([-opts.b / opts.a]))
     floor = 10.0 * np.finfo(float).eps * np.abs(weights).sum()
-    want = _sum_then_extrapolate(system, dense.reshape(n, -1))
+    want = _sum_then_extrapolate(system, dense.reshape(n, -1), upsampled_sum)
     got = limits(dense.reshape(n, -1))
     assert np.abs(got - want).max() <= floor * np.abs(want).max()
     # one density, in any of the shapes the sum takes, gives (N, d) limits

@@ -7,9 +7,10 @@ the seed and prints one line per workload and seed: hashes of the coarse
 and fine patch sets (stacked coefficients, (depth, ix, iy, root_id) keys,
 lengths); for the solve workloads the formed operator (the matvec of the
 identity) and the solved density; for ``targets`` the coarse and fine node
-sets, every ZoneLabels field and the values; then the failed count. Two
-checkouts whose lines agree compute the same bits. Run it from the root of
-a source checkout.
+sets, every ZoneLabels field and the values; then the failed count and the
+repr of the check's max_rel_error, which says by how much accuracy moved
+when a hash changes. Two checkouts whose lines agree compute the same bits.
+Run it from the root of a source checkout.
 """
 
 import argparse
@@ -53,7 +54,7 @@ def solve_hashes(work) -> dict:
     n, d = system.n_unknowns, system.problem.kernel.d
     op = solver.matvec(system, np.eye(n).reshape(-1, d, n)).reshape(n, n)
     result = work.run(system)
-    ok, _ = work.check(system, result)
+    ok, error = work.check(system, result)
     density, _ = result
     return {
         "coarse": patchset_hash(system.coarse),
@@ -61,6 +62,7 @@ def solve_hashes(work) -> dict:
         "operator": _digest(op),
         "density": _digest(density.values),
         "failed": ok.count(False),
+        "error": repr(error),
     }
 
 
@@ -69,7 +71,7 @@ def targets_hashes(work) -> dict:
     coarse, fine, nodes, fine_nodes, _ = state
     work.prepare(state)
     labels, values = result = work.run(state)
-    ok, _ = work.check(state, result)
+    ok, error = work.check(state, result)
     fields = [getattr(labels, f.name) for f in dataclasses.fields(labels)]
     return {
         "coarse": patchset_hash(coarse),
@@ -78,6 +80,7 @@ def targets_hashes(work) -> dict:
         "labels": _digest(*fields),
         "values": _digest(values),
         "failed": ok.count(False),
+        "error": repr(error),
     }
 
 
