@@ -136,11 +136,15 @@ def double_layer_kernel(kernel: KernelFamily, x, y, n_y) -> np.ndarray:
 # -> (M, d), or a block of k densities (N, d, k) -> (M, d, k).  Any density
 # with d * k values per source keeps its trailing shape, and a bare (N,)
 # Laplace density gives (M, 1).  A sum runs over tiles of m targets by n
-# sources (row chunks over all sources unless the sources are many) whose
-# (m, n) temporaries stay within spatial.CHUNK_BYTES, so no (3, M, N)
-# offsets are ever formed.  Per tile, |r|^2 and r . n are GEMMs in
-# coordinates centred on the tile's targets.  Laplace multiplies its one
-# (m, n) kernel matrix into the density by GEMM.  The vector kernels form
+# sources (equal row chunks over all sources unless the sources are many)
+# whose (m, n) temporaries stay within spatial.CHUNK_BYTES, so no
+# (3, M, N) offsets are ever formed.  Per tile, |r|^2 and r . n are GEMMs
+# in coordinates centred on the tile's targets.  Laplace multiplies its one
+# (m, n) kernel matrix into the density by GEMM.  Its double layer forms
+# (r . n) / |r|^3 from |r|^2 as (r . n) / (sqrt(|r|^2) |r|^2), with no
+# 1 / |r|.  The sums that need 1 / |r|, the single layers and the vector
+# kernels, form it once per tile in place of |r|^2, so apply_combined sums
+# the double layer first, and no tile holds both.  The vector kernels form
 # one (m, n) matrix per output component, M_i = w r_i with r_i = y_i - x_i
 # an exact difference, and move the second factor r_j to the source side:
 #     sum_n w r_i r_j sigma_j = M_i @ (y_j sigma_j) - x_j (M_i @ sigma_j)
@@ -225,15 +229,24 @@ class _Pairs:
         rho2 = np.matmul(
             np.column_stack([-2.0 * self.xc, xx, np.ones(len(x))]),
             np.column_stack([self.yc, np.ones(len(y)), yy]).T,
-            out=ws.take("inv", (len(x), len(y))),
+            out=ws.take("rho2", (len(x), len(y))),
         )
         # a coincident pair leaves |r|^2 at the rounding level of |x|^2 + |y|^2
         if rho2.min() <= _COINCIDENT * (xx.max() + yy.max()) and np.any(
             rho2 <= _COINCIDENT * (xx[:, None] + yy[None, :])
         ):
             raise CoincidentPointsError("kernel evaluated with source == target")
-        self.inv = np.sqrt(rho2, out=rho2)
-        np.divide(1.0, self.inv, out=self.inv)
+        self.rho2, self._inv = rho2, None
+
+    def inv(self) -> np.ndarray:
+        """1 / |r|, (m, n), formed on first use in place of |r|^2, which
+        is then gone: a sum that reads |r|^2 runs before any that reads
+        this."""
+        if self._inv is None:
+            self._inv = np.sqrt(self.rho2, out=self.rho2)
+            np.divide(1.0, self._inv, out=self._inv)
+            self.rho2 = None
+        return self._inv
 
     def take(self, name, k=None) -> np.ndarray:
         """A workspace array of the tile's shape (m, n), or (m, k)."""
@@ -302,12 +315,17 @@ def _tiles(m, n):
     A row chunk spans every source while it holds at least as many rows as
     the side of a square tile; with more sources than that, the sources
     split into equal blocks no wider than the side, so that each tile's
-    per-source set-up is shared by that many rows.
+    per-source set-up is shared by that many rows.  The rows split into
+    equal blocks too, as few as fit, so that the tiles' (m, k) temporaries
+    are no taller than they need to be.
     """
     side = max(1, math.isqrt(spatial.CHUNK_BYTES // (8 * _ROW_ARRAYS)))
     width = math.ceil(n / math.ceil(n / side))
     cols = [slice(start, min(start + width, n)) for start in range(0, n, width)]
-    return [(r, c) for r in spatial.chunks(m, 8 * _ROW_ARRAYS * width) for c in cols]
+    step = max(1, spatial.CHUNK_BYTES // (8 * _ROW_ARRAYS * width))
+    height = math.ceil(m / math.ceil(m / step)) if m else 1
+    rows = [slice(start, min(start + height, m)) for start in range(0, m, height)]
+    return [(r, c) for r in rows for c in cols]
 
 
 def _direct_sum(kernel, targets, sources, densities, add, out=None, workspace=None):
@@ -410,7 +428,7 @@ def _single(kernel, g, sig, acc):
     """acc += the single layer of sig over the pairs g."""
     parts, values = sig
     if kernel.family is Family.LAPLACE:
-        acc[0][:, parts[0][0]] += g.product(INV_4PI, g.inv, values[0])
+        acc[0][:, parts[0][0]] += g.product(INV_4PI, g.inv(), values[0])
         return
     # K_ij = c (diag delta_ij / |r| + r_i r_j / |r|^3)
     if kernel.family is Family.STOKES:
@@ -420,12 +438,13 @@ def _single(kernel, g, sig, acc):
         nu = kernel.poisson_ratio
         c = 1.0 / (16.0 * np.pi * kernel.viscosity * (1.0 - nu))
         diag = 3.0 - 4.0 * nu
-    inv3 = np.multiply(g.inv, c, out=g.take("weight"))
-    inv3 *= g.inv
-    inv3 *= g.inv
+    inv = g.inv()
+    inv3 = np.multiply(inv, c, out=g.take("weight"))
+    inv3 *= inv
+    inv3 *= inv
     _pair_term(g, inv3, sig, acc)
     for grp, v in enumerate(values):
-        _add_by_group(parts, grp, g.product(c * diag, g.inv, v), acc)
+        _add_by_group(parts, grp, g.product(c * diag, inv, v), acc)
 
 
 def _double(kernel, g, sig, acc, normals, on_targets=False):
@@ -437,17 +456,21 @@ def _double(kernel, g, sig, acc, normals, on_targets=False):
     """
     parts, values = sig
     dot = g.dot_targets if on_targets else g.dot_sources
-    inv3 = np.multiply(g.inv, g.inv, out=g.take("weight"))
     if kernel.family is Family.LAPLACE:
-        inv3 *= g.inv
-        inv3 *= dot(normals)
-        acc[0][:, parts[0][0]] += g.product(INV_4PI, inv3, values[0])
+        # (r . n) / |r|^3 from |r|^2: one square root, no 1 / |r|
+        cube = np.sqrt(g.rho2, out=g.take("weight"))
+        cube *= g.rho2
+        kern = dot(normals)
+        kern /= cube
+        acc[0][:, parts[0][0]] += g.product(INV_4PI, kern, values[0])
         return
     # pair term: 3 c (r . n) r_i r_j / |r|^5, with c = 1 / (4 pi) for Stokes
     nu = kernel.poisson_ratio
     c = INV_4PI if kernel.family is Family.STOKES else 1.0 / (8.0 * np.pi * (1.0 - nu))
+    inv = g.inv()
+    inv3 = np.multiply(inv, inv, out=g.take("weight"))
     pair = np.multiply(inv3, inv3, out=g.take("pair"))
-    pair *= g.inv
+    pair *= inv
     pair *= dot((3.0 * c) * normals)
     _pair_term(g, pair, sig, acc)
     if kernel.family is Family.STOKES:
@@ -455,7 +478,7 @@ def _double(kernel, g, sig, acc, normals, on_targets=False):
     # -(T^T psi) with T as in traction_kernel, r = y - x, n = n(y), adds
     # u (n_i r_j - r_i n_j + (r . n) delta_ij), u = (1 - 2 nu) c / |r|^3;
     # with s(a, b) = sum over the sources of u r_a n_b, (r . n) = sum_k r_k n_k
-    inv3 *= g.inv
+    inv3 *= inv
     normals = ((1.0 - 2.0 * nu) * c) * normals
     if on_targets:
         get = g.weighted_r(inv3, values, (None,))
@@ -510,12 +533,14 @@ def apply_combined(
     kernel: KernelFamily, targets, sources, normals, single, double, out=None, workspace=None
 ):
     """Single layer of one density plus double layer of another, on one
-    geometry pass: the two densities share every tile's |r|."""
+    geometry pass: the two densities share every tile's |r|^2.  The double
+    layer goes first, so that the Laplace one reads |r|^2 before the single
+    layer turns it into 1 / |r|."""
     normals = np.asarray(normals, dtype=float)
 
     def add(g, sigs, acc):
-        _single(kernel, g, sigs[0], acc)
         _double(kernel, g, sigs[1], acc, normals[g.cols])
+        _single(kernel, g, sigs[0], acc)
 
     return _direct_sum(kernel, targets, sources, [single, double], add, out, workspace)
 

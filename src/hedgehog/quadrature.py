@@ -1,8 +1,12 @@
 """Surface discretization, layer-potential summation and density upsampling.
 
 Nodes are tensor Clenshaw-Curtis points per patch with weights
-w_hat = sqrt(g) * w_a * w_b, indexed globally patch-major: node (a, b) of
-patch i has global index i * q^2 + a * q + b.
+w_hat = sqrt(g) * w_a * w_b.  A coarse set (no lineage) is indexed
+patch-major: node (a, b) of patch i has global index i * q^2 + a * q + b.
+A fine (upsampled) set holds each surface point once per coarse patch:
+the closed rule's edge nodes, which sibling fine patches share, are merged
+into their first copy, and tensor_rows maps index i * q^2 + a * q + b to
+the node's row.
 """
 
 import math
@@ -32,6 +36,9 @@ class QuadratureNodeSet:
     patch_ids: np.ndarray  # (N,)
     q: int
     patchset: PatchSet
+    # (P q^2,) row of node (a, b) of patch i, at index i q^2 + a q + b, in a
+    # fine set whose copies are merged; None for a coarse set, where it is that index
+    tensor_rows: np.ndarray | None = None
     # (coarse node set, its per-patch upsampling onto these nodes), see _upsampling
     _upsampling: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -44,7 +51,15 @@ class QuadratureNodeSet:
 
 
 def discretize(patchset: PatchSet, q: int) -> QuadratureNodeSet:
-    """Tensor Clenshaw-Curtis discretization: q^2 nodes per patch."""
+    """Tensor Clenshaw-Curtis discretization: q^2 nodes per patch.
+
+    A coarse set keeps all of them, patch-major.  A set with a lineage
+    (ancestors is not None) keeps each surface point once per coarse
+    ancestor (_first_copies): the merged node has its first copy's
+    position, normal, params and patch id and the sum of its copies'
+    weights.  So one uniform level leaves (2q - 1)^2 nodes per coarse
+    patch, not 4 q^2.
+    """
     rule = cc_rule(q)
     w2 = np.outer(rule.weights, rule.weights).ravel()
     npatches = len(patchset)
@@ -61,18 +76,64 @@ def discretize(patchset: PatchSet, q: int) -> QuadratureNodeSet:
     normals = patchset.orientation * cross / sqrtg[:, :, None]
     weights = sqrtg * w2[None, :]
     ss, tt = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-    params = np.tile(
-        np.stack([ss.ravel(), tt.ravel()], axis=1), (npatches, 1)
-    )
+    params = np.stack([ss.ravel(), tt.ravel()], axis=1)
+    positions, normals, weights = positions.reshape(-1, 3), normals.reshape(-1, 3), weights.reshape(-1)
+    if patchset.ancestors is None:
+        return QuadratureNodeSet(
+            positions=positions,
+            normals=normals,
+            weights=weights,
+            params=np.tile(params, (npatches, 1)),
+            patch_ids=np.repeat(np.arange(npatches), q * q),
+            q=q,
+            patchset=patchset,
+        )
+    keep, rows = _first_copies(patchset, rule.nodes, positions)
     return QuadratureNodeSet(
-        positions=positions.reshape(-1, 3),
-        normals=normals.reshape(-1, 3),
-        weights=weights.reshape(-1),
-        params=params,
-        patch_ids=np.repeat(np.arange(npatches), q * q),
+        positions=positions[keep],
+        normals=normals[keep],
+        weights=np.bincount(rows, weights=weights, minlength=len(keep)),
+        params=params[keep % (q * q)],
+        patch_ids=keep // (q * q),
         q=q,
         patchset=patchset,
+        tensor_rows=rows,
     )
+
+
+def _first_copies(patchset: PatchSet, rule_nodes, positions):
+    """(keep, rows): the tensor nodes that hold each surface point of a fine
+    set once per coarse ancestor, and the row among them of every node.
+
+    The closed rule puts nodes on every patch edge, which sibling fine
+    patches share.  Nodes are keyed by (ancestor, root parameters), and
+    copies, nodes of one key whose positions are bitwise equal, become their
+    first copy: keep is increasing, so each coarse patch's nodes stay one run.
+    """
+    depth, ix, iy = np.array([(p.domain.depth, p.domain.ix, p.domain.iy) for p in patchset]).T
+    # node (a, b) of patch i sits at root parameters (s[i, a], t[i, b]); one
+    # integer key per node ranks (ancestor, bits of s, bits of t)
+    s = dyadic_points(depth[:, None], ix[:, None], rule_nodes)
+    t = dyadic_points(depth[:, None], iy[:, None], rule_nodes)
+    distinct_s, rank_s = np.unique(s.view(np.int64), return_inverse=True)
+    distinct_t, rank_t = np.unique(t.view(np.int64), return_inverse=True)
+    key = patchset.ancestors[:, None, None] * len(distinct_s) + rank_s.reshape(s.shape)[:, :, None]
+    key = (key * len(distinct_t) + rank_t.reshape(t.shape)[:, None, :]).reshape(-1)
+    order = np.argsort(key, kind="stable")
+    # a node in sorted order repeats the one before it if its key and
+    # position bits are the same
+    sorted_key = key[order]
+    repeats = sorted_key[1:] == sorted_key[:-1]
+    pairs = np.flatnonzero(repeats)
+    bits = positions.view(np.int64)
+    repeats[pairs] = np.all(bits[order[pairs + 1]] == bits[order[pairs]], axis=1)
+    starts = np.concatenate([[True], ~repeats])
+    first = np.zeros(len(order), dtype=bool)
+    first[order[starts]] = True
+    # every copy's row is the rank of its first copy among the first copies
+    rows = np.empty(len(order), dtype=np.int64)
+    rows[order] = (np.cumsum(first) - 1)[order[starts]][np.cumsum(starts) - 1]
+    return np.flatnonzero(first), rows
 
 
 def smooth_potential(
@@ -122,9 +183,11 @@ def _upsampling(coarse_nodes: QuadratureNodeSet, fine_nodes: QuadratureNodeSet):
     its node values onto its own fine nodes fine_nodes[rows], a slice.
 
     U_j stacks kron(A_s, A_t) of the cached 1D factors over the fine patches
-    that descend from j.  Built once per (coarse, fine) pair of node sets and
-    cached on the fine set; coarse patches refined alike, as all of them in
-    a uniform set, share one matrix.
+    that descend from j, and keeps the row of each merged node's first copy;
+    the rows of its other copies are checked to be the same bits.  Built
+    once per (coarse, fine) pair of node sets and cached on the fine set;
+    coarse patches refined alike, as all of them in a uniform set, share
+    one matrix.
     """
     cached = fine_nodes._upsampling
     if cached is not None and cached[0] is coarse_nodes:
@@ -146,13 +209,23 @@ def _upsampling(coarse_nodes: QuadratureNodeSet, fine_nodes: QuadratureNodeSet):
             dom = fine.domain
             k = dom.depth - base.depth
             keys.append((k, dom.ix - (base.ix << k), dom.iy - (base.iy << k)))
-        keys = tuple(keys)
-        if keys not in shared:
-            shared[keys] = np.concatenate(
+        rows = fine_nodes.tensor_rows[lo * qf * qf : hi * qf * qf]
+        start = int(rows[0]) if len(rows) else 0
+        local = rows - start  # merged row, within patch j's run, of each tensor node
+        key = (tuple(keys), local.tobytes())
+        if key not in shared:
+            full = np.concatenate(
                 [np.empty((0, qc * qc))]
                 + [np.kron(_interp_1d(qc, qf, k, ix), _interp_1d(qc, qf, k, iy)) for k, ix, iy in keys]
             )
-        matrices.append((slice(lo * qf * qf, hi * qf * qf), shared[keys]))
+            # merged rows are numbered in the order of their first copies
+            first = local > np.maximum.accumulate(np.concatenate([[-1], local[:-1]]))
+            up = full[first]
+            copies = ~first
+            if not np.array_equal(up[local[copies]].view(np.int64), full[copies].view(np.int64)):
+                raise RuntimeError("copies of a fine node interpolate with different bits")
+            shared[key] = up
+        matrices.append((slice(start, start + len(shared[key])), shared[key]))
     fine_nodes._upsampling = (coarse_nodes, matrices)
     return matrices
 
@@ -189,16 +262,20 @@ def upsampled_blocks(
     """Smooth quadrature on the fine set of a density given at the coarse
     nodes, as its terms K(X, F_j) (W U_j phi_j), one coarse patch j at a time.
 
-    The one sum over an upsampled set.  F_j are patch j's fine nodes, U_j
-    the cached interpolation onto them and W their weights, so each patch's
-    density is upsampled by one GEMM onto its own fine nodes, and the dense
-    fine copy of a block with local support, as the identity, is never
-    formed.  density is (N,), (N, d), (N, d, k) or (N, d * k); layer
-    "combined" takes a (single, double) pair of one shape and sums both in
-    one backend call.  Yields (cols, block) for each patch on which the
-    density is nonzero: block (M, d, len(cols)) in the density columns cols
-    nonzero on patch j.  The blocks share one buffer, so each is valid only
-    until the next.  Targets must be disjoint from the fine nodes.
+    The one sum over an upsampled set.  phi_j are the density's rows
+    j q^2 to (j + 1) q^2, patch-major as in every coarse set.  F_j are patch
+    j's fine nodes, one run of rows of the fine set that holds each surface
+    point once, so not rows of q^2 per fine patch; U_j is the cached
+    interpolation onto them and W their weights, the sums of the copies'.
+    Each patch's density is thus upsampled by one GEMM onto its own fine
+    nodes, and the dense fine copy of a block with local support, as the
+    identity, is never formed.  density is (N,), (N, d), (N, d, k) or
+    (N, d * k); layer "combined" takes a (single, double) pair of one shape
+    and sums both in one backend call.  Yields (cols, block) for each patch
+    on which the density is nonzero: block (M, d, len(cols)) in the density
+    columns cols nonzero on patch j.  The blocks share one buffer, so each
+    is valid only until the next.  Targets must be disjoint from the fine
+    nodes.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     check_pairs(len(targets) * len(fine_nodes))

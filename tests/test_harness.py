@@ -130,7 +130,8 @@ def test_summary_writes_the_check_line_as_it_ran(tmp_path):
 def test_greens_identity_over_the_pair_budget_names_the_pair_count(monkeypatch):
     config = _small_sphere()
     checks = config.target_subsample * (config.p + 1)
-    fine_nodes = 24 * 4**config.upsample_levels * config.q**2
+    # each uniform level halves the node spacing; copies on shared edges are one node
+    fine_nodes = 24 * (2**config.upsample_levels * (config.q - 1) + 1) ** 2
     pairs = checks * fine_nodes
     monkeypatch.setattr(K, "PAIR_BUDGET", pairs - 1)
     with pytest.raises(UsageError, match=re.escape(f"{pairs:.3g} pairs exceeds the budget")):

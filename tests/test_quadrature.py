@@ -110,6 +110,16 @@ def test_target_on_node_raises(sphere96):
 # ---------------------------------------------------------------------------
 
 
+def _root_params(nodes):
+    """(s, t) of every node in its root square, pulled back through the
+    domain of the patch it names."""
+    out = np.empty_like(nodes.params)
+    for i, patch in enumerate(nodes.patchset):
+        mine = nodes.patch_ids == i
+        out[mine] = np.stack(patch.domain.to_root(*nodes.params[mine].T), axis=1)
+    return out
+
+
 def _flat_patchset():
     emb = geo.plate_embedding([-1, -1, 0], [2, 0, 0], [0, 2, 0])
     return PatchSet([fit_patch(emb, 0, Subdomain(), 5)], mesh=geo.QuadMesh([emb]))
@@ -131,19 +141,92 @@ def test_upsample_exact_for_bidegree_five(sphere96=None):
     vals = poly(cn.params)
     up = upsample_density(cn, vals, fn)
     # evaluate the polynomial at the fine params pulled back to coarse frame
-    pulled = np.stack(
-        [
-            np.concatenate(
-                [p.domain.to_root(fn.params[i * q * q:(i + 1) * q * q, 0],
-                                  fn.params[i * q * q:(i + 1) * q * q, 1])[k]
-                 for i, p in enumerate(fine.patches)]
-            )
-            for k in (0, 1)
-        ],
-        axis=1,
-    )
-    exact = poly(pulled)
+    exact = poly(_root_params(fn))
     assert np.abs(up - exact).max() < 1e-12 * max(1.0, np.abs(exact).max())
+
+
+@pytest.fixture(scope="module")
+def sphere6():
+    mesh = geo.sphere_mesh(1.0, per_face=1)
+    return PatchSet(
+        [fit_patch(e, r, Subdomain(), 8) for r, e in enumerate(mesh.embeddings)], mesh=mesh
+    )
+
+
+def _tensor_nodes(fine):
+    """The fine set's q^2 nodes per patch, copies and all: the same patches
+    with no lineage, so nothing is merged."""
+    return PatchSet(fine.patches, mesh=fine.mesh)
+
+
+@pytest.mark.parametrize("levels, per_coarse", [(1, 11**2), (2, 21**2)])
+def test_fine_set_holds_each_surface_point_once_per_coarse_patch(sphere6, levels, per_coarse):
+    """One uniform level leaves (2q - 1)^2 nodes per coarse patch and two
+    (4q - 3)^2: 441 x 6 = 2,646 at q = 6.  Every copy has the bits of the
+    node it became, which keeps its first copy's position, normal, params
+    and patch id and the sum of the copies' weights."""
+    q = 6
+    fine = uniform_upsample(sphere6, levels)
+    fn, tensor = discretize(fine, q), discretize(_tensor_nodes(fine), q)
+    assert len(fn) == per_coarse * len(sphere6) == len(np.unique(fn.tensor_rows))
+    assert np.array_equal(np.bincount(fine.ancestors[fn.patch_ids]), [per_coarse] * len(sphere6))
+    rows = fn.tensor_rows
+    assert fn.positions[rows].tobytes() == tensor.positions.tobytes()
+    first = np.unique(rows, return_index=True)[1]
+    for merged, unmerged in (
+        (fn.positions, tensor.positions),
+        (fn.normals, tensor.normals),
+        (fn.params, tensor.params),
+        (fn.patch_ids, tensor.patch_ids),
+    ):
+        assert merged.tobytes() == unmerged[first].tobytes()
+    assert np.array_equal(first, np.sort(first))  # merged nodes keep the first copies' order
+    assert fn.weights.tobytes() == np.bincount(rows, weights=tensor.weights).tobytes()
+    assert fn.area == pytest.approx(tensor.area, rel=1e-14)
+    # copies never cross coarse patches
+    assert np.array_equal(fine.ancestors[fn.patch_ids[rows]], fine.ancestors[tensor.patch_ids])
+
+
+def test_coarse_and_identity_lineage_sets_merge_nothing(sphere96):
+    """A coarse set is the patch-major tensor set, and a fine set with
+    identity lineage, which has no shared edges, keeps the same bits."""
+    q = 6
+    coarse = discretize(sphere96, q)
+    same = discretize(sphere96.as_fine(), q)
+    assert coarse.tensor_rows is None and len(coarse) == len(sphere96) * q * q
+    assert np.array_equal(same.tensor_rows, np.arange(len(coarse)))
+    for field in ("positions", "normals", "weights", "params", "patch_ids"):
+        assert getattr(same, field).tobytes() == getattr(coarse, field).tobytes()
+
+
+def test_upsample_onto_merged_nodes_keeps_the_tensor_rows(sphere6):
+    """Each merged node interpolates with the bits of the tensor row
+    kron(A_s, A_t) of every one of its copies, on a fine set of two depths.
+
+    The values upsample_density gives there match the stacked tensor rows'
+    GEMM to rounding, not bitwise: the BLAS GEMM's bits can depend on the
+    number of rows, which merging lowers."""
+    from hedgehog.quadrature import _interp_1d, _upsampling
+
+    q = 6
+    fine = uniform_upsample(sphere6, 1).quadrisected([0, 5, 6])
+    cn, fn = discretize(sphere6, q), discretize(fine, q)
+    values = np.random.default_rng(8).normal(size=(len(cn), 2))
+    up = upsample_density(cn, values, fn)
+    for j, (base, (rows, matrix)) in enumerate(zip(sphere6, _upsampling(cn, fn))):
+        mine = np.flatnonzero(fine.ancestors == j)
+        blocks = []
+        for patch in fine.patches[mine[0] : mine[-1] + 1]:
+            k = patch.domain.depth - base.domain.depth
+            ix, iy = patch.domain.ix - (base.domain.ix << k), patch.domain.iy - (base.domain.iy << k)
+            blocks.append(np.kron(_interp_1d(q, q, k, ix), _interp_1d(q, q, k, iy)))
+        tensor = np.concatenate(blocks)
+        copies = fn.tensor_rows[mine[0] * q * q : (mine[-1] + 1) * q * q]
+        assert rows == slice(copies.min(), copies.max() + 1)
+        assert matrix[copies - rows.start].tobytes() == tensor.tobytes()
+        local = values[j * q * q : (j + 1) * q * q]
+        bound = 4 * np.finfo(float).eps * (np.abs(tensor) @ np.abs(local))
+        assert np.all(np.abs(up[copies] - tensor @ local) <= bound)
 
 
 def test_upsample_constant_stays_constant():
@@ -167,14 +250,7 @@ def test_upsample_trig_density_q_order_decay():
         cn = discretize(coarse, q)
         fn = discretize(fine, q)
         up = upsample_density(cn, f(cn.params), fn)
-        pulled = []
-        for i, p in enumerate(fine.patches):
-            s, t = p.domain.to_root(
-                fn.params[i * q * q:(i + 1) * q * q, 0],
-                fn.params[i * q * q:(i + 1) * q * q, 1],
-            )
-            pulled.append(np.stack([s, t], axis=1))
-        exact = f(np.concatenate(pulled))
+        exact = f(_root_params(fn))
         errs.append(np.abs(up - exact).max())
     assert errs[0] > 1e3 * errs[1] > 1e6 * errs[2] or errs[2] < 1e-14
 
@@ -188,12 +264,7 @@ def test_upsample_mixed_depths_from_each_coarse_node_set():
     coarse = _flat_patchset()
     fine = uniform_upsample(coarse, 1).quadrisected([1, 2])
     fn = discretize(fine, 8)
-    pulled = np.concatenate(
-        [
-            np.stack(p.domain.to_root(*fn.params[i * 64 : (i + 1) * 64].T), axis=1)
-            for i, p in enumerate(fine.patches)
-        ]
-    )
+    pulled = _root_params(fn)
     cs = np.random.default_rng(6).normal(size=(4, 4))
 
     def poly(params):
@@ -228,19 +299,13 @@ def test_upsample_below_coarse_patches_off_the_root_corner():
     q = 6
     cn, fn = discretize(coarse, q), discretize(fine, q)
 
-    def root_params(nodes, ps):
-        return np.concatenate([
-            np.stack(p.domain.to_root(*nodes.params[i * q * q : (i + 1) * q * q].T), axis=1)
-            for i, p in enumerate(ps)
-        ])
-
     cs = np.random.default_rng(7).normal(size=(4, 4))
 
     def poly(params):
         return np.polynomial.polynomial.polyval2d(params[:, 0], params[:, 1], cs)
 
-    exact = poly(root_params(fn, fine))
-    up = upsample_density(cn, poly(root_params(cn, coarse)), fn)
+    exact = poly(_root_params(fn))
+    up = upsample_density(cn, poly(_root_params(cn)), fn)
     assert np.abs(up - exact).max() < 1e-12 * np.abs(exact).max()
 
 

@@ -11,6 +11,19 @@ sets, every ZoneLabels field and the values; then the failed count and the
 repr of the check's max_rel_error, which says by how much accuracy moved
 when a hash changes. Two checkouts whose lines agree compute the same bits.
 Run it from the root of a source checkout.
+
+When the bits are meant to change, say by rounding, save the outputs of
+one checkout and compare the other's against them:
+
+    python3 tools/output_hashes.py --seeds 1 2 3 --save DIR      # in the first
+    python3 tools/output_hashes.py --seeds 1 2 3 --against DIR   # in the second
+
+--save writes the operator, density or values, the failed count and
+max_rel_error of each workload and seed to DIR/<workload>_seed<N>.npz.
+--against prints, after each line of hashes, one line that begins with
+the workload, the seed and ``against``: the largest change of each saved
+array relative to its largest magnitude, max |new - saved| / max |saved|,
+then the failed count and max_rel_error with the saved ones.
 """
 
 import argparse
@@ -47,7 +60,10 @@ def node_arrays(nodes) -> tuple:
     return nodes.positions, nodes.normals, nodes.weights, nodes.params, nodes.patch_ids
 
 
-def solve_hashes(work) -> dict:
+COMPARED = ("operator", "density", "values")  # the arrays --save keeps
+
+
+def solve_outputs(work) -> dict:
     from hedgehog import solver  # importable once load_workloads put src on the path
 
     system = work.setup()
@@ -59,14 +75,14 @@ def solve_hashes(work) -> dict:
     return {
         "coarse": patchset_hash(system.coarse),
         "fine": patchset_hash(system.fine),
-        "operator": _digest(op),
-        "density": _digest(density.values),
+        "operator": op,
+        "density": density.values,
         "failed": ok.count(False),
-        "error": repr(error),
+        "error": error,
     }
 
 
-def targets_hashes(work) -> dict:
+def targets_outputs(work) -> dict:
     state = work.setup()
     coarse, fine, nodes, fine_nodes, _ = state
     work.prepare(state)
@@ -78,10 +94,47 @@ def targets_hashes(work) -> dict:
         "fine": patchset_hash(fine),
         "nodes": _digest(*node_arrays(nodes), *node_arrays(fine_nodes)),
         "labels": _digest(*fields),
-        "values": _digest(values),
+        "values": values,
         "failed": ok.count(False),
-        "error": repr(error),
+        "error": error,
     }
+
+
+def hash_line(outputs) -> str:
+    """The fields of one line: hashes of the arrays, the failed count and
+    the repr of max_rel_error."""
+    fields = {
+        k: _digest(v) if isinstance(v, np.ndarray) else repr(v) if k == "error" else v
+        for k, v in outputs.items()
+    }
+    return " ".join(f"{k}={v}" for k, v in fields.items())
+
+
+def relative_change(new, saved) -> float:
+    """max |new - saved| / max |saved|; inf when the shapes differ."""
+    if new.shape != saved.shape:
+        return float("inf")
+    scale = np.abs(saved).max(initial=0.0)
+    change = np.abs(new - saved).max(initial=0.0)
+    return change / scale if scale else change
+
+
+def save(outputs, path):
+    arrays = {k: outputs[k] for k in COMPARED if k in outputs}
+    np.savez(path, failed=outputs["failed"], error=outputs["error"], **arrays)
+
+
+def against_line(outputs, path) -> str:
+    """The fields of one comparison line against the outputs saved at path."""
+    with np.load(path) as saved:
+        changes = [
+            f"{k}={relative_change(np.asarray(outputs[k]), saved[k]):.3e}"
+            for k in COMPARED if k in outputs
+        ]
+        return " ".join(changes + [
+            f"failed={outputs['failed']} saved_failed={int(saved['failed'])}",
+            f"error={outputs['error']!r} saved_error={float(saved['error'])!r}",
+        ])
 
 
 def load_workloads():
@@ -98,14 +151,26 @@ def load_workloads():
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
+    group = ap.add_mutually_exclusive_group()
+    group.add_argument("--save", type=Path, metavar="DIR",
+                       help="write the compared outputs of each workload and seed to DIR")
+    group.add_argument("--against", type=Path, metavar="DIR",
+                       help="compare with the outputs that --save wrote to DIR")
     args = ap.parse_args(argv)
+    if args.save:
+        args.save.mkdir(parents=True, exist_ok=True)
     workloads = load_workloads()
     for name, make in workloads.WORKLOADS.items():
         for seed in args.seeds:
             work = make(seed)
-            hashes = targets_hashes(work) if name == "targets" else solve_hashes(work)
-            fields = " ".join(f"{k}={v}" for k, v in hashes.items())
-            print(f"{name} seed={seed} {fields}", flush=True)
+            outputs = targets_outputs(work) if name == "targets" else solve_outputs(work)
+            print(f"{name} seed={seed} {hash_line(outputs)}", flush=True)
+            path = f"{name}_seed{seed}.npz"
+            if args.save:
+                save(outputs, args.save / path)
+            if args.against:
+                print(f"{name} seed={seed} against {against_line(outputs, args.against / path)}",
+                      flush=True)
 
 
 if __name__ == "__main__":
